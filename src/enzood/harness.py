@@ -27,7 +27,7 @@ from .model import (
     predict,
     train,
 )
-from .seqid import OodSplit, build_ood_splits
+from .seqid import OodSplit, _ood_splits
 
 LAMBDA_GRID = (0.005, 0.05, 0.5, 5.0, 50.0)
 MASK_GRID = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
@@ -57,12 +57,13 @@ def nested_identity_split(
     records, threshold: float, test_fraction: float, val_fraction: float, seed: int
 ) -> NestedSplit:
     """Outer split reserves the test set; an inner split of the remaining
-    pool (seeded independently) reserves validation."""
+    pool (seeded independently, on a slice of the outer identity matrix)
+    reserves validation."""
     records = list(records)
-    outer = build_ood_splits(records, [threshold], test_fraction, seed)[0]
+    (outer,), identities = _ood_splits(records, [threshold], test_fraction, seed)
     by_id = {r.id: r for r in records}
     pool = [by_id[i] for i in outer.train_ids]
-    inner = build_ood_splits(pool, [threshold], val_fraction, seed + 1)[0]
+    (inner,), _ = _ood_splits(pool, [threshold], val_fraction, seed + 1, known=identities)
     return NestedSplit(
         threshold=threshold,
         train_ids=inner.train_ids,

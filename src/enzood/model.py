@@ -211,6 +211,7 @@ _SUBSTRATE_INPUT_SCALE = np.ones(SUBSTRATE_FEATURES)
 _SUBSTRATE_INPUT_SCALE[SUBSTRATE_FEATURES - 1] = ATOM_COUNT_SCALE
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite results raise NonFiniteError
 def _forward_arrays(params: ModelParams, x_enzyme: np.ndarray, x_substrate: np.ndarray):
     """Batched forward pass over scaled inputs; returns the scaled inputs
     and every activation needed by backprop."""
@@ -452,6 +453,7 @@ class TrainConfig:
                 raise ConfigError("layer dimensions must be positive")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # each step checks finiteness itself
 def train(train_pairs, val_pairs, cfg: TrainConfig):
     """Momentum SGD with per-step augmentation.
 

@@ -3,65 +3,109 @@
 Identity is global Needleman-Wunsch (match=+1, mismatch=0, linear gap=-1)
 with identical-column count divided by gap-inclusive alignment length; the
 gap-inclusive denominator keeps identities conservative, which makes the
-split guarantees stricter.  The alignment kernel has a compiled backend
-(enzood._alignment_cy) and a pure-Python fallback selected at import; set
-ENZOOD_ALIGNMENT_BACKEND to "cython", "python", or "auto" to override.
+split guarantees stricter.  One numpy kernel, ``align_stats_many``, aligns
+whole batches of pairs; every identity below goes through it.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _alignment_py
 from .errors import DuplicateIdError, InfeasibleSplitError
 
-try:
-    from . import _alignment_cy
-except ImportError:
-    _alignment_cy = None
-
-ALIGNMENT_BACKEND_ENV = "ENZOOD_ALIGNMENT_BACKEND"
-
-
-def _select_backend():
-    choice = os.environ.get(ALIGNMENT_BACKEND_ENV, "auto")
-    if choice == "python":
-        return _alignment_py
-    if choice == "cython":
-        if _alignment_cy is None:
-            raise ImportError(
-                "compiled alignment backend requested via "
-                f"{ALIGNMENT_BACKEND_ENV} but it is not built"
-            )
-        return _alignment_cy
-    if choice == "auto":
-        return _alignment_cy if _alignment_cy is not None else _alignment_py
-    raise ValueError(
-        f"{ALIGNMENT_BACKEND_ENV} must be 'auto', 'python', or 'cython', got {choice!r}"
-    )
-
-
-_backend = _select_backend()
+# Pairs aligned together, and the integer type of their DP rows: values
+# stay within 2 * (len a + len b), so int32 cannot overflow for any chunk
+# whose rows fit in memory.
+ALIGN_CHUNK = 256
+ALIGN_DTYPE = np.int32
 
 
 def alignment_backend() -> str:
-    """Name of the alignment kernel in use: 'cython' or 'python'."""
-    return _backend.BACKEND_NAME
+    """Name of the alignment kernel in use."""
+    return "numpy"
+
+
+def align_stats_many(as_, bs) -> np.ndarray:
+    """(N, 3) int array of (score, matches, alignment_length), one row per
+    pair ``(as_[k], bs[k])``, of the canonical global alignment.
+
+    Tie-break during traceback: diagonal, then up (gap in ``b``), then
+    left (gap in ``a``).  Pairs are aligned in chunks of similar length.
+    """
+    as_, bs = list(as_), list(bs)
+    if len(as_) != len(bs):
+        raise ValueError(f"{len(as_)} first sequences but {len(bs)} second ones")
+    if not all(as_) or not all(bs):
+        raise ValueError("sequences must be non-empty")
+    order = np.lexsort(([len(s) for s in bs], [len(s) for s in as_]))
+    out = np.empty((len(as_), 3), dtype=np.int64)
+    for lo in range(0, len(order), ALIGN_CHUNK):
+        chunk = order[lo : lo + ALIGN_CHUNK]
+        out[chunk] = _align_chunk([as_[k] for k in chunk], [bs[k] for k in chunk])
+    return out
+
+
+def _codes(seqs) -> np.ndarray:
+    """Byte codes of ``seqs``, zero-padded to the longest."""
+    codes = np.zeros((len(seqs), max(len(s) for s in seqs)), dtype=np.uint8)
+    for k, s in enumerate(seqs):
+        codes[k, : len(s)] = np.frombuffer(s.encode("ascii"), dtype=np.uint8)
+    return codes
+
+
+def _align_chunk(as_, bs) -> np.ndarray:
+    """One DP row at a time over every pair of the chunk.
+
+    Row ``i`` first takes diagonal or up per cell (up only when strictly
+    better), giving ``c``.  The left-gap chain then makes cell ``j`` the
+    best of ``c[k] - (j - k)`` over ``k <= j``, a prefix max of ``c + j``;
+    its source column is the last ``k`` where ``c[k] + k`` reaches that
+    max, so ties keep diagonal/up over left.  Matches are carried from the
+    source column; the length follows from score and matches, because
+    score = matches - gaps and a + b residues = 2 * diagonal + gaps.
+    Padding is never read: row ``i`` and column ``j`` depend only on
+    earlier ones, and each pair's result is taken at its own cell.
+    """
+    a, b = _codes(as_), _codes(bs)
+    la = np.array([len(s) for s in as_])
+    lb = np.array([len(s) for s in bs])
+    n = len(as_)
+    j = np.arange(b.shape[1] + 1, dtype=ALIGN_DTYPE)
+    rows = np.arange(n)[:, None]
+    score = np.broadcast_to(-j, (n, j.size)).copy()
+    matches = np.zeros_like(score)
+    c = np.empty_like(score)
+    c_matches = np.empty_like(score)
+    out = np.empty((n, 3), dtype=np.int64)
+    for i in range(1, a.shape[1] + 1):
+        match = (a[:, i - 1 : i] == b).astype(ALIGN_DTYPE)
+        diag = score[:, :-1] + match
+        up = score[:, 1:] - 1
+        np.maximum(diag, up, out=c[:, 1:])
+        c_matches[:, 1:] = np.where(up > diag, matches[:, 1:], matches[:, :-1] + match)
+        c[:, 0] = -i
+        c_matches[:, 0] = 0
+        reach = c + j
+        best = np.maximum.accumulate(reach, axis=1)
+        source = np.maximum.accumulate(np.where(reach == best, j, 0), axis=1)
+        score = best - j
+        matches = c_matches[rows, source]
+        done = np.flatnonzero(la == i)
+        if done.size:
+            end = lb[done]
+            out[done, 0] = score[done, end]
+            out[done, 1] = matches[done, end]
+    out[:, 2] = (la + lb - out[:, 0] + out[:, 1]) // 2
+    return out
 
 
 def alignment_stats(a: str, b: str) -> tuple[int, int, int]:
-    """(score, matches, alignment_length) of the canonical global alignment.
-
-    Tie-break during traceback: diagonal, then up (gap in ``b``), then
-    left (gap in ``a``).
-    """
-    if not a or not b:
-        raise ValueError("sequences must be non-empty")
-    return _backend.align_stats(a.encode("ascii"), b.encode("ascii"))
+    """(score, matches, alignment_length) of the canonical global alignment
+    of one pair; see ``align_stats_many``."""
+    return tuple(int(v) for v in align_stats_many([a], [b])[0])
 
 
 def global_identity(a: str, b: str) -> float:
@@ -74,17 +118,20 @@ def global_identity(a: str, b: str) -> float:
     return matches / length
 
 
+def _identities(as_, bs) -> np.ndarray:
+    stats = align_stats_many(as_, bs)
+    return stats[:, 1] / stats[:, 2]
+
+
 def pairwise_identity_matrix(seqs) -> np.ndarray:
     """Symmetric all-pairs identity matrix with unit diagonal."""
-    encoded = [s.encode("ascii") for s in seqs]
-    if any(len(e) == 0 for e in encoded):
+    seqs = list(seqs)
+    if not all(seqs):
         raise ValueError("sequences must be non-empty")
-    n = len(encoded)
+    n = len(seqs)
     matrix = np.ones((n, n), dtype=float)
-    for i in range(n):
-        for j in range(i + 1, n):
-            _, matches, length = _backend.align_stats(encoded[i], encoded[j])
-            matrix[i, j] = matrix[j, i] = matches / length
+    iu, ju = np.triu_indices(n, k=1)
+    matrix[iu, ju] = matrix[ju, iu] = _identities([seqs[i] for i in iu], [seqs[j] for j in ju])
     return matrix
 
 
@@ -93,7 +140,7 @@ def max_identity_to_train(q: str, train) -> float:
     train = list(train)
     if not train:
         raise ValueError("train set must be non-empty")
-    return max(global_identity(q, t) for t in train)
+    return float(_identities([q] * len(train), train).max())
 
 
 # ---------------------------------------------------------------------------
@@ -113,13 +160,10 @@ def greedy_cluster(seqs, threshold: float, identity_fn=None) -> list[list[int]]:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     seqs = list(seqs)
     if identity_fn is None:
-        cache: dict[tuple[int, int], float] = {}
+        matrix = pairwise_identity_matrix(seqs)
 
         def identity_fn(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in cache:
-                cache[key] = global_identity(seqs[i], seqs[j])
-            return cache[key]
+            return matrix[i, j]
 
     order = sorted(range(len(seqs)), key=lambda i: (-len(seqs[i]), i))
     clusters: list[list[int]] = []
@@ -195,6 +239,14 @@ def build_ood_splits(records, thresholds, test_fraction: float, seed: int) -> li
     independently per threshold.  Raises InfeasibleSplitError when one
     cluster alone exceeds the 1 - test_fraction train capacity.
     """
+    return _ood_splits(records, thresholds, test_fraction, seed)[0]
+
+
+def _ood_splits(records, thresholds, test_fraction, seed, known=None):
+    """``build_ood_splits`` plus the ``(unique sequences, identity matrix)``
+    it split on.  ``known`` is such a pair whose sequences hold the
+    records' ones in the same order of first appearance; its matrix is
+    then sliced instead of aligning those pairs again."""
     records = list(records)
     if not records:
         raise ValueError("no records")
@@ -208,14 +260,15 @@ def build_ood_splits(records, thresholds, test_fraction: float, seed: int) -> li
         raise DuplicateIdError("record ids must be unique for split construction")
     seqs = [r.sequence for r in records]
 
-    uniq: list[str] = []
-    uniq_index: dict[str, int] = {}
-    for s in seqs:
-        if s not in uniq_index:
-            uniq_index[s] = len(uniq)
-            uniq.append(s)
+    uniq = list(dict.fromkeys(seqs))
+    uniq_index = {s: u for u, s in enumerate(uniq)}
     rec_u = [uniq_index[s] for s in seqs]
-    matrix = pairwise_identity_matrix(uniq)
+    if known is None:
+        matrix = pairwise_identity_matrix(uniq)
+    else:
+        row = {s: k for k, s in enumerate(known[0])}
+        rows = [row[s] for s in uniq]
+        matrix = known[1][np.ix_(rows, rows)]
     n_records = len(records)
 
     splits = []
@@ -261,7 +314,7 @@ def build_ood_splits(records, thresholds, test_fraction: float, seed: int) -> li
                 f"split construction bug: cross identity {worst} above {thr}"
             )
         splits.append(OodSplit(threshold=thr, train_ids=train_ids, test_ids=test_ids))
-    return splits
+    return splits, (uniq, matrix)
 
 
 def _max_cross_identity(matrix, test_uniq, train_uniq) -> float:
@@ -275,11 +328,10 @@ def max_cross_identity(split: OodSplit, id_to_seq) -> float:
     """Exhaustive check value: highest test-to-train identity in ``split``."""
     test_seqs = sorted({id_to_seq[i] for i in split.test_ids})
     train_seqs = sorted({id_to_seq[i] for i in split.train_ids})
-    best = 0.0
-    for t in test_seqs:
-        for r in train_seqs:
-            best = max(best, global_identity(t, r))
-    return best
+    if not test_seqs or not train_seqs:
+        return 0.0
+    return float(_identities([t for t in test_seqs for _ in train_seqs],
+                             train_seqs * len(test_seqs)).max())
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,8 @@
-"""Pure-Python global alignment kernel.
+"""Pure-Python global alignment, the reference for enzood.seqid's kernel.
 
-Fallback for :mod:`enzood._alignment_cy`; same contract, same results,
-roughly two orders of magnitude slower.  Kept dependency-free so the
-package works without a C toolchain.
+One pair at a time, one cell at a time: the plain recurrence the batched
+numpy kernel must reproduce exactly.
 """
-
-BACKEND_NAME = "python"
 
 
 def align_stats(a: bytes, b: bytes) -> tuple[int, int, int]:

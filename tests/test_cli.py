@@ -323,6 +323,8 @@ def test_exit_code_three_for_data_problems(tmp_path, capsys):
     assert err_lines[0].split("\t")[:3] == ["error", "3", "DatasetError"]
 
 
+# divergence must surface only as exit code 4, never as a numpy warning first
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_exit_code_four_for_numeric_failures(tmp_path):
     bench = make_bench(tmp_path)
     hot = write_cfg(tmp_path, "hot.cfg", "learning_rate=8.0\nepochs=80\n")

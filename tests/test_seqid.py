@@ -4,10 +4,12 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
-from enzood import _alignment_py
+from _alignment_py import align_stats as reference_stats
+from enzood import seqid
 from enzood.errors import DuplicateIdError, InfeasibleSplitError
 from enzood.seqid import (
     OodSplit,
+    align_stats_many,
     alignment_backend,
     alignment_stats,
     build_ood_splits,
@@ -19,11 +21,6 @@ from enzood.seqid import (
     read_split_file,
     write_split_file,
 )
-
-try:
-    from enzood import _alignment_cy
-except ImportError:
-    _alignment_cy = None
 
 Rec = namedtuple("Rec", "id sequence")
 
@@ -99,18 +96,61 @@ def test_identity_rejects_empty():
         alignment_stats("A", "")
 
 
-def test_backends_agree():
-    if _alignment_cy is None:
-        pytest.skip("compiled backend not built")
+def adversarial_pairs(rng, count):
+    """Pairs built to hit alignment ties: a 4-letter alphabet, indels,
+    single residues and near-identical sequences, lengths 1 to 40."""
+    pairs = [("A", "A"), ("A", "C"), ("A", "AAAA"), ("AAAA", "A"), ("ACGT", "TGCA"), ("AC", "CA")]
+    while len(pairs) < count:
+        a = random_seq(rng, 40, "ACGT")
+        if rng.random() < 0.3:
+            pairs.append((a, random_seq(rng, 40, "ACGT")))
+            continue
+        b = list(a)
+        for _ in range(int(rng.integers(1, 8))):
+            pos = int(rng.integers(len(b) + 1))
+            edit = int(rng.integers(3))
+            if edit == 0 or not b:
+                b.insert(pos, "ACGT"[int(rng.integers(4))])
+            elif edit == 1:
+                del b[min(pos, len(b) - 1)]
+            else:
+                b[min(pos, len(b) - 1)] = "ACGT"[int(rng.integers(4))]
+        b = "".join(b) or "G"
+        pairs.append((a, b) if rng.random() < 0.5 else (b, a))
+    return pairs
+
+
+def assert_matches_reference(pairs):
+    got = align_stats_many([a for a, _ in pairs], [b for _, b in pairs])
+    assert got.shape == (len(pairs), 3)
+    for (a, b), row in zip(pairs, got.tolist()):
+        assert tuple(row) == reference_stats(a.encode(), b.encode()), (a, b)
+
+
+def test_align_stats_many_matches_reference():
     rng = np.random.default_rng(9)
-    for _ in range(60):
-        a = random_seq(rng, 200, AA).encode()
-        b = random_seq(rng, 200, AA).encode()
-        assert _alignment_cy.align_stats(a, b) == _alignment_py.align_stats(a, b)
+    # one batch of mixed lengths (1 to 40 residues), more than one chunk long
+    pairs = adversarial_pairs(rng, seqid.ALIGN_CHUNK + 300)
+    assert_matches_reference(pairs)
+    # unrelated protein-like pairs, up to 120 against up to 15 residues
+    assert_matches_reference(
+        [(random_seq(rng, 120, AA), random_seq(rng, 15, AA)) for _ in range(40)]
+        + [(random_seq(rng, 15, AA), random_seq(rng, 120, AA)) for _ in range(40)]
+    )
+    assert_matches_reference([("ACDEFG", "ACDFG")])
+
+
+def test_align_stats_many_rejects_empty():
+    with pytest.raises(ValueError):
+        align_stats_many(["A", ""], ["A", "A"])
+    with pytest.raises(ValueError):
+        align_stats_many(["A"], [""])
+    with pytest.raises(ValueError):
+        align_stats_many(["A"], ["A", "C"])
 
 
 def test_backend_name_reported():
-    assert alignment_backend() in ("cython", "python")
+    assert alignment_backend() == "numpy"
 
 
 def test_pairwise_matrix_invariants():
