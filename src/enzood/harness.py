@@ -281,9 +281,13 @@ def read_checkpoint(path) -> tuple[ModelParams, dict]:
         raise DatasetError(f"cannot read checkpoint {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DatasetError(f"invalid checkpoint {path}: {exc}") from exc
-    if "params" not in data:
+    if not isinstance(data, dict) or "params" not in data:
         raise DatasetError(f"invalid checkpoint {path}: missing params")
-    return params_from_jsonable(data["params"]), data
+    try:
+        params = params_from_jsonable(data["params"])
+    except ValueError as exc:
+        raise DatasetError(f"invalid checkpoint {path}: {exc}") from exc
+    return params, data
 
 
 LOG_COLUMNS = (

@@ -16,11 +16,12 @@ test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .augment import ALPHABET, AugmentConfig, EsiPair, augment_pair
+from .augment import ALPHABET, AugmentConfig, augment_pair
 from .errors import ConfigError, DegenerateTargetsError, NonFiniteError
 from .metrics import mae, r_squared
 from .molgraph import (
@@ -33,12 +34,10 @@ from .molgraph import (
 )
 
 ENZYME_FEATURES = len(ALPHABET) + len(ALPHABET) ** 2  # 462
-ENZYME_LAYOUT = "enzyme-kmer12-v1"
 
 # element bins + MASKED bin, 4 bond orders, ring count, degree histogram
 # 0..4+, charge sum, atom total
 SUBSTRATE_FEATURES = len(ELEMENTS) + 1 + 4 + 1 + 5 + 1 + 1  # 23
-SUBSTRATE_LAYOUT = "substrate-descriptor-v1"
 
 MOMENTUM = 0.9
 
@@ -54,19 +53,7 @@ _ELEMENT_INDEX = {element: i for i, element in enumerate(ELEMENTS)}
 _BOND_SLOT = {BOND_SINGLE: 0, BOND_DOUBLE: 1, BOND_TRIPLE: 2, BOND_AROMATIC: 3}
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Fixed-length numeric features plus the layout id that produced them."""
-
-    values: np.ndarray
-    layout: str
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("feature vector contains non-finite entries")
-
-
-def featurize_enzyme(seq: str) -> FeatureVector:
+def featurize_enzyme(seq: str) -> np.ndarray:
     """Length-normalized 1-mer (21) and 2-mer (441) counts."""
     if not seq:
         raise ValueError("empty enzyme sequence")
@@ -80,16 +67,18 @@ def featurize_enzyme(seq: str) -> FeatureVector:
         for a, b in zip(idx, idx[1:]):
             values[k + a * k + b] += 1.0
         values[k:] /= len(seq) - 1
-    return FeatureVector(values, ENZYME_LAYOUT)
+    return values
 
 
-def featurize_substrate(g: MolGraph, mask=None) -> FeatureVector:
+def featurize_substrate(g: MolGraph, mask=None) -> np.ndarray:
     """Descriptor vector; masked atoms count only in the MASKED bin.
 
     Bonds, degrees, ring membership, and charge are read from the intact
     graph, so masking hides identity, not topology.
     """
     n = len(g)
+    if n == 0:
+        raise ValueError("empty substrate graph")
     if mask is None:
         mask = (False,) * n
     if len(mask) != n:
@@ -110,67 +99,76 @@ def featurize_substrate(g: MolGraph, mask=None) -> FeatureVector:
     values[base + 10] = sum(a.formal_charge for a in g.atoms)
     values[: base + 11] /= n
     values[base + 11] = n
-    return FeatureVector(values, SUBSTRATE_LAYOUT)
+    return values
 
 
 # ---------------------------------------------------------------------------
 # Parameters
 
 
+def _shapes(hidden_enzyme: int, hidden_substrate: int, embed_dim: int) -> dict:
+    """Block name -> shape, in the order the blocks sit in the vector."""
+    he, hs, d = hidden_enzyme, hidden_substrate, embed_dim
+    return {
+        "w_enzyme": (he, ENZYME_FEATURES),
+        "b_enzyme": (he,),
+        "w_substrate": (hs, SUBSTRATE_FEATURES),
+        "b_substrate": (hs,),
+        "w_fusion": (d, he + hs),
+        "b_fusion": (d,),
+        "w_head": (d,),
+        "b_head": (),
+    }
+
+
+def _blocks(theta: np.ndarray, hidden_enzyme: int, hidden_substrate: int, embed_dim: int) -> dict:
+    """Named row-major views into a parameter vector of these layer sizes;
+    b_head is the shape-() view of the last entry."""
+    shapes = _shapes(hidden_enzyme, hidden_substrate, embed_dim)
+    size = sum(math.prod(shape) for shape in shapes.values())
+    if theta.shape != (size,):
+        raise ValueError(f"parameter vector has shape {theta.shape}, the layout needs ({size},)")
+    views = {}
+    offset = 0
+    for name, shape in shapes.items():
+        end = offset + math.prod(shape)
+        views[name] = theta[offset:end].reshape(shape)
+        offset = end
+    return views
+
+
 @dataclass(frozen=True)
 class ModelParams:
-    """Weights for the two branches, the fusion layer, and the scalar head."""
+    """Weights for the two branches, the fusion layer, and the scalar head.
 
-    w_enzyme: np.ndarray
-    b_enzyme: np.ndarray
-    w_substrate: np.ndarray
-    b_substrate: np.ndarray
-    w_fusion: np.ndarray
-    b_fusion: np.ndarray
-    w_head: np.ndarray
-    b_head: float
+    Every weight lives in ``theta``, one read-only float64 vector taken
+    without a copy.  The named blocks are views into it, built once here;
+    ``b_head``, the last entry, is a Python float.  The three layer sizes
+    fix the layout."""
+
+    theta: np.ndarray
+    hidden_enzyme: int
+    hidden_substrate: int
+    embed_dim: int
+    w_enzyme: np.ndarray = field(init=False, repr=False, compare=False)
+    b_enzyme: np.ndarray = field(init=False, repr=False, compare=False)
+    w_substrate: np.ndarray = field(init=False, repr=False, compare=False)
+    b_substrate: np.ndarray = field(init=False, repr=False, compare=False)
+    w_fusion: np.ndarray = field(init=False, repr=False, compare=False)
+    b_fusion: np.ndarray = field(init=False, repr=False, compare=False)
+    w_head: np.ndarray = field(init=False, repr=False, compare=False)
+    b_head: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        he, de = self.w_enzyme.shape
-        hs, ds = self.w_substrate.shape
-        d, fused = self.w_fusion.shape
-        if self.b_enzyme.shape != (he,) or self.b_substrate.shape != (hs,):
-            raise ValueError("branch bias shapes do not match weights")
-        if fused != he + hs:
-            raise ValueError("fusion input dim != concatenated branch dims")
-        if self.b_fusion.shape != (d,) or self.w_head.shape != (d,):
-            raise ValueError("fusion/head shapes inconsistent")
-        for arr in self.arrays():
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("non-finite parameter values")
-
-    @property
-    def embed_dim(self) -> int:
-        return self.w_fusion.shape[0]
-
-    def arrays(self):
-        return (
-            self.w_enzyme,
-            self.b_enzyme,
-            self.w_substrate,
-            self.b_substrate,
-            self.w_fusion,
-            self.b_fusion,
-            self.w_head,
-            np.asarray(self.b_head, dtype=float),
-        )
-
-
-FIELD_NAMES = (
-    "w_enzyme",
-    "b_enzyme",
-    "w_substrate",
-    "b_substrate",
-    "w_fusion",
-    "b_fusion",
-    "w_head",
-    "b_head",
-)
+        theta = np.asarray(self.theta, dtype=np.float64).view()
+        theta.flags.writeable = False
+        blocks = _blocks(theta, self.hidden_enzyme, self.hidden_substrate, self.embed_dim)
+        if not np.all(np.isfinite(theta)):
+            raise ValueError("non-finite parameter values")
+        object.__setattr__(self, "theta", theta)
+        for name, view in blocks.items():
+            object.__setattr__(self, name, view)
+        object.__setattr__(self, "b_head", float(blocks["b_head"]))
 
 
 def init_params(
@@ -180,31 +178,19 @@ def init_params(
     embed_dim: int = 64,
 ) -> ModelParams:
     """Gaussian init scaled by 1/sqrt(fan_in); biases start at zero."""
-
-    def layer(rows, cols):
-        return rng.normal(0.0, 1.0 / np.sqrt(cols), size=(rows, cols))
-
-    fused = hidden_enzyme + hidden_substrate
-    return ModelParams(
-        w_enzyme=layer(hidden_enzyme, ENZYME_FEATURES),
-        b_enzyme=np.zeros(hidden_enzyme),
-        w_substrate=layer(hidden_substrate, SUBSTRATE_FEATURES),
-        b_substrate=np.zeros(hidden_substrate),
-        w_fusion=layer(embed_dim, fused),
-        b_fusion=np.zeros(embed_dim),
-        w_head=rng.normal(0.0, 1.0 / np.sqrt(embed_dim), size=embed_dim),
-        b_head=0.0,
-    )
+    blocks = {
+        name: np.zeros(shape)
+        for name, shape in _shapes(hidden_enzyme, hidden_substrate, embed_dim).items()
+    }
+    for name in ("w_enzyme", "w_substrate", "w_fusion", "w_head"):
+        shape = blocks[name].shape
+        blocks[name] = rng.normal(0.0, 1.0 / np.sqrt(shape[-1]), size=shape)
+    theta = np.concatenate([block.ravel() for block in blocks.values()])
+    return ModelParams(theta, hidden_enzyme, hidden_substrate, embed_dim)
 
 
 # ---------------------------------------------------------------------------
 # Forward
-
-
-def featurize_pair(pair: EsiPair) -> tuple[np.ndarray, np.ndarray]:
-    enzyme = featurize_enzyme(pair.enzyme).values
-    substrate = featurize_substrate(pair.substrate, pair.substrate_mask).values
-    return enzyme, substrate
 
 
 _SUBSTRATE_INPUT_SCALE = np.ones(SUBSTRATE_FEATURES)
@@ -233,18 +219,11 @@ def forward_batch(params: ModelParams, x_enzyme, x_substrate):
     return z, preds
 
 
-def forward(params: ModelParams, pair: EsiPair) -> tuple[np.ndarray, float]:
-    """(d-dim embedding, scalar log10 prediction) for one pair."""
-    enzyme, substrate = featurize_pair(pair)
-    z, preds = forward_batch(params, enzyme[None, :], substrate[None, :])
-    return z[0], float(preds[0])
-
-
 def predict(params: ModelParams, pairs) -> np.ndarray:
     """Predictions for raw pairs; vectorized over the batch."""
     pairs = list(pairs)
-    x_e = np.stack([featurize_enzyme(p.enzyme).values for p in pairs])
-    x_s = np.stack([featurize_substrate(p.substrate, p.substrate_mask).values for p in pairs])
+    x_e = np.stack([featurize_enzyme(p.enzyme) for p in pairs])
+    x_s = np.stack([featurize_substrate(p.substrate, p.substrate_mask) for p in pairs])
     _, preds = forward_batch(params, x_e, x_s)
     return preds
 
@@ -280,20 +259,6 @@ def loss_total(base: float, cons: float, lam: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Gradients
-
-
-@dataclass
-class Gradients:
-    """Same shapes as ModelParams."""
-
-    w_enzyme: np.ndarray
-    b_enzyme: np.ndarray
-    w_substrate: np.ndarray
-    b_substrate: np.ndarray
-    w_fusion: np.ndarray
-    b_fusion: np.ndarray
-    w_head: np.ndarray
-    b_head: float
 
 
 def _normalize_rows(z, eps=1e-12):
@@ -337,9 +302,10 @@ def gradients(
 
     The prediction loss sees only raw-pair outputs; augmented pairs reach
     the parameters exclusively through the consistency term, so with
-    lam=0 their contents cannot affect the update.
+    lam=0 their contents cannot affect the update and may be None.
 
-    Returns (Gradients, base_loss, cons_loss).
+    Returns (gradient, base_loss, cons_loss); the gradient is a vector
+    laid out like params.theta.
     """
     if lam < 0:
         raise ValueError(f"lambda must be non-negative, got {lam}")
@@ -354,18 +320,10 @@ def gradients(
     base = float(np.mean((preds - y) ** 2))
 
     g_pred = (2.0 / batch) * (preds - y)
-    grads = Gradients(
-        w_enzyme=np.zeros_like(params.w_enzyme),
-        b_enzyme=np.zeros_like(params.b_enzyme),
-        w_substrate=np.zeros_like(params.w_substrate),
-        b_substrate=np.zeros_like(params.b_substrate),
-        w_fusion=np.zeros_like(params.w_fusion),
-        b_fusion=np.zeros_like(params.b_fusion),
-        w_head=np.zeros_like(params.w_head),
-        b_head=0.0,
-    )
-    grads.w_head += z_raw.T @ g_pred
-    grads.b_head += float(np.sum(g_pred))
+    flat = np.zeros(params.theta.shape)
+    grads = _blocks(flat, params.hidden_enzyme, params.hidden_substrate, params.embed_dim)
+    grads["w_head"] += z_raw.T @ g_pred
+    grads["b_head"] += np.sum(g_pred)
 
     if lam > 0:
         xe_aug, xs_aug, he_aug, hs_aug, h_aug, z_aug, _ = _forward_arrays(
@@ -381,16 +339,16 @@ def gradients(
 
     def back_pass(g_z, z, h, h_e, h_s, x_e, x_s):
         dpre_f = g_z * (1.0 - z * z)
-        grads.w_fusion += dpre_f.T @ h
-        grads.b_fusion += dpre_f.sum(axis=0)
+        grads["w_fusion"] += dpre_f.T @ h
+        grads["b_fusion"] += dpre_f.sum(axis=0)
         g_h = dpre_f @ params.w_fusion
         he_dim = h_e.shape[1]
         dpre_e = g_h[:, :he_dim] * (1.0 - h_e * h_e)
         dpre_s = g_h[:, he_dim:] * (1.0 - h_s * h_s)
-        grads.w_enzyme += dpre_e.T @ x_e
-        grads.b_enzyme += dpre_e.sum(axis=0)
-        grads.w_substrate += dpre_s.T @ x_s
-        grads.b_substrate += dpre_s.sum(axis=0)
+        grads["w_enzyme"] += dpre_e.T @ x_e
+        grads["b_enzyme"] += dpre_e.sum(axis=0)
+        grads["w_substrate"] += dpre_s.T @ x_s
+        grads["b_substrate"] += dpre_s.sum(axis=0)
 
     g_z_raw = np.outer(g_pred, params.w_head)
     if gz_cons_raw is not None:
@@ -399,24 +357,10 @@ def gradients(
     if gz_cons_aug is not None:
         back_pass(lam * gz_cons_aug, z_aug, h_aug, he_aug, hs_aug, xe_aug, xs_aug)
 
-    for name in FIELD_NAMES:
-        value = getattr(grads, name)
-        if not np.all(np.isfinite(value)):
-            raise NonFiniteError(f"non-finite gradient in {name}")
-    return grads, base, cons
-
-
-def batch_losses(params, x_enzyme_raw, x_substrate_raw, x_enzyme_aug, x_substrate_aug,
-                 targets, lam, normalize_cons=False):
-    """(base, cons, total) without gradient work; used by the FD oracle."""
-    *_, z_raw, preds = _forward_arrays(params, x_enzyme_raw, x_substrate_raw)
-    base = loss_base(preds, targets)
-    if lam > 0:
-        *_, z_aug, _unused = _forward_arrays(params, x_enzyme_aug, x_substrate_aug)
-        cons = _cons_value(z_raw, z_aug, normalize_cons)
-    else:
-        cons = 0.0
-    return base, cons, loss_total(base, cons, lam)
+    if not np.all(np.isfinite(flat)):
+        name = next(name for name, g in grads.items() if not np.all(np.isfinite(g)))
+        raise NonFiniteError(f"non-finite gradient in {name}")
+    return flat, base, cons
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +401,10 @@ class TrainConfig:
 def train(train_pairs, val_pairs, cfg: TrainConfig):
     """Momentum SGD with per-step augmentation.
 
-    Every step draws fresh augmented counterparts for its batch with a
-    generator seeded by (seed, epoch, step), computes the combined loss,
-    and updates shared parameters.  Returns (params of the best
+    With lam > 0 every step draws fresh augmented counterparts for its
+    batch with a generator seeded by (seed, epoch, step); with lam = 0
+    the consistency term is off and nothing is drawn.  Each step computes
+    the combined loss and updates the parameter vector.  Returns (params of the best
     validation-MSE epoch, per-epoch log).  On a non-finite loss or
     gradient the run raises NonFiniteError carrying the best finite
     checkpoint and the log so far in its ``checkpoint`` and ``log``
@@ -472,15 +417,11 @@ def train(train_pairs, val_pairs, cfg: TrainConfig):
     if not val_pairs:
         raise ValueError("empty validation set")
 
-    x_e = np.stack([featurize_enzyme(p.enzyme).values for p in train_pairs])
-    x_s = np.stack(
-        [featurize_substrate(p.substrate, p.substrate_mask).values for p in train_pairs]
-    )
+    x_e = np.stack([featurize_enzyme(p.enzyme) for p in train_pairs])
+    x_s = np.stack([featurize_substrate(p.substrate, p.substrate_mask) for p in train_pairs])
     y = np.array([p.value for p in train_pairs], dtype=float)
-    xv_e = np.stack([featurize_enzyme(p.enzyme).values for p in val_pairs])
-    xv_s = np.stack(
-        [featurize_substrate(p.substrate, p.substrate_mask).values for p in val_pairs]
-    )
+    xv_e = np.stack([featurize_enzyme(p.enzyme) for p in val_pairs])
+    xv_s = np.stack([featurize_substrate(p.substrate, p.substrate_mask) for p in val_pairs])
     yv = np.array([p.value for p in val_pairs], dtype=float)
 
     params = init_params(
@@ -489,8 +430,7 @@ def train(train_pairs, val_pairs, cfg: TrainConfig):
         hidden_substrate=cfg.hidden_substrate,
         embed_dim=cfg.embed_dim,
     )
-    velocity = {name: np.zeros_like(getattr(params, name)) if name != "b_head" else 0.0
-                for name in FIELD_NAMES}
+    velocity = np.zeros(params.theta.shape)
 
     n = len(train_pairs)
     best_params = params
@@ -513,14 +453,14 @@ def train(train_pairs, val_pairs, cfg: TrainConfig):
         steps = 0
         for step, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
-            step_rng = np.random.default_rng([cfg.seed, epoch, step])
-            aug_pairs = [augment_pair(train_pairs[i], cfg.augment, step_rng) for i in idx]
-            xa_e = np.stack([featurize_enzyme(p.enzyme).values for p in aug_pairs])
-            xa_s = np.stack(
-                [featurize_substrate(p.substrate, p.substrate_mask).values for p in aug_pairs]
-            )
+            xa_e = xa_s = None
+            if cfg.lam > 0:
+                step_rng = np.random.default_rng([cfg.seed, epoch, step])
+                aug = [augment_pair(train_pairs[i], cfg.augment, step_rng) for i in idx]
+                xa_e = np.stack([featurize_enzyme(p.enzyme) for p in aug])
+                xa_s = np.stack([featurize_substrate(p.substrate, p.substrate_mask) for p in aug])
             try:
-                grads, base, cons = gradients(
+                grad, base, cons = gradients(
                     params,
                     x_e[idx],
                     x_s[idx],
@@ -535,13 +475,9 @@ def train(train_pairs, val_pairs, cfg: TrainConfig):
             total = loss_total(base, cons, cfg.lam)
             if not np.isfinite(total):
                 abort(f"non-finite training loss at epoch {epoch} step {step}")
-            updates = {}
-            for name in FIELD_NAMES:
-                v = MOMENTUM * velocity[name] - cfg.learning_rate * getattr(grads, name)
-                velocity[name] = v
-                updates[name] = getattr(params, name) + v
+            velocity = MOMENTUM * velocity - cfg.learning_rate * grad
             try:
-                params = ModelParams(**updates)
+                params = replace(params, theta=params.theta + velocity)
             except ValueError:
                 abort(f"non-finite parameters at epoch {epoch} step {step}")
             epoch_base += base
@@ -581,16 +517,38 @@ def train(train_pairs, val_pairs, cfg: TrainConfig):
 
 
 def params_to_jsonable(params: ModelParams) -> dict:
-    out = {}
-    for name in FIELD_NAMES:
-        value = getattr(params, name)
-        out[name] = value.tolist() if isinstance(value, np.ndarray) else value
-    return out
+    """Checkpoint form: each named block as nested lists, b_head a float."""
+    blocks = _blocks(params.theta, params.hidden_enzyme, params.hidden_substrate, params.embed_dim)
+    return {name: block.tolist() for name, block in blocks.items()}
 
 
-def params_from_jsonable(data: dict) -> ModelParams:
-    kwargs = {}
-    for name in FIELD_NAMES:
-        value = data[name]
-        kwargs[name] = float(value) if name == "b_head" else np.asarray(value, dtype=float)
-    return ModelParams(**kwargs)
+def params_from_jsonable(data) -> ModelParams:
+    """Inverse of params_to_jsonable.
+
+    The layer sizes come from the weight matrices; every block's shape,
+    the feature widths included, and its finiteness are checked before
+    the vector is built.  Raises ValueError naming the missing or bad
+    block."""
+    if not isinstance(data, dict):
+        raise ValueError(f"params must map block names to arrays, got {type(data).__name__}")
+
+    def rows(name):
+        value = data.get(name)
+        return len(value) if isinstance(value, list) else 0
+
+    sizes = [rows(name) for name in ("w_enzyme", "w_substrate", "w_fusion")]
+    arrays = []
+    for name, shape in _shapes(*sizes).items():
+        if name not in data:
+            raise ValueError(f"params lack block {name}")
+        try:
+            block = np.asarray(data[name], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"block {name} is not a numeric array: {exc}") from exc
+        if block.shape != shape:
+            raise ValueError(f"block {name} has shape {block.shape}, expected {shape}")
+        if not np.all(np.isfinite(block)):
+            raise ValueError(f"block {name} holds non-finite values")
+        arrays.append(block.ravel())
+    theta = np.concatenate(arrays)
+    return ModelParams(theta, *sizes)

@@ -189,8 +189,8 @@ def _decorate(graph: MolGraph, count: int, rng: np.random.Generator) -> MolGraph
 def _signal(sequence: str, smiles: str, enzyme_features, substrate_features) -> float:
     """Linear invariant part of the target, computed from serialized text
     so generation and reconstruction share every float operation."""
-    e = featurize_enzyme(sequence).values
-    s = featurize_substrate(parse_smiles(smiles)).values
+    e = featurize_enzyme(sequence)
+    s = featurize_substrate(parse_smiles(smiles))
     total = 0.0
     for idx, w in enzyme_features:
         total += w * e[idx]
@@ -210,7 +210,7 @@ def _substrate_weights(all_smiles, rng: np.random.Generator) -> list[list]:
     bundle is then rescaled so the substrate part of the signal has
     exactly ``_SUBSTRATE_SIGNAL_STD`` spread over the realized
     population, whatever the correlation structure of the draw."""
-    X = np.array([featurize_substrate(parse_smiles(s)).values for s in all_smiles])
+    X = np.array([featurize_substrate(parse_smiles(s)) for s in all_smiles])
     stds = X.std(axis=0)
     live = [i for i in _SUBSTRATE_SLOT_POOL if stds[i] > 1e-9]
     live.sort(key=lambda i: (-stds[i], i))
@@ -261,7 +261,7 @@ def generate(cfg: SynthConfig) -> tuple[list[EsiRecord], dict]:
     inner = set()
     for block in blocks:
         if len(block) > 1:
-            vec = featurize_enzyme(block).values
+            vec = featurize_enzyme(block)
             inner.update(int(i) + k for i in np.nonzero(vec[k:])[0])
     inner_bins = sorted(inner)
 

@@ -1,7 +1,10 @@
-"""Shared molecule corpus and helpers for the test suite."""
+"""Shared molecule corpus, benchmark fixtures and helpers for the test suite."""
 
 import numpy as np
 import pytest
+
+from enzood.harness import nested_identity_split
+from enzood.synth import SynthConfig, generate
 
 # Dialect-clean molecules exercising chains, branches, rings, aromatics,
 # charges, heteroatoms, and every bond order.  Fused aromatics and
@@ -68,3 +71,22 @@ def maskable_smiles():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def bench300():
+    """The default 300-record synthetic benchmark."""
+    cfg = SynthConfig()
+    assert cfg.rho == 0.5
+    records, _ = generate(cfg)
+    assert len(records) == 300
+    return records
+
+
+@pytest.fixture(scope="session")
+def ood_split(bench300):
+    """Nested split of bench300 at identity 0.6, built once per run.
+
+    0.3 of the records go to the outer test set; 2/7 of the remaining
+    pool goes to validation, leaving a 50/20/30 percent layout."""
+    return nested_identity_split(bench300, 0.6, 0.3, 2.0 / 7.0, seed=0)

@@ -5,6 +5,7 @@ the suite stays fast; artifacts land in tmp_path."""
 
 import dataclasses
 import filecmp
+import json
 from pathlib import Path
 
 import pytest
@@ -321,6 +322,37 @@ def test_exit_code_three_for_data_problems(tmp_path, capsys):
     assert code == 3
     err_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error\t")]
     assert err_lines[0].split("\t")[:3] == ["error", "3", "DatasetError"]
+
+
+@pytest.mark.parametrize(
+    "damage, named",
+    [
+        (lambda params: {k: v for k, v in params.items() if k != "w_head"}, "w_head"),
+        (lambda params: list(params.values()), "list"),
+    ],
+    ids=["missing-block", "params-list"],
+)
+def test_exit_code_three_for_malformed_checkpoint(tmp_path, capsys, damage, named):
+    bench = make_bench(tmp_path)
+    run_cfg = write_cfg(tmp_path, "run.cfg", "epochs=1\n")
+    assert run_cli(["split", "--in", bench, "--out-dir", tmp_path / "s"]) == 0
+    ckpt = tmp_path / "m.ckpt"
+    argv = ["train", "--train", tmp_path / "s" / "train-060.tsv",
+            "--val", tmp_path / "s" / "test-060.tsv", "--config", run_cfg,
+            "--checkpoint-out", ckpt]
+    assert run_cli(argv) == 0
+    data = json.loads(ckpt.read_text(encoding="utf-8"))
+    data["params"] = damage(data["params"])
+    ckpt.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    code = run_cli(
+        ["eval", "--checkpoint", ckpt, "--data", bench,
+         "--splits", tmp_path / "s" / "splits.tsv", "--report-out", tmp_path / "r.txt"]
+    )
+    assert code == 3
+    err_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error\t")]
+    kind, message = err_lines[0].split("\t")[2:4]
+    assert kind == "DatasetError" and named in message
 
 
 # divergence must surface only as exit code 4, never as a numpy warning first

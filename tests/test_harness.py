@@ -83,9 +83,7 @@ def test_train_on_split_deterministic(bench, split):
     params_b, log_b, scores_b = train_on_split(bench, split, QUICK)
     assert log_a == log_b
     assert scores_a == scores_b
-    assert all(
-        np.array_equal(a, b) for a, b in zip(params_a.arrays(), params_b.arrays())
-    )
+    assert np.array_equal(params_a.theta, params_b.theta)
     assert len(log_a) == QUICK.epochs
     assert {"val", "test"} <= set(scores_a)
     assert {"n", "mse", "r2", "mae"} == set(scores_a["val"])
@@ -174,7 +172,7 @@ def test_checkpoint_roundtrip(tmp_path, bench, split):
     path = tmp_path / "model.ckpt"
     write_checkpoint(path, params, QUICK, extra={"note": "t"})
     loaded, data = read_checkpoint(path)
-    assert all(np.array_equal(a, b) for a, b in zip(params.arrays(), loaded.arrays()))
+    assert np.array_equal(params.theta, loaded.theta)
     assert data["config_hash"] == config_hash(QUICK)
     assert data["seed"] == QUICK.seed
     assert data["note"] == "t"

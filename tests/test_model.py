@@ -3,19 +3,17 @@ import dataclasses
 import numpy as np
 import pytest
 
+from enzood import model
 from enzood.augment import ALPHABET, AMINO_ACIDS, AugmentConfig, EsiPair
 from enzood.errors import ConfigError, NonFiniteError
 from enzood.model import (
     ENZYME_FEATURES,
-    FIELD_NAMES,
     MOMENTUM,
     ModelParams,
     SUBSTRATE_FEATURES,
     TrainConfig,
-    batch_losses,
     featurize_enzyme,
     featurize_substrate,
-    forward,
     forward_batch,
     gradients,
     init_params,
@@ -27,11 +25,40 @@ from enzood.model import (
     predict,
     train,
 )
-from enzood.molgraph import enumerate_smiles, parse_smiles
+from enzood.molgraph import MolGraph, enumerate_smiles, parse_smiles
+
+BLOCK_NAMES = (
+    "w_enzyme", "b_enzyme", "w_substrate", "b_substrate", "w_fusion", "b_fusion", "w_head",
+)
 
 
 def random_enzyme(rng, length):
     return "".join(AMINO_ACIDS[int(i)] for i in rng.integers(0, 20, size=length))
+
+
+def forward(params, pair):
+    """(d-dim embedding, scalar log10 prediction) for one pair."""
+    x_e = featurize_enzyme(pair.enzyme)[None, :]
+    x_s = featurize_substrate(pair.substrate, pair.substrate_mask)[None, :]
+    z, preds = forward_batch(params, x_e, x_s)
+    return z[0], float(preds[0])
+
+
+def batch_losses(params, x_e, x_s, xa_e, xa_s, targets, lam, normalize=False):
+    """(base, cons, total) of one batch from forward passes alone."""
+
+    def unit_rows(z):
+        return z / np.maximum(np.linalg.norm(z, axis=1, keepdims=True), 1e-12)
+
+    z_raw, preds = forward_batch(params, x_e, x_s)
+    base = loss_base(preds, targets)
+    cons = 0.0
+    if lam > 0:
+        z_aug, _ = forward_batch(params, xa_e, xa_s)
+        if normalize:
+            z_raw, z_aug = unit_rows(z_raw), unit_rows(z_aug)
+        cons = loss_cons(z_raw, z_aug)
+    return base, cons, loss_total(base, cons, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -39,8 +66,7 @@ def random_enzyme(rng, length):
 
 
 def test_featurize_enzyme_single_symbol():
-    fv = featurize_enzyme("AAAA")
-    v = fv.values
+    v = featurize_enzyme("AAAA")
     assert v.shape == (ENZYME_FEATURES,)
     a = ALPHABET.index("A")
     assert v[a] == 1.0
@@ -54,8 +80,8 @@ def test_featurize_enzyme_one_mer_permutation_invariant():
     rng = np.random.default_rng(0)
     seq = random_enzyme(rng, 40)
     shuffled = "".join(np.random.default_rng(1).permutation(list(seq)))
-    a = featurize_enzyme(seq).values
-    b = featurize_enzyme(shuffled).values
+    a = featurize_enzyme(seq)
+    b = featurize_enzyme(shuffled)
     assert np.array_equal(a[:21], b[:21])
 
 
@@ -63,7 +89,7 @@ def test_featurize_enzyme_mask_locality():
     seq = "ACDEFGHIKL"
     pos = 4
     masked = seq[:pos] + "X" + seq[pos + 1 :]
-    diff = np.nonzero(featurize_enzyme(seq).values != featurize_enzyme(masked).values)[0]
+    diff = np.nonzero(featurize_enzyme(seq) != featurize_enzyme(masked))[0]
     x = ALPHABET.index("X")
     old = ALPHABET.index(seq[pos])
     left = ALPHABET.index(seq[pos - 1])
@@ -80,7 +106,7 @@ def test_featurize_enzyme_mask_locality():
 
 
 def test_featurize_enzyme_length_one():
-    v = featurize_enzyme("W").values
+    v = featurize_enzyme("W")
     assert v[ALPHABET.index("W")] == 1.0
     assert np.all(v[21:] == 0.0)
     assert np.all(np.isfinite(v))
@@ -88,7 +114,7 @@ def test_featurize_enzyme_length_one():
 
 def test_featurize_substrate_layout():
     g = parse_smiles("C")
-    v = featurize_substrate(g).values
+    v = featurize_substrate(g)
     assert v.shape == (SUBSTRATE_FEATURES,)
     # element bins: B C N O P S F Cl Br I, then MASKED
     assert v[1] == 1.0  # C bin
@@ -101,7 +127,7 @@ def test_featurize_substrate_layout():
 
 def test_featurize_substrate_masked_bin():
     g = parse_smiles("CCO")
-    v = featurize_substrate(g, mask=(False, False, True)).values
+    v = featurize_substrate(g, mask=(False, False, True))
     o_bin = 3  # B C N O
     assert v[o_bin] == 0.0
     assert v[10] == pytest.approx(1 / 3)  # MASKED bin
@@ -111,7 +137,7 @@ def test_featurize_substrate_masked_bin():
 
 
 def test_featurize_substrate_charge_and_degree():
-    v = featurize_substrate(parse_smiles("CC[O-]")).values
+    v = featurize_substrate(parse_smiles("CC[O-]"))
     assert v[21] == pytest.approx(-1 / 3)
     assert v[16] == 0.0
     assert v[17] == pytest.approx(2 / 3)  # two degree-1 atoms
@@ -122,9 +148,9 @@ def test_featurize_substrate_isomorphism_invariant(corpus_smiles):
     rng = np.random.default_rng(3)
     for text in corpus_smiles[:10]:
         g = parse_smiles(text)
-        base = featurize_substrate(g).values
+        base = featurize_substrate(g)
         for rendering in enumerate_smiles(g, 5, rng):
-            again = featurize_substrate(parse_smiles(rendering)).values
+            again = featurize_substrate(parse_smiles(rendering))
             assert np.array_equal(base, again), (text, rendering)
 
 
@@ -133,21 +159,18 @@ def test_featurize_substrate_mask_length_checked():
         featurize_substrate(parse_smiles("CCO"), mask=(True,))
 
 
+def test_featurize_substrate_rejects_empty_graph():
+    with pytest.raises(ValueError, match="empty"):
+        featurize_substrate(MolGraph([], []))
+
+
 # ---------------------------------------------------------------------------
 # Forward
 
 
 def zero_params(he=4, hs=3, d=5):
-    return ModelParams(
-        w_enzyme=np.zeros((he, ENZYME_FEATURES)),
-        b_enzyme=np.zeros(he),
-        w_substrate=np.zeros((hs, SUBSTRATE_FEATURES)),
-        b_substrate=np.zeros(hs),
-        w_fusion=np.zeros((d, he + hs)),
-        b_fusion=np.zeros(d),
-        w_head=np.zeros(d),
-        b_head=0.0,
-    )
+    params = init_params(np.random.default_rng(0), he, hs, d)
+    return dataclasses.replace(params, theta=np.zeros_like(params.theta))
 
 
 def sample_pair(rng, atoms="CC(C)CCO"):
@@ -175,30 +198,77 @@ def test_forward_deterministic_and_shaped():
 
 
 def test_model_params_validation():
+    good = zero_params(4, 3, 5)
     with pytest.raises(ValueError):
-        ModelParams(
-            w_enzyme=np.zeros((4, ENZYME_FEATURES)),
-            b_enzyme=np.zeros(3),
-            w_substrate=np.zeros((3, SUBSTRATE_FEATURES)),
-            b_substrate=np.zeros(3),
-            w_fusion=np.zeros((5, 7)),
-            b_fusion=np.zeros(5),
-            w_head=np.zeros(5),
-            b_head=0.0,
-        )
-    bad = zero_params()
+        ModelParams(good.theta[:-1], 4, 3, 5)
     with pytest.raises(ValueError):
-        dataclasses.replace(bad, b_head=float("nan"))
+        ModelParams(good.theta, 4, 3, 6)
+    bad = good.theta.copy()
+    bad[-1] = float("nan")
+    with pytest.raises(ValueError):
+        ModelParams(bad, 4, 3, 5)
+
+
+def test_params_views_tile_theta():
+    he, hs, d = 5, 4, 6
+    params = init_params(np.random.default_rng(12), he, hs, d)
+    shapes = (
+        (he, ENZYME_FEATURES), (he,), (hs, SUBSTRATE_FEATURES), (hs,), (d, he + hs), (d,), (d,),
+    )
+    offset = 0
+    for name, shape in zip(BLOCK_NAMES, shapes):
+        view = getattr(params, name)
+        assert view.shape == shape and np.shares_memory(view, params.theta)
+        size = view.size
+        assert np.array_equal(view.ravel(), params.theta[offset : offset + size])
+        offset += size
+    assert offset == params.theta.size - 1
+    assert type(params.b_head) is float and params.b_head == params.theta[-1]
+
+
+def test_params_views_are_read_only():
+    params = init_params(np.random.default_rng(13), 5, 4, 6)
+    for name in ("theta",) + BLOCK_NAMES:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(params, name)[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.b_head = 1.0
 
 
 def test_params_jsonable_round_trip():
     params = init_params(np.random.default_rng(11), 5, 4, 6)
     data = params_to_jsonable(params)
+    assert type(data["b_head"]) is float
     again = params_from_jsonable(data)
-    for name in FIELD_NAMES:
-        assert np.array_equal(
-            np.asarray(getattr(params, name)), np.asarray(getattr(again, name))
-        )
+    assert np.array_equal(params.theta, again.theta)
+    assert (again.hidden_enzyme, again.hidden_substrate, again.embed_dim) == (5, 4, 6)
+
+
+@pytest.mark.parametrize(
+    "block, damage",
+    [
+        ("w_enzyme", lambda v: [row[:-1] for row in v]),  # feature width 461, not 462
+        ("w_substrate", lambda v: [row + [0.0] for row in v]),  # feature width 24, not 23
+        ("b_fusion", lambda v: v + [0.0]),
+        ("w_head", lambda v: [float("nan")] + v[1:]),
+        ("b_head", lambda v: [v]),
+        ("w_fusion", None),  # missing
+    ],
+)
+def test_params_from_jsonable_names_the_bad_block(block, damage):
+    data = params_to_jsonable(init_params(np.random.default_rng(14), 5, 4, 6))
+    if damage is None:
+        del data[block]
+    else:
+        data[block] = damage(data[block])
+    with pytest.raises(ValueError, match=block):
+        params_from_jsonable(data)
+
+
+def test_params_from_jsonable_rejects_non_mapping():
+    data = params_to_jsonable(init_params(np.random.default_rng(15), 2, 2, 2))
+    with pytest.raises(ValueError):
+        params_from_jsonable(list(data.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -249,47 +319,35 @@ def test_loss_total():
 
 
 def fd_gradient(params, loss_args, h=1e-5):
-    """Central finite differences of loss_total over every parameter."""
-    out = {}
-    for name in FIELD_NAMES:
-        value = getattr(params, name)
-        if name == "b_head":
-            plus = batch_losses(dataclasses.replace(params, b_head=value + h), *loss_args)[2]
-            minus = batch_losses(dataclasses.replace(params, b_head=value - h), *loss_args)[2]
-            out[name] = (plus - minus) / (2 * h)
-            continue
-        grad = np.zeros_like(value)
-        it = np.nditer(value, flags=["multi_index"])
-        for _ in it:
-            mi = it.multi_index
-            bumped = value.copy()
-            bumped[mi] = value[mi] + h
-            plus = batch_losses(dataclasses.replace(params, **{name: bumped}), *loss_args)[2]
-            bumped[mi] = value[mi] - h
-            minus = batch_losses(dataclasses.replace(params, **{name: bumped}), *loss_args)[2]
-            grad[mi] = (plus - minus) / (2 * h)
-        out[name] = grad
-    return out
+    """Central finite differences of loss_total over every coordinate of
+    theta, b_head included."""
+    theta = params.theta
+    grad = np.zeros_like(theta)
+    for i in range(theta.size):
+        plus = theta.copy()
+        plus[i] += h
+        minus = theta.copy()
+        minus[i] -= h
+        grad[i] = (
+            batch_losses(dataclasses.replace(params, theta=plus), *loss_args)[2]
+            - batch_losses(dataclasses.replace(params, theta=minus), *loss_args)[2]
+        ) / (2 * h)
+    return grad
 
 
 def max_rel_error(analytic, numeric):
-    worst = 0.0
-    for name in FIELD_NAMES:
-        a = np.asarray(getattr(analytic, name), dtype=float)
-        b = np.asarray(numeric[name], dtype=float)
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
-        worst = max(worst, float(np.max(np.abs(a - b) / denom)))
-    return worst
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    return float(np.max(np.abs(analytic - numeric) / denom))
 
 
 def random_batch(rng, batch, he=5, hs=4, d=6):
     params = init_params(rng, he, hs, d)
     pairs = [sample_pair(rng) for _ in range(batch)]
     aug = [sample_pair(rng, atoms="CC(=O)OC") for _ in range(batch)]
-    x_e = np.stack([featurize_enzyme(p.enzyme).values for p in pairs])
-    x_s = np.stack([featurize_substrate(p.substrate).values for p in pairs])
-    xa_e = np.stack([featurize_enzyme(p.enzyme).values for p in aug])
-    xa_s = np.stack([featurize_substrate(p.substrate).values for p in aug])
+    x_e = np.stack([featurize_enzyme(p.enzyme) for p in pairs])
+    x_s = np.stack([featurize_substrate(p.substrate) for p in pairs])
+    xa_e = np.stack([featurize_enzyme(p.enzyme) for p in aug])
+    xa_s = np.stack([featurize_substrate(p.substrate) for p in aug])
     y = rng.normal(size=batch)
     return params, (x_e, x_s, xa_e, xa_s, y)
 
@@ -313,10 +371,19 @@ def test_gradients_lambda_zero_ignores_augmented():
     garbage_e = np.full_like(xa_e, 1234.5)
     garbage_s = np.full_like(xa_s, -77.0)
     g2, *_ = gradients(params, x_e, x_s, garbage_e, garbage_s, y, 0.0)
-    for name in FIELD_NAMES:
-        assert np.array_equal(
-            np.asarray(getattr(g1, name)), np.asarray(getattr(g2, name))
-        )
+    g3, *_ = gradients(params, x_e, x_s, None, None, y, 0.0)
+    assert np.array_equal(g1, g2) and np.array_equal(g1, g3)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_gradients_name_the_non_finite_block():
+    rng = np.random.default_rng(23)
+    params, (x_e, x_s, xa_e, xa_s, y) = random_batch(rng, batch=3)
+    # each (pred - y) is about -1e308 and finite; their sum, the b_head
+    # gradient, overflows while every other block stays finite
+    huge = np.full(3, 1e308)
+    with pytest.raises(NonFiniteError, match="non-finite gradient in b_head"):
+        gradients(params, x_e, x_s, xa_e, xa_s, huge, 0.0)
 
 
 def test_gradients_reject_negative_lambda():
@@ -378,8 +445,7 @@ def test_train_deterministic():
     p1, log1 = train(pairs[:30], pairs[30:], cfg)
     p2, log2 = train(pairs[:30], pairs[30:], cfg)
     assert log1 == log2
-    for name in FIELD_NAMES:
-        assert np.array_equal(np.asarray(getattr(p1, name)), np.asarray(getattr(p2, name)))
+    assert np.array_equal(p1.theta, p2.theta)
 
 
 def test_train_lambda_zero_independent_of_augment_stream():
@@ -393,9 +459,44 @@ def test_train_lambda_zero_independent_of_augment_stream():
     cfg_b = TrainConfig(augment=AugmentConfig(p_s=0.3, p_g=0.3, seed=999), **base_cfg)
     p1, log1 = train(pairs[:30], pairs[30:], cfg_a)
     p2, log2 = train(pairs[:30], pairs[30:], cfg_b)
-    for name in FIELD_NAMES:
-        assert np.array_equal(np.asarray(getattr(p1, name)), np.asarray(getattr(p2, name)))
+    assert np.array_equal(p1.theta, p2.theta)
     assert [e["val_mse"] for e in log1] == [e["val_mse"] for e in log2]
+
+
+def test_train_lambda_zero_draws_no_augmentation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("augment_pair called with lam=0")
+
+    monkeypatch.setattr(model, "augment_pair", refuse)
+    rng = np.random.default_rng(36)
+    pairs = linear_dataset(rng, 24)
+    cfg = TrainConfig(
+        lam=0.0, epochs=3, batch_size=8, hidden_enzyme=4, hidden_substrate=3, embed_dim=4
+    )
+    _, log = train(pairs[:16], pairs[16:], cfg)
+    assert len(log) == 3 and all(entry["train_cons"] == 0.0 for entry in log)
+
+
+def test_train_never_changes_params_it_handed_out(monkeypatch):
+    seen = []
+    real = model.gradients
+
+    def spy(params, *args, **kwargs):
+        seen.append((params, params.theta.copy()))
+        return real(params, *args, **kwargs)
+
+    monkeypatch.setattr(model, "gradients", spy)
+    rng = np.random.default_rng(37)
+    pairs = linear_dataset(rng, 40, noise=0.3)
+    cfg = TrainConfig(
+        learning_rate=0.3, epochs=12, batch_size=8, hidden_enzyme=6, hidden_substrate=4,
+        embed_dim=5, seed=4,
+    )
+    best, log = train(pairs[:30], pairs[30:], cfg)
+    assert log[0]["best_epoch"] < len(log) - 1  # steps ran after the returned params
+    assert any(params is best for params, _ in seen)
+    for params, snapshot in seen:
+        assert np.array_equal(params.theta, snapshot)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -440,8 +541,8 @@ def test_forward_batch_matches_single():
     rng = np.random.default_rng(35)
     params = init_params(np.random.default_rng(1), 6, 5, 7)
     pairs = [sample_pair(rng) for _ in range(4)]
-    x_e = np.stack([featurize_enzyme(p.enzyme).values for p in pairs])
-    x_s = np.stack([featurize_substrate(p.substrate).values for p in pairs])
+    x_e = np.stack([featurize_enzyme(p.enzyme) for p in pairs])
+    x_s = np.stack([featurize_substrate(p.substrate) for p in pairs])
     z, preds = forward_batch(params, x_e, x_s)
     for k, pair in enumerate(pairs):
         zk, pk = forward(params, pair)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from enzood.errors import ConfigError
-from enzood.harness import nested_identity_split
 from enzood.io import read_dataset
 from enzood.molgraph import parse_smiles, write_smiles
 from enzood.seqid import global_identity, greedy_cluster, pairwise_identity_matrix
@@ -222,9 +221,8 @@ def test_write_benchmark_deterministic(tmp_path):
     assert sidecar_path(a).read_bytes() == sidecar_path(b).read_bytes()
 
 
-def test_default_benchmark_supports_nested_split():
-    records, _ = generate(SynthConfig())
-    split = nested_identity_split(records, 0.6, 0.3, 2 / 7, seed=0)
+def test_default_benchmark_supports_nested_split(ood_split):
+    split = ood_split
     n = len(split.train_ids) + len(split.val_ids) + len(split.test_ids)
     assert n == 300
     assert len(split.test_ids) >= 60
