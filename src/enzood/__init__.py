@@ -5,7 +5,7 @@ re-exports the pieces a typical workflow touches so short scripts can
 get by with ``from enzood import ...``:
 
 - molgraph: SMILES parsing, canonical forms, rendering enumeration
-- augment: constrained enzyme/substrate masking and pair construction
+- augment: constrained enzyme/substrate masking of dataset records
 - seqid: alignment identity, clustering, and identity-disjoint splits
 - model: two-branch regressor with consistency-regularized training
 - metrics: regression scores plus threshold-curve aggregation
@@ -17,13 +17,10 @@ get by with ``from enzood import ...``:
 
 from .augment import (
     AugmentConfig,
-    EsiPair,
     augment_dataset,
-    augment_pair,
     augment_record,
     mask_graph,
     mask_sequence,
-    pair_from_record,
 )
 from .errors import (
     ConfigError,
@@ -114,7 +111,6 @@ __all__ = [
     "DegenerateTargetsError",
     "DuplicateIdError",
     "EnzoodError",
-    "EsiPair",
     "EsiRecord",
     "GoodCurve",
     "GraphError",
@@ -134,7 +130,6 @@ __all__ = [
     "ValenceError",
     "au_good",
     "augment_dataset",
-    "augment_pair",
     "augment_record",
     "best_lambda_index",
     "build_ood_splits",
@@ -160,7 +155,6 @@ __all__ = [
     "mask_sweep",
     "max_identity_to_train",
     "nested_identity_split",
-    "pair_from_record",
     "pairwise_identity_matrix",
     "parse_smiles",
     "predict",

@@ -1,4 +1,4 @@
-"""Pseudo enzyme-substrate pair generation.
+"""Pseudo enzyme-substrate record generation.
 
 Three mechanisms, all label-preserving: masking a fixed fraction of
 enzyme residues with 'X', re-rendering the substrate SMILES from a random
@@ -11,13 +11,13 @@ requested ratio is never exceeded.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import floor
 
 import numpy as np
 
 from .errors import ConfigError
-from .molgraph import MolGraph, enumerate_smiles, parse_smiles
+from .molgraph import MolGraph, enumerate_smiles
 
 AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWY"
 MASK_SYMBOL = "X"
@@ -101,84 +101,27 @@ class AugmentConfig:
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
 
 
-@dataclass(frozen=True)
-class EsiPair:
-    """One enzyme-substrate sample with its kinetic target.
+def augment_record(
+    record, cfg: AugmentConfig, rng: np.random.Generator
+) -> tuple[str, str, tuple[bool, ...] | None]:
+    """Pseudo counterpart of ``record`` as (sequence, smiles,
+    substrate_mask): the masked enzyme plus either a re-rendered
+    (isomorphic) SMILES with no mask, or the record's own SMILES with a
+    substrate atom mask.
 
-    substrate_mask, when present, marks masked substrate atoms for the
-    featurizer; it must be all-false on protected atoms.
-    """
-
-    enzyme: str
-    substrate: MolGraph
-    value: float
-    substrate_mask: tuple[bool, ...] | None = None
-    metadata: dict | None = field(default=None)
-
-    def __post_init__(self):
-        validate_sequence(self.enzyme)
-        if self.substrate_mask is not None:
-            if len(self.substrate_mask) != len(self.substrate):
-                raise ValueError(
-                    f"substrate_mask length {len(self.substrate_mask)} != "
-                    f"atom count {len(self.substrate)}"
-                )
-            for i, (masked, prot) in enumerate(
-                zip(self.substrate_mask, self.substrate.protected)
-            ):
-                if masked and prot:
-                    raise ValueError(f"substrate_mask marks protected atom {i}")
-
-
-def augment_pair(pair: EsiPair, cfg: AugmentConfig, rng: np.random.Generator) -> EsiPair:
-    """Pseudo counterpart of ``pair``: masked enzyme plus either a
-    re-rendered (isomorphic) substrate or a substrate atom mask.  The
-    target value and metadata are copied unchanged."""
-    enzyme = mask_sequence(pair.enzyme, cfg.p_s, rng)
-    if cfg.substrate_mode == "enumeration":
-        text = enumerate_smiles(pair.substrate, 1, rng)[0]
-        return EsiPair(
-            enzyme=enzyme,
-            substrate=parse_smiles(text),
-            value=pair.value,
-            substrate_mask=None,
-            metadata=pair.metadata,
-        )
-    return EsiPair(
-        enzyme=enzyme,
-        substrate=pair.substrate,
-        value=pair.value,
-        substrate_mask=mask_graph(pair.substrate, cfg.p_g, rng),
-        metadata=pair.metadata,
-    )
-
-
-def augment_record(record, cfg: AugmentConfig, rng: np.random.Generator):
-    """Record-level counterpart of augment_pair, for serialized datasets.
-
-    Works on any dataclass with id, sequence, smiles, and substrate_mask
-    fields; the copy gets an '#aug' id suffix so both halves can live in
-    one file.
+    Works on any record with sequence, smiles, and ``graph`` (the
+    parsed smiles) attributes.
     """
     sequence = mask_sequence(record.sequence, cfg.p_s, rng)
-    graph = parse_smiles(record.smiles)
     if cfg.substrate_mode == "enumeration":
-        smiles = enumerate_smiles(graph, 1, rng)[0]
-        substrate_mask = None
-    else:
-        smiles = record.smiles
-        substrate_mask = mask_graph(graph, cfg.p_g, rng)
-    return dataclasses.replace(
-        record,
-        id=record.id + "#aug",
-        sequence=sequence,
-        smiles=smiles,
-        substrate_mask=substrate_mask,
-    )
+        return sequence, enumerate_smiles(record.graph, 1, rng)[0], None
+    return sequence, record.smiles, mask_graph(record.graph, cfg.p_g, rng)
 
 
 def augment_dataset(records, cfg: AugmentConfig) -> list[tuple]:
-    """One (raw, augmented) tuple per record, in input order.
+    """One (raw, augmented) record tuple per record, in input order; the
+    augmented twin carries an '#aug' id suffix so both halves can live
+    in one file.
 
     Each record gets its own generator seeded from (cfg.seed, index), so
     any subset reproduces identically.
@@ -189,17 +132,13 @@ def augment_dataset(records, cfg: AugmentConfig) -> list[tuple]:
     out = []
     for index, record in enumerate(records):
         rng = np.random.default_rng([cfg.seed, index])
-        out.append((record, augment_record(record, cfg, rng)))
+        sequence, smiles, substrate_mask = augment_record(record, cfg, rng)
+        twin = dataclasses.replace(
+            record,
+            id=record.id + "#aug",
+            sequence=sequence,
+            smiles=smiles,
+            substrate_mask=substrate_mask,
+        )
+        out.append((record, twin))
     return out
-
-
-def pair_from_record(record) -> EsiPair:
-    """Parse a serialized record into a model-facing pair."""
-    mask = getattr(record, "substrate_mask", None)
-    return EsiPair(
-        enzyme=record.sequence,
-        substrate=parse_smiles(record.smiles),
-        value=record.value,
-        substrate_mask=tuple(mask) if mask is not None else None,
-        metadata={"organism": record.organism} if getattr(record, "organism", None) else None,
-    )

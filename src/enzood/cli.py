@@ -34,7 +34,6 @@ from .harness import (
     mask_sweep,
     nested_identity_split,
     read_checkpoint,
-    records_to_pairs,
     write_checkpoint,
     write_report,
     write_train_log,
@@ -237,9 +236,7 @@ def _cmd_train(args) -> int:
     _emit_hash(cfg)
     train_records = read_dataset(args.train)
     val_records = read_dataset(args.val)
-    params, log = train(
-        records_to_pairs(train_records), records_to_pairs(val_records), cfg.train_config()
-    )
+    params, log = train(train_records, val_records, cfg.train_config())
     val_scores = evaluate_params(params, val_records)
     checkpoint_path = _prepare(args.checkpoint_out)
     write_checkpoint(

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augment import pair_from_record
 from .errors import DatasetError
 from .io import RunConfig, config_hash, format_real, resolved_items
 from .metrics import METRIC_IDS, au_good, curve_from_risks, mae, r_squared
@@ -80,14 +79,10 @@ def select_records(records, ids) -> list:
     return [by_id[i] for i in ids]
 
 
-def records_to_pairs(records) -> list:
-    return [pair_from_record(r) for r in records]
-
-
 def evaluate_params(params: ModelParams, records) -> dict:
     """R2, MAE, and MSE of the checkpoint on the given records."""
     records = list(records)
-    preds = predict(params, records_to_pairs(records))
+    preds = predict(params, records)
     targets = np.array([r.value for r in records], dtype=float)
     return {
         "n": len(records),
@@ -102,9 +97,7 @@ def train_on_split(records, split: NestedSplit, cfg: RunConfig):
     train_recs = select_records(records, split.train_ids)
     val_recs = select_records(records, split.val_ids)
     test_recs = select_records(records, split.test_ids)
-    params, log = train(
-        records_to_pairs(train_recs), records_to_pairs(val_recs), cfg.train_config()
-    )
+    params, log = train(train_recs, val_recs, cfg.train_config())
     scores = {
         "val": evaluate_params(params, val_recs),
         "test": evaluate_params(params, test_recs),

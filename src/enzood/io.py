@@ -13,13 +13,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .augment import AugmentConfig, validate_sequence
 from .errors import ConfigError, DatasetError, DuplicateIdError
 from .model import TrainConfig
-from .molgraph import parse_smiles
+from .molgraph import MolGraph, parse_smiles
 
 TASKS = ("kcat", "km")
 
@@ -65,6 +65,9 @@ class EsiRecord:
     value is the log10 kinetic parameter named by task.  substrate_mask,
     when present, marks masked substrate atoms from graph-mask
     augmentation so materialized pseudo records survive round trips.
+    graph is the substrate parsed from smiles during validation; it is
+    derived, so it stays out of equality, hashing, repr and both file
+    formats.
     """
 
     id: str
@@ -77,6 +80,7 @@ class EsiRecord:
     ph: float | None = None
     temperature: float | None = None
     substrate_mask: tuple[bool, ...] | None = None
+    graph: MolGraph = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "value", float(self.value))
@@ -97,6 +101,7 @@ class EsiRecord:
             graph = parse_smiles(self.smiles)
         except ValueError as exc:
             raise DatasetError(f"record {self.id!r}: {exc}") from exc
+        object.__setattr__(self, "graph", graph)
         if not math.isfinite(self.value):
             raise DatasetError(f"record {self.id!r}: value must be finite, got {self.value}")
         if self.task not in TASKS:

@@ -134,41 +134,3 @@ def identity_weights(test_seqs, train_seqs, thresholds) -> tuple[float, ...]:
 def au_good(curve: GoodCurve) -> float:
     """Weight-averaged risk over thresholds (unit threshold step)."""
     return float(sum(r * w for r, w in zip(curve.risks, curve.weights)))
-
-
-# ---------------------------------------------------------------------------
-# Curve files
-
-
-def write_curve_file(path, curve: GoodCurve) -> None:
-    """Delimited text, one threshold per row, for external plotting."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("threshold\tmetric\trisk\tweight\n")
-        for t, r, w in zip(curve.thresholds, curve.risks, curve.weights):
-            fh.write(f"{t:.17g}\t{curve.metric}\t{r:.17g}\t{w:.17g}\n")
-
-
-def read_curve_file(path) -> GoodCurve:
-    thresholds, risks, weights = [], [], []
-    metric = None
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "threshold\tmetric\trisk\tweight":
-            raise ValueError(f"{path}: unexpected curve header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: malformed curve row")
-            thresholds.append(float(parts[0]))
-            risks.append(float(parts[2]))
-            weights.append(float(parts[3]))
-            if metric is None:
-                metric = parts[1]
-            elif metric != parts[1]:
-                raise ValueError(f"{path}:{lineno}: mixed metric ids in one curve")
-    return GoodCurve(
-        thresholds=tuple(thresholds),
-        risks=tuple(risks),
-        weights=tuple(weights),
-        metric=metric,
-    )

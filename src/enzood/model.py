@@ -7,9 +7,11 @@ degree histogram, charge sum, atom total).  Both branches pass through a
 tanh affine layer, are concatenated, fused into a d-dim embedding, and a
 linear head emits the log10 kinetic prediction.
 
-Training minimizes prediction MSE on raw pairs plus lam times the mean
-squared embedding distance between each raw pair and its augmented
-counterpart; the augmented pairs feed only the consistency term.  All
+Training minimizes prediction MSE on the records plus lam times the mean
+squared embedding distance between each record and its augmented
+counterpart; the augmented samples feed only the consistency term.
+Records are any objects with sequence, graph (the parsed substrate),
+substrate_mask, and value attributes, as io.EsiRecord has.  All
 gradients are hand-derived and checked against finite differences in the
 test suite.
 """
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .augment import ALPHABET, AugmentConfig, augment_pair
+from .augment import ALPHABET, AugmentConfig, augment_record
 from .errors import ConfigError, DegenerateTargetsError, NonFiniteError
 from .metrics import mae, r_squared
 from .molgraph import (
@@ -31,6 +33,7 @@ from .molgraph import (
     BOND_TRIPLE,
     ELEMENTS,
     MolGraph,
+    parse_smiles,
 )
 
 ENZYME_FEATURES = len(ALPHABET) + len(ALPHABET) ** 2  # 462
@@ -102,6 +105,13 @@ def featurize_substrate(g: MolGraph, mask=None) -> np.ndarray:
     return values
 
 
+def _featurize(records) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked (enzyme, substrate) feature rows of the records."""
+    x_e = np.stack([featurize_enzyme(r.sequence) for r in records])
+    x_s = np.stack([featurize_substrate(r.graph, r.substrate_mask) for r in records])
+    return x_e, x_s
+
+
 # ---------------------------------------------------------------------------
 # Parameters
 
@@ -137,14 +147,15 @@ def _blocks(theta: np.ndarray, hidden_enzyme: int, hidden_substrate: int, embed_
     return views
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelParams:
     """Weights for the two branches, the fusion layer, and the scalar head.
 
     Every weight lives in ``theta``, one read-only float64 vector taken
     without a copy.  The named blocks are views into it, built once here;
     ``b_head``, the last entry, is a Python float.  The three layer sizes
-    fix the layout."""
+    fix the layout.  Equality and hashing are by identity; compare
+    ``theta`` to compare weights."""
 
     theta: np.ndarray
     hidden_enzyme: int
@@ -219,12 +230,9 @@ def forward_batch(params: ModelParams, x_enzyme, x_substrate):
     return z, preds
 
 
-def predict(params: ModelParams, pairs) -> np.ndarray:
-    """Predictions for raw pairs; vectorized over the batch."""
-    pairs = list(pairs)
-    x_e = np.stack([featurize_enzyme(p.enzyme) for p in pairs])
-    x_s = np.stack([featurize_substrate(p.substrate, p.substrate_mask) for p in pairs])
-    _, preds = forward_batch(params, x_e, x_s)
+def predict(params: ModelParams, records) -> np.ndarray:
+    """Predictions for records as they are; vectorized over the batch."""
+    _, preds = forward_batch(params, *_featurize(list(records)))
     return preds
 
 
@@ -398,31 +406,30 @@ class TrainConfig:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # each step checks finiteness itself
-def train(train_pairs, val_pairs, cfg: TrainConfig):
+def train(train_records, val_records, cfg: TrainConfig):
     """Momentum SGD with per-step augmentation.
 
-    With lam > 0 every step draws fresh augmented counterparts for its
-    batch with a generator seeded by (seed, epoch, step); with lam = 0
-    the consistency term is off and nothing is drawn.  Each step computes
-    the combined loss and updates the parameter vector.  Returns (params of the best
-    validation-MSE epoch, per-epoch log).  On a non-finite loss or
-    gradient the run raises NonFiniteError carrying the best finite
-    checkpoint and the log so far in its ``checkpoint`` and ``log``
-    attributes.
+    With lam > 0 every step draws fresh augmented counterparts of its
+    batch records with a generator seeded by (seed, epoch, step); a
+    re-rendered substrate is parsed for featurizing, a masked one reuses
+    the record's graph.  With lam = 0 the consistency term is off and
+    nothing is drawn.  Each step computes the combined loss and updates
+    the parameter vector.  Returns (params of the best validation-MSE
+    epoch, per-epoch log).  On a non-finite loss or gradient the run
+    raises NonFiniteError carrying the best finite checkpoint and the log
+    so far in its ``checkpoint`` and ``log`` attributes.
     """
-    train_pairs = list(train_pairs)
-    val_pairs = list(val_pairs)
-    if not train_pairs:
+    train_records = list(train_records)
+    val_records = list(val_records)
+    if not train_records:
         raise ValueError("empty training set")
-    if not val_pairs:
+    if not val_records:
         raise ValueError("empty validation set")
 
-    x_e = np.stack([featurize_enzyme(p.enzyme) for p in train_pairs])
-    x_s = np.stack([featurize_substrate(p.substrate, p.substrate_mask) for p in train_pairs])
-    y = np.array([p.value for p in train_pairs], dtype=float)
-    xv_e = np.stack([featurize_enzyme(p.enzyme) for p in val_pairs])
-    xv_s = np.stack([featurize_substrate(p.substrate, p.substrate_mask) for p in val_pairs])
-    yv = np.array([p.value for p in val_pairs], dtype=float)
+    x_e, x_s = _featurize(train_records)
+    y = np.array([r.value for r in train_records], dtype=float)
+    xv_e, xv_s = _featurize(val_records)
+    yv = np.array([r.value for r in val_records], dtype=float)
 
     params = init_params(
         np.random.default_rng([cfg.seed, 0xA11]),
@@ -432,7 +439,7 @@ def train(train_pairs, val_pairs, cfg: TrainConfig):
     )
     velocity = np.zeros(params.theta.shape)
 
-    n = len(train_pairs)
+    n = len(train_records)
     best_params = params
     best_val = np.inf
     best_epoch = -1
@@ -456,9 +463,15 @@ def train(train_pairs, val_pairs, cfg: TrainConfig):
             xa_e = xa_s = None
             if cfg.lam > 0:
                 step_rng = np.random.default_rng([cfg.seed, epoch, step])
-                aug = [augment_pair(train_pairs[i], cfg.augment, step_rng) for i in idx]
-                xa_e = np.stack([featurize_enzyme(p.enzyme) for p in aug])
-                xa_s = np.stack([featurize_substrate(p.substrate, p.substrate_mask) for p in aug])
+                batch = [train_records[i] for i in idx]
+                aug = [augment_record(r, cfg.augment, step_rng) for r in batch]
+                xa_e = np.stack([featurize_enzyme(sequence) for sequence, _, _ in aug])
+                xa_s = np.stack([
+                    featurize_substrate(
+                        r.graph if smiles == r.smiles else parse_smiles(smiles), mask
+                    )
+                    for r, (_, smiles, mask) in zip(batch, aug)
+                ])
             try:
                 grad, base, cons = gradients(
                     params,

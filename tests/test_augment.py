@@ -1,4 +1,3 @@
-import dataclasses
 from math import floor
 
 import numpy as np
@@ -8,27 +7,16 @@ from enzood.augment import (
     ALPHABET,
     AMINO_ACIDS,
     AugmentConfig,
-    EsiPair,
     MASK_SYMBOL,
     augment_dataset,
-    augment_pair,
     augment_record,
     mask_graph,
     mask_sequence,
-    pair_from_record,
     validate_sequence,
 )
 from enzood.errors import ConfigError
-from enzood.molgraph import detect_protected, is_isomorphic, parse_smiles
-
-
-@dataclasses.dataclass(frozen=True)
-class StubRecord:
-    id: str
-    sequence: str
-    smiles: str
-    value: float
-    substrate_mask: tuple = None
+from enzood.io import EsiRecord
+from enzood.molgraph import detect_protected, enumerate_smiles, is_isomorphic, parse_smiles
 
 
 def random_enzyme(rng, length):
@@ -126,65 +114,61 @@ def test_augment_config_validation():
 
 
 def test_esipair_mask_invariant():
-    g = parse_smiles("CCO")
-    EsiPair("ACD", g, 1.0, substrate_mask=(True, False, False))
+    """A record's substrate mask may not mark a protected atom and must
+    cover every atom; the hydroxyl oxygen of ethanol is protected."""
+    EsiRecord("r1", "ACD", "CCO", 1.0, substrate_mask=(True, False, False))
     with pytest.raises(ValueError):
-        EsiPair("ACD", g, 1.0, substrate_mask=(False, False, True))
+        EsiRecord("r1", "ACD", "CCO", 1.0, substrate_mask=(False, False, True))
     with pytest.raises(ValueError):
-        EsiPair("ACD", g, 1.0, substrate_mask=(True, False))
+        EsiRecord("r1", "ACD", "CCO", 1.0, substrate_mask=(True, False))
 
 
-def test_augment_pair_enumeration_mode():
-    g = parse_smiles("CC(=O)OC")
-    pair = EsiPair("ACDEFGHIKL", g, -1.5, metadata={"organism": "f1"})
-    cfg = AugmentConfig(p_s=0.0, substrate_mode="enumeration")
-    out = augment_pair(pair, cfg, np.random.default_rng(3))
-    assert out.enzyme == pair.enzyme
-    assert out.substrate_mask is None
-    assert is_isomorphic(out.substrate, g)
-    assert out.value == pair.value
-    assert out.metadata == pair.metadata
-
-
-def test_augment_pair_graph_mask_mode():
-    enzyme = "ACDEFGHIKLMNPQRSTVWY"
-    g = parse_smiles("CCCCCCCCCC")
-    pair = EsiPair(enzyme, g, 0.25)
+def test_augment_record_graph_mask_mode():
+    rec = EsiRecord("r1", "ACDEFGHIKLMNPQRSTVWY", "CCCCCCCCCC", 1.5)
     cfg = AugmentConfig(p_s=0.10, p_g=0.10, substrate_mode="graph_mask")
-    out = augment_pair(pair, cfg, np.random.default_rng(4))
-    assert out.enzyme.count(MASK_SYMBOL) == 2
-    assert out.substrate is g
-    assert sum(out.substrate_mask) <= 1
-    assert out.value == pair.value
+    sequence, smiles, mask = augment_record(rec, cfg, np.random.default_rng(4))
+    assert sequence.count(MASK_SYMBOL) == 2
+    assert smiles == rec.smiles
+    assert sum(mask) == 1
 
 
-def test_augment_pair_deterministic():
-    pair = EsiPair("ACDEFGHIKLMNPQRSTVWY", parse_smiles("CC(C)CCO"), 2.0)
-    cfg = AugmentConfig(p_s=0.2, p_g=0.2)
-    a = augment_pair(pair, cfg, np.random.default_rng(8))
-    b = augment_pair(pair, cfg, np.random.default_rng(8))
-    assert a.enzyme == b.enzyme
-    assert a.substrate_mask == b.substrate_mask
+def test_augment_record_enumeration_mode():
+    rec = EsiRecord("r1", "ACDEFGHIKL", "CC(=O)OC", -1.5)
+    cfg = AugmentConfig(p_s=0.0, substrate_mode="enumeration")
+    sequence, smiles, mask = augment_record(rec, cfg, np.random.default_rng(3))
+    assert sequence == rec.sequence
+    assert mask is None
+    assert is_isomorphic(parse_smiles(smiles), rec.graph)
 
 
 def test_augment_record_modes():
-    rec = StubRecord("r1", "ACDEFGHIKLMNPQRSTVWY", "CCCCCCCCCC", 1.5)
-    cfg = AugmentConfig(p_s=0.10, p_g=0.10, substrate_mode="graph_mask", seed=0)
-    out = augment_record(rec, cfg, np.random.default_rng(0))
-    assert out.id == "r1#aug"
-    assert out.value == rec.value
-    assert out.smiles == rec.smiles
-    assert sum(out.substrate_mask) == 1
-    cfg = AugmentConfig(p_s=0.10, substrate_mode="enumeration", seed=0)
-    out = augment_record(rec, cfg, np.random.default_rng(0))
-    assert out.substrate_mask is None
-    assert is_isomorphic(parse_smiles(out.smiles), parse_smiles(rec.smiles))
+    """Both modes draw the enzyme mask first, then the substrate draw of
+    their mode, from the one generator they are given."""
+    rec = EsiRecord("r1", "ACDEFGHIKLMNPQRSTVWY", "CC(C)CCCCCO", 0.5)
+    for mode in ("graph_mask", "enumeration"):
+        cfg = AugmentConfig(p_s=0.2, p_g=0.3, substrate_mode=mode)
+        rng = np.random.default_rng(5)
+        sequence = mask_sequence(rec.sequence, cfg.p_s, rng)
+        if mode == "graph_mask":
+            expected = (sequence, rec.smiles, mask_graph(rec.graph, cfg.p_g, rng))
+        else:
+            expected = (sequence, enumerate_smiles(rec.graph, 1, rng)[0], None)
+        assert augment_record(rec, cfg, np.random.default_rng(5)) == expected
+
+
+def test_augment_record_deterministic():
+    rec = EsiRecord("r1", "ACDEFGHIKLMNPQRSTVWY", "CC(C)CCO", 2.0)
+    for mode in ("graph_mask", "enumeration"):
+        cfg = AugmentConfig(p_s=0.2, p_g=0.2, substrate_mode=mode)
+        a = augment_record(rec, cfg, np.random.default_rng(8))
+        b = augment_record(rec, cfg, np.random.default_rng(8))
+        assert a == b
 
 
 def test_augment_dataset_pairing_and_determinism():
     rng = np.random.default_rng(10)
     records = [
-        StubRecord(f"r{i}", random_enzyme(rng, 30), "CC(C)CCO", float(i)) for i in range(100)
+        EsiRecord(f"r{i}", random_enzyme(rng, 30), "CC(C)CCO", float(i)) for i in range(100)
     ]
     cfg = AugmentConfig(seed=123)
     pairs = augment_dataset(records, cfg)
@@ -199,7 +183,7 @@ def test_augment_dataset_pairing_and_determinism():
 
 
 def test_augment_dataset_identity_config():
-    records = [StubRecord("a", "ACDEFG", "CC(=O)O", 0.1)]
+    records = [EsiRecord("a", "ACDEFG", "CC(=O)O", 0.1)]
     cfg = AugmentConfig(p_s=0.0, p_g=0.0, substrate_mode="enumeration", seed=1)
     ((raw, aug),) = augment_dataset(records, cfg)
     assert aug.sequence == raw.sequence
@@ -212,9 +196,9 @@ def test_augment_dataset_rejects_empty():
 
 
 def test_pair_from_record():
-    rec = StubRecord("r1", "ACDEFG", "CCO", -0.5, substrate_mask=(True, False, False))
-    pair = pair_from_record(rec)
-    assert pair.enzyme == "ACDEFG"
-    assert pair.value == -0.5
-    assert pair.substrate_mask == (True, False, False)
-    assert len(pair.substrate) == 3
+    """A record carries its parsed substrate next to its mask."""
+    rec = EsiRecord("r1", "ACDEFG", "CCO", -0.5, substrate_mask=(True, False, False))
+    assert rec.sequence == "ACDEFG"
+    assert rec.value == -0.5
+    assert rec.substrate_mask == (True, False, False)
+    assert len(rec.graph) == 3

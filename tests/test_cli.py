@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from enzood import cli
-from enzood.harness import LAMBDA_GRID, MASK_GRID, read_checkpoint, records_to_pairs
+from enzood.harness import LAMBDA_GRID, MASK_GRID, read_checkpoint
 from enzood.io import read_dataset, write_dataset
 from enzood.model import predict
 from enzood.seqid import OodSplit, read_split_file, write_split_file
@@ -220,7 +220,7 @@ def test_eval_perfect_memorization_scores_one(tmp_path):
     assert code == 0
     params, _ = read_checkpoint(tmp_path / "m.ckpt")
     records = read_dataset(bench)
-    preds = predict(params, records_to_pairs(records))
+    preds = predict(params, records)
     relabeled = [
         dataclasses.replace(r, value=float(p)) for r, p in zip(records, preds)
     ]

@@ -1,8 +1,10 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
+from enzood import molgraph
 from enzood.errors import DatasetError
 from enzood.harness import (
     LAMBDA_GRID,
@@ -87,6 +89,29 @@ def test_train_on_split_deterministic(bench, split):
     assert len(log_a) == QUICK.epochs
     assert {"val", "test"} <= set(scores_a)
     assert {"n", "mse", "r2", "mae"} == set(scores_a["val"])
+
+
+def test_train_on_split_parses_no_smiles(bench, split, monkeypatch):
+    """Records carry their parsed graph, so training with graph masking
+    and scoring never parse SMILES again."""
+    real = molgraph.parse_smiles
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return real(text)
+
+    for name, module in list(sys.modules.items()):
+        if name == "enzood" or name.startswith("enzood."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counting)
+    dataclasses.replace(bench[0], id="probe")
+    assert calls == [bench[0].smiles]  # the patch reaches record validation
+    calls.clear()
+    cfg = dataclasses.replace(QUICK, substrate_mode="graph_mask", lam=0.5)
+    train_on_split(bench, split, cfg)
+    assert calls == []
 
 
 def test_evaluate_params_counts(bench, split):

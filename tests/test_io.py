@@ -1,11 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from enzood.augment import AugmentConfig, augment_record, pair_from_record
+from enzood.augment import AugmentConfig, augment_dataset
 from enzood.errors import ConfigError, DatasetError, DuplicateIdError
 from enzood.io import (
+    FORMATS,
     EsiRecord,
     RunConfig,
     config_hash,
@@ -16,6 +18,7 @@ from enzood.io import (
     resolved_items,
     write_dataset,
 )
+from enzood.molgraph import canonical_smiles, parse_smiles
 
 HEADER = "id\tsequence\tsmiles\tvalue\ttask\torganism\tsubstrate_name\tph\ttemperature\tsubstrate_mask"
 
@@ -225,15 +228,29 @@ def test_read_missing_file(tmp_path):
 
 def test_augmented_records_round_trip(tmp_path):
     base = make_record(7)
-    rng = np.random.default_rng(3)
-    aug = augment_record(base, AugmentConfig(p_s=0.2, p_g=0.2, seed=1), rng)
+    ((_, aug),) = augment_dataset([base], AugmentConfig(p_s=0.2, p_g=0.2, seed=1))
     assert aug.id == "rec7#aug"
-    path = tmp_path / "aug.jsonl"
-    write_dataset([base, aug], path)
-    back = read_dataset(path)
-    assert back == [base, aug]
-    pair = pair_from_record(back[1])
-    assert pair.substrate_mask == aug.substrate_mask
+    assert aug.substrate_mask is not None
+    for fmt in FORMATS:
+        path = tmp_path / f"aug.{fmt}"
+        write_dataset([base, aug], path)
+        back = read_dataset(path)
+        assert back == [base, aug]
+        assert back[1].substrate_mask == aug.substrate_mask
+        assert canonical_smiles(back[1].graph) == canonical_smiles(aug.graph)
+        assert "graph" not in path.read_text()
+    # the parsed graph is derived state: out of ==, hash and repr
+    twin = make_record(7)
+    assert twin.graph is not base.graph
+    assert twin == base and hash(twin) == hash(base)
+    assert "graph" not in repr(base)
+    assert repr(twin) == repr(base)
+    # replace re-validates and re-parses the new smiles
+    moved = dataclasses.replace(base, smiles="c1ccccc1O")
+    assert canonical_smiles(moved.graph) == canonical_smiles(parse_smiles("c1ccccc1O"))
+    assert len(moved.graph) == 7 and len(base.graph) == 6
+    with pytest.raises(ValueError):
+        dataclasses.replace(base, graph=base.graph)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,6 @@ from enzood.metrics import (
     identity_weights,
     mae,
     r_squared,
-    read_curve_file,
-    write_curve_file,
 )
 
 
@@ -164,15 +162,3 @@ def test_identity_weights_validation():
         identity_weights([], ["A"], [0.5])
     with pytest.raises(ValueError):
         identity_weights(["A"], ["A"], [0.6, 0.4])
-
-
-def test_curve_file_round_trip(tmp_path):
-    curve = curve_from_risks(
-        [0.4, 0.6, 0.8, 0.99], [0.41, 0.37, 0.29, 0.12], "r2", weights=[0.1, 0.2, 0.3, 0.4]
-    )
-    path = tmp_path / "curve.tsv"
-    write_curve_file(path, curve)
-    assert read_curve_file(path) == curve
-    data = path.read_bytes()
-    write_curve_file(path, curve)
-    assert path.read_bytes() == data

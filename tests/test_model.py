@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from enzood import model
-from enzood.augment import ALPHABET, AMINO_ACIDS, AugmentConfig, EsiPair
+from enzood.augment import ALPHABET, AMINO_ACIDS, AugmentConfig
 from enzood.errors import ConfigError, NonFiniteError
+from enzood.io import EsiRecord
 from enzood.model import (
     ENZYME_FEATURES,
     MOMENTUM,
@@ -36,10 +37,10 @@ def random_enzyme(rng, length):
     return "".join(AMINO_ACIDS[int(i)] for i in rng.integers(0, 20, size=length))
 
 
-def forward(params, pair):
-    """(d-dim embedding, scalar log10 prediction) for one pair."""
-    x_e = featurize_enzyme(pair.enzyme)[None, :]
-    x_s = featurize_substrate(pair.substrate, pair.substrate_mask)[None, :]
+def forward(params, record):
+    """(d-dim embedding, scalar log10 prediction) for one record."""
+    x_e = featurize_enzyme(record.sequence)[None, :]
+    x_s = featurize_substrate(record.graph, record.substrate_mask)[None, :]
     z, preds = forward_batch(params, x_e, x_s)
     return z[0], float(preds[0])
 
@@ -173,14 +174,14 @@ def zero_params(he=4, hs=3, d=5):
     return dataclasses.replace(params, theta=np.zeros_like(params.theta))
 
 
-def sample_pair(rng, atoms="CC(C)CCO"):
-    return EsiPair(random_enzyme(rng, 25), parse_smiles(atoms), float(rng.normal()))
+def sample_record(rng, atoms="CC(C)CCO"):
+    return EsiRecord("r", random_enzyme(rng, 25), atoms, float(rng.normal()))
 
 
 def test_forward_zero_params():
     rng = np.random.default_rng(1)
-    pair = sample_pair(rng)
-    embedding, prediction = forward(zero_params(), pair)
+    record = sample_record(rng)
+    embedding, prediction = forward(zero_params(), record)
     assert np.all(embedding == 0.0)
     assert prediction == 0.0
     assert embedding.shape == (5,)
@@ -188,10 +189,10 @@ def test_forward_zero_params():
 
 def test_forward_deterministic_and_shaped():
     rng = np.random.default_rng(2)
-    pair = sample_pair(rng)
+    record = sample_record(rng)
     params = init_params(np.random.default_rng(7), 8, 6, 10)
-    e1, p1 = forward(params, pair)
-    e2, p2 = forward(params, pair)
+    e1, p1 = forward(params, record)
+    e2, p2 = forward(params, record)
     assert np.array_equal(e1, e2) and p1 == p2
     assert e1.shape == (10,)
     assert params.embed_dim == 10
@@ -233,6 +234,15 @@ def test_params_views_are_read_only():
             getattr(params, name)[0] = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         params.b_head = 1.0
+
+
+def test_params_compare_and_hash_by_identity():
+    a = init_params(np.random.default_rng(14), 2, 2, 2)
+    b = init_params(np.random.default_rng(14), 2, 2, 2)
+    assert np.array_equal(a.theta, b.theta)
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2
 
 
 def test_params_jsonable_round_trip():
@@ -342,12 +352,12 @@ def max_rel_error(analytic, numeric):
 
 def random_batch(rng, batch, he=5, hs=4, d=6):
     params = init_params(rng, he, hs, d)
-    pairs = [sample_pair(rng) for _ in range(batch)]
-    aug = [sample_pair(rng, atoms="CC(=O)OC") for _ in range(batch)]
-    x_e = np.stack([featurize_enzyme(p.enzyme) for p in pairs])
-    x_s = np.stack([featurize_substrate(p.substrate) for p in pairs])
-    xa_e = np.stack([featurize_enzyme(p.enzyme) for p in aug])
-    xa_s = np.stack([featurize_substrate(p.substrate) for p in aug])
+    pairs = [sample_record(rng) for _ in range(batch)]
+    aug = [sample_record(rng, atoms="CC(=O)OC") for _ in range(batch)]
+    x_e = np.stack([featurize_enzyme(p.sequence) for p in pairs])
+    x_s = np.stack([featurize_substrate(p.graph) for p in pairs])
+    xa_e = np.stack([featurize_enzyme(p.sequence) for p in aug])
+    xa_s = np.stack([featurize_substrate(p.graph) for p in aug])
     y = rng.normal(size=batch)
     return params, (x_e, x_s, xa_e, xa_s, y)
 
@@ -402,9 +412,9 @@ def linear_dataset(rng, n, noise=0.05):
     pairs = []
     for _ in range(n):
         seq = random_enzyme(rng, 30)
-        g = parse_smiles("CC(C)CCO")
         signal = seq.count("A") / len(seq) + 0.5 * (seq.count("W") / len(seq))
-        pairs.append(EsiPair(seq, g, signal + float(rng.normal(0, noise))))
+        value = signal + float(rng.normal(0, noise))
+        pairs.append(EsiRecord(f"r{len(pairs)}", seq, "CC(C)CCO", value))
     return pairs
 
 
@@ -465,9 +475,9 @@ def test_train_lambda_zero_independent_of_augment_stream():
 
 def test_train_lambda_zero_draws_no_augmentation(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("augment_pair called with lam=0")
+        raise AssertionError("augment_record called with lam=0")
 
-    monkeypatch.setattr(model, "augment_pair", refuse)
+    monkeypatch.setattr(model, "augment_record", refuse)
     rng = np.random.default_rng(36)
     pairs = linear_dataset(rng, 24)
     cfg = TrainConfig(
@@ -475,6 +485,42 @@ def test_train_lambda_zero_draws_no_augmentation(monkeypatch):
     )
     _, log = train(pairs[:16], pairs[16:], cfg)
     assert len(log) == 3 and all(entry["train_cons"] == 0.0 for entry in log)
+
+
+@pytest.mark.parametrize("mode", ["graph_mask", "enumeration"])
+def test_train_features_the_augmented_records(monkeypatch, mode):
+    """Each step's augmented rows are the features of augment_record's
+    output for the step's batch, drawn from the (seed, epoch, step)
+    generator in batch order."""
+    seen = []
+    real = model.gradients
+
+    def spy(params, x_e, x_s, xa_e, xa_s, *args, **kwargs):
+        seen.append((xa_e, xa_s))
+        return real(params, x_e, x_s, xa_e, xa_s, *args, **kwargs)
+
+    monkeypatch.setattr(model, "gradients", spy)
+    rng = np.random.default_rng(38)
+    records = [sample_record(rng, atoms="CC(C)CC(=O)OCC") for _ in range(12)]
+    cfg = TrainConfig(
+        lam=0.5, epochs=2, batch_size=5, hidden_enzyme=4, hidden_substrate=3, embed_dim=4,
+        seed=6, augment=AugmentConfig(p_s=0.2, p_g=0.3, substrate_mode=mode, seed=2),
+    )
+    train(records[:10], records[10:], cfg)
+    expected = []
+    for epoch in range(cfg.epochs):
+        order = np.random.default_rng([cfg.seed, epoch, 0xD5]).permutation(10)
+        for step, start in enumerate(range(0, 10, cfg.batch_size)):
+            step_rng = np.random.default_rng([cfg.seed, epoch, step])
+            batch = [records[i] for i in order[start : start + cfg.batch_size]]
+            aug = [model.augment_record(r, cfg.augment, step_rng) for r in batch]
+            expected.append((
+                np.stack([featurize_enzyme(seq) for seq, _, _ in aug]),
+                np.stack([featurize_substrate(parse_smiles(smi), m) for _, smi, m in aug]),
+            ))
+    assert len(seen) == len(expected) == 4
+    for (xa_e, xa_s), (want_e, want_s) in zip(seen, expected):
+        assert np.array_equal(xa_e, want_e) and np.array_equal(xa_s, want_s)
 
 
 def test_train_never_changes_params_it_handed_out(monkeypatch):
@@ -540,11 +586,11 @@ def test_momentum_constant():
 def test_forward_batch_matches_single():
     rng = np.random.default_rng(35)
     params = init_params(np.random.default_rng(1), 6, 5, 7)
-    pairs = [sample_pair(rng) for _ in range(4)]
-    x_e = np.stack([featurize_enzyme(p.enzyme) for p in pairs])
-    x_s = np.stack([featurize_substrate(p.substrate) for p in pairs])
+    pairs = [sample_record(rng) for _ in range(4)]
+    x_e = np.stack([featurize_enzyme(p.sequence) for p in pairs])
+    x_s = np.stack([featurize_substrate(p.graph) for p in pairs])
     z, preds = forward_batch(params, x_e, x_s)
-    for k, pair in enumerate(pairs):
-        zk, pk = forward(params, pair)
+    for k, record in enumerate(pairs):
+        zk, pk = forward(params, record)
         assert np.allclose(z[k], zk, atol=1e-12)
         assert np.isclose(preds[k], pk, atol=1e-12)
