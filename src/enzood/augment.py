@@ -27,6 +27,8 @@ _ALPHABET_SET = frozenset(ALPHABET)
 
 MAX_MASK_RATIO = 0.3
 
+_NO_POSITIONS = np.empty(0, dtype=np.intp)
+
 SUBSTRATE_MODES = ("enumeration", "graph_mask")
 
 
@@ -44,19 +46,57 @@ def _check_ratio(name: str, value: float) -> None:
         raise ValueError(f"{name} must be in [0, {MAX_MASK_RATIO}], got {value}")
 
 
+def _draw_positions(size: int, ratio: float, rng: np.random.Generator, pool: int | None = None):
+    """The masking draw: floor(ratio * size) indices into
+    range(pool) (pool defaults to size), clipped to the pool when it is
+    smaller, chosen uniformly without replacement.  A zero count draws
+    nothing from ``rng``."""
+    pool = size if pool is None else pool
+    count = min(floor(ratio * size), pool)
+    if count == 0:
+        return _NO_POSITIONS
+    return rng.choice(pool, size=count, replace=False)
+
+
+def unprotected_atoms(g: MolGraph) -> np.ndarray:
+    """Indices of the atoms a substrate mask may mark, in atom order."""
+    return np.flatnonzero(np.logical_not(g.protected))
+
+
+def draw_masks(length: int, atom_count: int, pool, cfg: AugmentConfig, rng: np.random.Generator):
+    """One record's masking draws, in order: residue positions of an
+    enzyme of ``length``, then, in graph_mask mode, the masked atoms,
+    taken from ``pool`` (the record's unprotected_atoms) for a substrate
+    of ``atom_count`` atoms.  Enumeration mode masks no atom and reads
+    no pool; its atom draw is None."""
+    residues = _draw_positions(length, cfg.p_s, rng)
+    if cfg.substrate_mode == "enumeration":
+        return residues, None
+    return residues, pool[_draw_positions(atom_count, cfg.p_g, rng, len(pool))]
+
+
+def _masked_text(seq: str, positions) -> str:
+    if not len(positions):
+        return seq
+    out = list(seq)
+    for pos in positions:
+        out[pos] = MASK_SYMBOL
+    return "".join(out)
+
+
+def _atom_mask(atom_count: int, atoms) -> tuple[bool, ...]:
+    mask = [False] * atom_count
+    for atom in atoms:
+        mask[atom] = True
+    return tuple(mask)
+
+
 def mask_sequence(seq: str, p_s: float, rng: np.random.Generator) -> str:
     """Replace exactly floor(p_s * len) residues, chosen uniformly without
     replacement, with the MASK symbol."""
     _check_ratio("p_s", p_s)
     validate_sequence(seq)
-    count = floor(p_s * len(seq))
-    if count == 0:
-        return seq
-    positions = rng.choice(len(seq), size=count, replace=False)
-    out = list(seq)
-    for pos in positions:
-        out[pos] = MASK_SYMBOL
-    return "".join(out)
+    return _masked_text(seq, _draw_positions(len(seq), p_s, rng))
 
 
 def mask_graph(g: MolGraph, p_g: float, rng: np.random.Generator) -> tuple[bool, ...]:
@@ -64,14 +104,8 @@ def mask_graph(g: MolGraph, p_g: float, rng: np.random.Generator) -> tuple[bool,
     the unprotected pool; clipped to the pool when it is smaller.  No
     protected atom is ever marked."""
     _check_ratio("p_g", p_g)
-    unprotected = [i for i, prot in enumerate(g.protected) if not prot]
-    target = floor(p_g * len(g))
-    count = min(target, len(unprotected))
-    mask = [False] * len(g)
-    if count:
-        for k in rng.choice(len(unprotected), size=count, replace=False):
-            mask[unprotected[k]] = True
-    return tuple(mask)
+    pool = unprotected_atoms(g)
+    return _atom_mask(len(g), pool[_draw_positions(len(g), p_g, rng, len(pool))])
 
 
 @dataclass(frozen=True)
@@ -112,10 +146,12 @@ def augment_record(
     Works on any record with sequence, smiles, and ``graph`` (the
     parsed smiles) attributes.
     """
-    sequence = mask_sequence(record.sequence, cfg.p_s, rng)
-    if cfg.substrate_mode == "enumeration":
-        return sequence, enumerate_smiles(record.graph, 1, rng)[0], None
-    return sequence, record.smiles, mask_graph(record.graph, cfg.p_g, rng)
+    g = record.graph
+    residues, atoms = draw_masks(len(record.sequence), len(g), unprotected_atoms(g), cfg, rng)
+    sequence = _masked_text(record.sequence, residues)
+    if atoms is None:
+        return sequence, enumerate_smiles(g, 1, rng)[0], None
+    return sequence, record.smiles, _atom_mask(len(g), atoms)
 
 
 def augment_dataset(records, cfg: AugmentConfig) -> list[tuple]:

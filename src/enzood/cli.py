@@ -18,6 +18,7 @@ Conventions shared by every command:
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 import time
 from dataclasses import dataclass
@@ -236,7 +237,18 @@ def _cmd_train(args) -> int:
     _emit_hash(cfg)
     train_records = read_dataset(args.train)
     val_records = read_dataset(args.val)
-    params, log = train(train_records, val_records, cfg.train_config())
+    # the model logs its encoding and epoch timings; print that one line
+    # to stderr, keeping it out of every artifact
+    model_log = logging.getLogger(train.__module__)
+    handler = logging.StreamHandler()
+    level = model_log.level
+    model_log.addHandler(handler)
+    model_log.setLevel(logging.INFO)
+    try:
+        params, log = train(train_records, val_records, cfg.train_config())
+    finally:
+        model_log.removeHandler(handler)
+        model_log.setLevel(level)
     val_scores = evaluate_params(params, val_records)
     checkpoint_path = _prepare(args.checkpoint_out)
     write_checkpoint(

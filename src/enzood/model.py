@@ -18,12 +18,14 @@ test suite.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .augment import ALPHABET, AugmentConfig, augment_record
+from .augment import ALPHABET, MASK_SYMBOL, AugmentConfig, draw_masks, unprotected_atoms
 from .errors import ConfigError, DegenerateTargetsError, NonFiniteError
 from .metrics import mae, r_squared
 from .molgraph import (
@@ -33,7 +35,6 @@ from .molgraph import (
     BOND_TRIPLE,
     ELEMENTS,
     MolGraph,
-    parse_smiles,
 )
 
 ENZYME_FEATURES = len(ALPHABET) + len(ALPHABET) ** 2  # 462
@@ -44,6 +45,8 @@ SUBSTRATE_FEATURES = len(ELEMENTS) + 1 + 4 + 1 + 5 + 1 + 1  # 23
 
 MOMENTUM = 0.9
 
+_LOG = logging.getLogger(__name__)
+
 # Fixed input scalings applied inside the forward pass.  K-mer fractions
 # are tiny (~1/sequence length) while the raw atom-count descriptor runs
 # to double digits; rescaling both toward unit magnitude keeps the two
@@ -51,26 +54,94 @@ MOMENTUM = 0.9
 ENZYME_INPUT_SCALE = 16.0
 ATOM_COUNT_SCALE = 0.125
 
-_SYMBOL_INDEX = {symbol: i for i, symbol in enumerate(ALPHABET)}
+_RESIDUE_CODE = np.full(256, -1, dtype=np.intp)  # byte -> alphabet index
+_RESIDUE_CODE[np.frombuffer(ALPHABET.encode("ascii"), dtype=np.uint8)] = np.arange(len(ALPHABET))
+_MASK_CODE = ALPHABET.index(MASK_SYMBOL)
 _ELEMENT_INDEX = {element: i for i, element in enumerate(ELEMENTS)}
+_MASKED_BIN = len(ELEMENTS)
 _BOND_SLOT = {BOND_SINGLE: 0, BOND_DOUBLE: 1, BOND_TRIPLE: 2, BOND_AROMATIC: 3}
+
+
+def _residue_codes(seq: str) -> np.ndarray:
+    """Alphabet index of each residue."""
+    if not seq:
+        raise ValueError("empty enzyme sequence")
+    codes = _RESIDUE_CODE[np.frombuffer(seq.encode("ascii"), dtype=np.uint8)]
+    if codes.min() < 0:
+        raise ValueError("enzyme sequence holds symbols outside the residue alphabet")
+    return codes
+
+
+def _atom_counts(g: MolGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Element bin of each atom, and the integer count row of the graph
+    with no atom masked (bond orders, ring atoms, degrees, charge sum and
+    atom total included)."""
+    n = len(g)
+    if n == 0:
+        raise ValueError("empty substrate graph")
+    bins = [_ELEMENT_INDEX[atom.element] for atom in g.atoms]
+    counts = [0] * SUBSTRATE_FEATURES
+    for b in bins:
+        counts[b] += 1
+    base = _MASKED_BIN + 1
+    for bond in g.bonds:
+        counts[base + _BOND_SLOT[bond.order]] += 1
+    counts[base + 4] = sum(g.ring_membership)
+    for i in range(n):
+        counts[base + 5 + min(g.degree(i), 4)] += 1
+    counts[base + 10] = sum(atom.formal_charge for atom in g.atoms)
+    counts[base + 11] = n
+    return np.array(bins, dtype=np.intp), np.array(counts, dtype=np.int64)
+
+
+def _masked_bins(bins: np.ndarray, mask) -> np.ndarray:
+    """Element bins of the atoms ``mask`` hides; none for a None mask."""
+    if mask is None:
+        return bins[:0]
+    if len(mask) != len(bins):
+        raise ValueError(f"mask length {len(mask)} != atom count {len(bins)}")
+    return bins[np.asarray(mask, dtype=bool)]
+
+
+def _enzyme_rows(residues: list[np.ndarray]) -> np.ndarray:
+    """Feature rows of residue-code arrays: 1-mer counts over the length,
+    2-mer counts (pair a, b in bin a * 21 + b) over the length - 1, and
+    no 2-mers for a single residue."""
+    k = len(ALPHABET)
+    b = len(residues)
+    lengths = np.array([len(r) for r in residues])
+    codes = np.concatenate(residues)
+    ones = np.repeat(np.arange(0, b * k, k), lengths) + codes  # row * k + code
+    twos = ones[:-1] * k + codes[1:]
+    twos[np.cumsum(lengths)[:-1] - 1] = b * k * k  # pairs across two sequences: a spare bin
+    out = np.empty((b, ENZYME_FEATURES))
+    out[:, :k] = np.bincount(ones, minlength=b * k).reshape(b, k) / lengths[:, None]
+    out[:, k:] = (
+        np.bincount(twos, minlength=b * k * k + 1)[:-1].reshape(b, k * k)
+        / np.maximum(lengths - 1, 1)[:, None]
+    )
+    return out
+
+
+def _substrate_rows(counts: np.ndarray, masked: list[np.ndarray]) -> np.ndarray:
+    """Feature rows of unmasked count rows: row j moves one count from
+    the element bin of each entry of masked[j] to MASKED, then every
+    entry but the atom total is divided by the atom total."""
+    b, f = counts.shape
+    hidden = np.concatenate(masked)
+    out = counts.astype(np.float64)
+    if len(hidden):
+        row = np.repeat(np.arange(b), [len(m) for m in masked])
+        moved = np.bincount(row * f + hidden, minlength=b * f).reshape(b, f)
+        out -= moved
+        out[:, _MASKED_BIN] += moved.sum(axis=1)
+    out[:, :-1] /= out[:, -1:]
+    return out
 
 
 def featurize_enzyme(seq: str) -> np.ndarray:
     """Length-normalized 1-mer (21) and 2-mer (441) counts."""
-    if not seq:
-        raise ValueError("empty enzyme sequence")
-    k = len(ALPHABET)
-    values = np.zeros(ENZYME_FEATURES)
-    idx = [_SYMBOL_INDEX[c] for c in seq]
-    for i in idx:
-        values[i] += 1.0
-    values[:k] /= len(seq)
-    if len(seq) > 1:
-        for a, b in zip(idx, idx[1:]):
-            values[k + a * k + b] += 1.0
-        values[k:] /= len(seq) - 1
-    return values
+    return _enzyme_rows([_residue_codes(seq)])[0]
 
 
 def featurize_substrate(g: MolGraph, mask=None) -> np.ndarray:
@@ -79,37 +150,24 @@ def featurize_substrate(g: MolGraph, mask=None) -> np.ndarray:
     Bonds, degrees, ring membership, and charge are read from the intact
     graph, so masking hides identity, not topology.
     """
-    n = len(g)
-    if n == 0:
-        raise ValueError("empty substrate graph")
-    if mask is None:
-        mask = (False,) * n
-    if len(mask) != n:
-        raise ValueError(f"mask length {len(mask)} != atom count {n}")
-    values = np.zeros(SUBSTRATE_FEATURES)
-    n_elements = len(ELEMENTS)
-    for i, atom in enumerate(g.atoms):
-        if mask[i]:
-            values[n_elements] += 1.0
-        else:
-            values[_ELEMENT_INDEX[atom.element]] += 1.0
-    base = n_elements + 1
-    for bond in g.bonds:
-        values[base + _BOND_SLOT[bond.order]] += 1.0
-    values[base + 4] = sum(g.ring_membership)
-    for i in range(n):
-        values[base + 5 + min(g.degree(i), 4)] += 1.0
-    values[base + 10] = sum(a.formal_charge for a in g.atoms)
-    values[: base + 11] /= n
-    values[base + 11] = n
-    return values
+    bins, counts = _atom_counts(g)
+    return _substrate_rows(counts[None], [_masked_bins(bins, mask)])[0]
+
+
+def _encode(records):
+    """The records as index arrays: each one's residue codes, per-atom
+    element bins, and the bins its own substrate mask hides, plus the
+    stacked count rows of the unmasked graphs."""
+    residues = [_residue_codes(r.sequence) for r in records]
+    bins, counts = zip(*(_atom_counts(r.graph) for r in records))
+    hidden = [_masked_bins(b, r.substrate_mask) for b, r in zip(bins, records)]
+    return residues, bins, hidden, np.stack(counts)
 
 
 def _featurize(records) -> tuple[np.ndarray, np.ndarray]:
     """Stacked (enzyme, substrate) feature rows of the records."""
-    x_e = np.stack([featurize_enzyme(r.sequence) for r in records])
-    x_s = np.stack([featurize_substrate(r.graph, r.substrate_mask) for r in records])
-    return x_e, x_s
+    residues, _, hidden, counts = _encode(records)
+    return _enzyme_rows(residues), _substrate_rows(counts, hidden)
 
 
 # ---------------------------------------------------------------------------
@@ -409,15 +467,20 @@ class TrainConfig:
 def train(train_records, val_records, cfg: TrainConfig):
     """Momentum SGD with per-step augmentation.
 
-    With lam > 0 every step draws fresh augmented counterparts of its
-    batch records with a generator seeded by (seed, epoch, step); a
-    re-rendered substrate is parsed for featurizing, a masked one reuses
-    the record's graph.  With lam = 0 the consistency term is off and
-    nothing is drawn.  Each step computes the combined loss and updates
-    the parameter vector.  Returns (params of the best validation-MSE
-    epoch, per-epoch log).  On a non-finite loss or gradient the run
-    raises NonFiniteError carrying the best finite checkpoint and the log
-    so far in its ``checkpoint`` and ``log`` attributes.
+    Every record is encoded once as index arrays.  With lam > 0 every
+    step draws fresh masks for its batch records with a generator seeded
+    by (seed, epoch, step), in batch order (augment.draw_masks), and
+    builds the augmented rows from the masked index arrays.  The
+    substrate featurizer is invariant under graph isomorphism, so in
+    enumeration mode a re-rendered substrate would featurize as the
+    unmasked graph: that row is used and nothing is rendered.  With
+    lam = 0 the consistency term is off and nothing is drawn.  Each step
+    computes the combined loss and updates the parameter vector.
+    Returns (params of the best validation-MSE epoch, per-epoch log).
+    On a non-finite loss or gradient the run raises NonFiniteError
+    carrying the best finite checkpoint and the log so far in its
+    ``checkpoint`` and ``log`` attributes.  Logs the encoding and
+    per-epoch wall times at INFO level.
     """
     train_records = list(train_records)
     val_records = list(val_records)
@@ -426,10 +489,16 @@ def train(train_records, val_records, cfg: TrainConfig):
     if not val_records:
         raise ValueError("empty validation set")
 
-    x_e, x_s = _featurize(train_records)
+    encode_start = time.perf_counter()
+    residues, bins, hidden, counts = _encode(train_records)
+    x_e, x_s = _enzyme_rows(residues), _substrate_rows(counts, hidden)
     y = np.array([r.value for r in train_records], dtype=float)
     xv_e, xv_s = _featurize(val_records)
     yv = np.array([r.value for r in val_records], dtype=float)
+    enumeration = cfg.augment.substrate_mode == "enumeration"
+    plain_s = _substrate_rows(counts, [b[:0] for b in bins]) if enumeration else None
+    pools = [None if enumeration else unprotected_atoms(r.graph) for r in train_records]
+    encode_s = time.perf_counter() - encode_start
 
     params = init_params(
         np.random.default_rng([cfg.seed, 0xA11]),
@@ -453,6 +522,7 @@ def train(train_records, val_records, cfg: TrainConfig):
         err.log = log
         raise err
 
+    epochs_start = time.perf_counter()
     for epoch in range(cfg.epochs):
         order = np.random.default_rng([cfg.seed, epoch, 0xD5]).permutation(n)
         epoch_base = 0.0
@@ -463,15 +533,19 @@ def train(train_records, val_records, cfg: TrainConfig):
             xa_e = xa_s = None
             if cfg.lam > 0:
                 step_rng = np.random.default_rng([cfg.seed, epoch, step])
-                batch = [train_records[i] for i in idx]
-                aug = [augment_record(r, cfg.augment, step_rng) for r in batch]
-                xa_e = np.stack([featurize_enzyme(sequence) for sequence, _, _ in aug])
-                xa_s = np.stack([
-                    featurize_substrate(
-                        r.graph if smiles == r.smiles else parse_smiles(smiles), mask
+                masked_residues = []
+                masked_atoms = []
+                for i in idx:
+                    sites, atoms = draw_masks(
+                        len(residues[i]), len(bins[i]), pools[i], cfg.augment, step_rng
                     )
-                    for r, (_, smiles, mask) in zip(batch, aug)
-                ])
+                    codes = residues[i].copy()
+                    codes[sites] = _MASK_CODE
+                    masked_residues.append(codes)
+                    if atoms is not None:
+                        masked_atoms.append(bins[i][atoms])
+                xa_e = _enzyme_rows(masked_residues)
+                xa_s = plain_s[idx] if enumeration else _substrate_rows(counts[idx], masked_atoms)
             try:
                 grad, base, cons = gradients(
                     params,
@@ -522,6 +596,14 @@ def train(train_records, val_records, cfg: TrainConfig):
 
     for entry in log:
         entry["best_epoch"] = best_epoch
+    _LOG.info(
+        "train: encoded %d train + %d val records in %.3f s; %d epochs, %.4f s per epoch",
+        len(train_records),
+        len(val_records),
+        encode_s,
+        cfg.epochs,
+        (time.perf_counter() - epochs_start) / cfg.epochs,
+    )
     return best_params, log
 
 

@@ -6,6 +6,7 @@ the suite stays fast; artifacts land in tmp_path."""
 import dataclasses
 import filecmp
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -378,3 +379,24 @@ def test_wall_time_goes_to_stderr_only(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "wall-time-seconds" in captured.err
     assert "wall-time-seconds" not in captured.out
+
+
+def test_train_reports_encoding_and_epoch_time_on_stderr(tmp_path, capsys):
+    bench = make_bench(tmp_path)
+    cfg = write_cfg(tmp_path, "run.cfg", "epochs=3\n")
+    argv = ["train", "--train", bench, "--val", bench, "--config", cfg,
+            "--checkpoint-out", tmp_path / "m.ckpt", "--log-out", tmp_path / "train.log"]
+    capsys.readouterr()
+    assert run_cli(argv) == 0
+    captured = capsys.readouterr()
+    lines = [line for line in captured.err.splitlines() if line.startswith("train: ")]
+    assert len(lines) == 1
+    assert re.fullmatch(
+        r"train: encoded (\d+) train \+ \1 val records in [0-9.]+ s; 3 epochs, [0-9.]+ s per epoch",
+        lines[0],
+    ), lines[0]
+    assert "encoded" not in captured.out
+    for artifact in ("m.ckpt", "train.log"):
+        assert "encoded" not in (tmp_path / artifact).read_text(encoding="utf-8")
+    assert run_cli(argv) == 0  # the handler is removed again: still one line
+    assert len([l for l in capsys.readouterr().err.splitlines() if l.startswith("train: ")]) == 1

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from enzood import molgraph
+from enzood import augment, molgraph
 from enzood.errors import DatasetError
 from enzood.harness import (
     LAMBDA_GRID,
@@ -91,25 +91,34 @@ def test_train_on_split_deterministic(bench, split):
     assert {"n", "mse", "r2", "mae"} == set(scores_a["val"])
 
 
-def test_train_on_split_parses_no_smiles(bench, split, monkeypatch):
-    """Records carry their parsed graph, so training with graph masking
-    and scoring never parse SMILES again."""
-    real = molgraph.parse_smiles
+@pytest.mark.parametrize("mode", ["graph_mask", "enumeration"])
+def test_train_on_split_parses_no_smiles(bench, split, monkeypatch, mode):
+    """Records carry their parsed graph, and the substrate featurizer
+    cannot tell renderings of one graph apart, so training in either
+    substrate mode and scoring neither render nor parse SMILES."""
     calls = []
 
-    def counting(text):
-        calls.append(text)
-        return real(text)
+    def counting(real):
+        def wrapper(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return wrapper
 
-    for name, module in list(sys.modules.items()):
-        if name == "enzood" or name.startswith("enzood."):
-            for attr, value in list(vars(module).items()):
-                if value is real:
-                    monkeypatch.setattr(module, attr, counting)
+    for real in (molgraph.parse_smiles, molgraph.enumerate_smiles):
+        wrapped = counting(real)
+        for name, module in list(sys.modules.items()):
+            if name == "enzood" or name.startswith("enzood."):
+                for attr, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, attr, wrapped)
     dataclasses.replace(bench[0], id="probe")
-    assert calls == [bench[0].smiles]  # the patch reaches record validation
+    augment.augment_record(
+        bench[0], augment.AugmentConfig(substrate_mode="enumeration"), np.random.default_rng(0)
+    )
+    # the patches reach record validation and the renderer's callers
+    assert calls == ["parse_smiles", "enumerate_smiles"]
     calls.clear()
-    cfg = dataclasses.replace(QUICK, substrate_mode="graph_mask", lam=0.5)
+    cfg = dataclasses.replace(QUICK, substrate_mode=mode, lam=0.5)
     train_on_split(bench, split, cfg)
     assert calls == []
 

@@ -1,10 +1,13 @@
 import dataclasses
+from math import floor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import _featurize_py as reference
 from enzood import model
-from enzood.augment import ALPHABET, AMINO_ACIDS, AugmentConfig
+from enzood.augment import ALPHABET, AMINO_ACIDS, AugmentConfig, mask_graph, mask_sequence
 from enzood.errors import ConfigError, NonFiniteError
 from enzood.io import EsiRecord
 from enzood.model import (
@@ -153,6 +156,33 @@ def test_featurize_substrate_isomorphism_invariant(corpus_smiles):
         for rendering in enumerate_smiles(g, 5, rng):
             again = featurize_substrate(parse_smiles(rendering))
             assert np.array_equal(base, again), (text, rendering)
+
+
+def test_featurizer_kernel_matches_loop_reference(bench300):
+    """The index-array kernel, batched and through the one-row wrappers,
+    equals the loop reference bit for bit on masked sequences and
+    graphs."""
+    rng = np.random.default_rng(41)
+    cases = [
+        (mask_sequence(r.sequence, p, rng), r.graph, mask_graph(r.graph, p, rng))
+        for r in bench300
+        for p in (0.0, 0.1, 0.3)
+    ]
+    assert any("X" in seq for seq, _, _ in cases) and any(any(m) for _, _, m in cases)
+    cases += [(seq, parse_smiles("CCO"), None) for seq in ("W", "X", "XX", "AXXXA", "XXXXXX")]
+    for text in ("c1ccccc1O", "Cc1ccccc1", "C1CCCCC1CC(=O)O", "C1CC1c1ccccc1"):
+        g = parse_smiles(text)
+        mask = mask_graph(g, 0.3, rng)
+        assert sum(mask) == sum(not p for p in g.protected) < floor(0.3 * len(g))
+        cases.append(("ACDEF", g, mask))
+    records = [SimpleNamespace(sequence=s, graph=g, substrate_mask=m) for s, g, m in cases]
+    x_e, x_s = model._featurize(records)
+    for row, (seq, g, mask) in enumerate(cases):
+        want_e = reference.featurize_enzyme(seq)
+        want_s = reference.featurize_substrate(g, mask)
+        assert np.array_equal(x_e[row], want_e) and np.array_equal(featurize_enzyme(seq), want_e)
+        assert np.array_equal(x_s[row], want_s)
+        assert np.array_equal(featurize_substrate(g, mask), want_s)
 
 
 def test_featurize_substrate_mask_length_checked():
@@ -475,9 +505,9 @@ def test_train_lambda_zero_independent_of_augment_stream():
 
 def test_train_lambda_zero_draws_no_augmentation(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("augment_record called with lam=0")
+        raise AssertionError("draw_masks called with lam=0")
 
-    monkeypatch.setattr(model, "augment_record", refuse)
+    monkeypatch.setattr(model, "draw_masks", refuse)
     rng = np.random.default_rng(36)
     pairs = linear_dataset(rng, 24)
     cfg = TrainConfig(
@@ -489,9 +519,11 @@ def test_train_lambda_zero_draws_no_augmentation(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["graph_mask", "enumeration"])
 def test_train_features_the_augmented_records(monkeypatch, mode):
-    """Each step's augmented rows are the features of augment_record's
-    output for the step's batch, drawn from the (seed, epoch, step)
-    generator in batch order."""
+    """Each step's augmented rows are the features of the step's batch
+    records masked by draws from the (seed, epoch, step) generator in
+    batch order: residues, then (graph_mask) atoms.  Enumeration draws
+    residues alone, and its substrate rows are the raw ones, which every
+    re-rendering of the graph featurizes to."""
     seen = []
     real = model.gradients
 
@@ -512,12 +544,12 @@ def test_train_features_the_augmented_records(monkeypatch, mode):
         order = np.random.default_rng([cfg.seed, epoch, 0xD5]).permutation(10)
         for step, start in enumerate(range(0, 10, cfg.batch_size)):
             step_rng = np.random.default_rng([cfg.seed, epoch, step])
-            batch = [records[i] for i in order[start : start + cfg.batch_size]]
-            aug = [model.augment_record(r, cfg.augment, step_rng) for r in batch]
-            expected.append((
-                np.stack([featurize_enzyme(seq) for seq, _, _ in aug]),
-                np.stack([featurize_substrate(parse_smiles(smi), m) for _, smi, m in aug]),
-            ))
+            rows_e, rows_s = [], []
+            for r in (records[i] for i in order[start : start + cfg.batch_size]):
+                rows_e.append(featurize_enzyme(mask_sequence(r.sequence, 0.2, step_rng)))
+                mask = None if mode == "enumeration" else mask_graph(r.graph, 0.3, step_rng)
+                rows_s.append(featurize_substrate(r.graph, mask))
+            expected.append((np.stack(rows_e), np.stack(rows_s)))
     assert len(seen) == len(expected) == 4
     for (xa_e, xa_s), (want_e, want_s) in zip(seen, expected):
         assert np.array_equal(xa_e, want_e) and np.array_equal(xa_s, want_s)
