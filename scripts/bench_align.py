@@ -1,0 +1,146 @@
+"""Time the alignment kernel, ``seqid.align_stats_many``, on three matrices.
+
+Each corpus is the all-pairs identity matrix (upper triangle, one batch
+call) over the distinct sequences of a synthetic set:
+
+- split: the two length groups of ``perfbench``'s ``split`` workload at
+  seed 0 (prototypes of 48 and 64 residues, 3 families of 4 each, 5%
+  point mutations; 24 sequences, 276 pairs);
+- pipeline: the set of ``perfbench``'s ``pipeline`` workload (6 families
+  of 10, prototypes of 40 residues; 60 sequences, 1,770 pairs);
+- bench300: the default 300-record benchmark (44,850 pairs), the matrix
+  behind acceptance 6 and the ``ood_split`` fixture.
+
+A corpus is aligned repeatedly until half a second has passed (at least
+once); the median call gives its time and its DP cells per second.
+Usage::
+
+    python3 scripts/bench_align.py                     # this tree
+    python3 scripts/bench_align.py --baseline OLD/src --rounds 5 \\
+        --out BENCH_<yyyymmdd>.json
+
+With ``--baseline`` the two trees alternate, one fresh process per tree
+and round, and the JSON holds both trees' rounds, their medians, the
+change-to-parent ratio of the median rates and the machine facts.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+REPO_SRC = Path(__file__).resolve().parent.parent / "src"
+MIN_SECONDS = 0.5
+
+
+def corpora() -> dict:
+    """Corpus name -> its distinct sequences, in order of first appearance."""
+    from enzood import synth
+
+    def sequences(*configs):
+        records = [r for cfg in configs for r in synth.generate(cfg)[0]]
+        return list(dict.fromkeys(r.sequence for r in records))
+
+    return {
+        "split": sequences(*(
+            synth.SynthConfig(family_count=3, members_per_family=4, prototype_length=length,
+                              mutation_rate=0.05, seed=k)
+            for k, length in enumerate((48, 64))
+        )),
+        "pipeline": sequences(synth.SynthConfig(family_count=6, members_per_family=10,
+                                                prototype_length=40, seed=0)),
+        "bench300": sequences(synth.SynthConfig()),
+    }
+
+
+def time_matrix(seqs, min_seconds=MIN_SECONDS) -> dict:
+    """Pairs, DP cells, calls, median seconds per call and cells per
+    second of the upper-triangle batch over ``seqs``."""
+    from enzood.seqid import align_stats_many
+
+    pairs = [(a, b) for k, a in enumerate(seqs) for b in seqs[k + 1 :]]
+    as_, bs = [a for a, _ in pairs], [b for _, b in pairs]
+    cells = sum(len(a) * len(b) for a, b in pairs)
+    times = []
+    started = time.perf_counter()
+    while not times or time.perf_counter() - started < min_seconds:
+        start = time.perf_counter()
+        stats = align_stats_many(as_, bs)
+        times.append(time.perf_counter() - start)
+    if stats.shape != (len(pairs), 3):
+        raise RuntimeError(f"align_stats_many returned shape {stats.shape} for {len(pairs)} pairs")
+    seconds = statistics.median(times)
+    return {"pairs": len(pairs), "cells": cells, "calls": len(times), "s": seconds,
+            "cells_per_s": cells / seconds}
+
+
+def measure(src: str) -> dict:
+    """One round in this process: every corpus, timed against ``src``."""
+    sys.path.insert(0, src)
+    return {name: time_matrix(seqs) for name, seqs in corpora().items()}
+
+
+def _median(rounds: list[dict]) -> dict:
+    return {
+        name: {"pairs": first["pairs"], "cells": first["cells"],
+               "s": statistics.median(r[name]["s"] for r in rounds),
+               "cells_per_s": statistics.median(r[name]["cells_per_s"] for r in rounds)}
+        for name, first in rounds[0].items()
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--baseline", help="src directory of a tree to compare against")
+    parser.add_argument("--rounds", type=int, default=1, help="rounds per tree (default 1)")
+    parser.add_argument("--out", help="write the JSON here as well as to stdout")
+    parser.add_argument("--measure", help=argparse.SUPPRESS)  # child process: one round
+    args = parser.parse_args(argv)
+    if args.measure:
+        print(json.dumps(measure(args.measure)))
+        return 0
+
+    from bench_train_step import machine
+
+    trees = {"change": str(REPO_SRC)}
+    if args.baseline:
+        trees["parent"] = str(Path(args.baseline).resolve())
+    rounds = {label: [] for label in trees}
+    for k in range(args.rounds):
+        labels = list(trees) if k % 2 == 0 else list(reversed(trees))
+        for label in labels:
+            child = subprocess.run(
+                [sys.executable, __file__, "--measure", trees[label]],
+                check=True, capture_output=True, text=True,
+            )
+            rounds[label].append(json.loads(child.stdout))
+            print(f"round {k} {label}: " + ", ".join(
+                f"{name} {r['cells_per_s']:.3g} cells/s" for name, r in rounds[label][-1].items()
+            ), file=sys.stderr)
+    report = {
+        "script": "scripts/bench_align.py",
+        "workload": "seqid.align_stats_many over the upper triangle of the all-pairs "
+                    "identity matrix of each corpus (see the script's docstring)",
+        "machine": machine(str(REPO_SRC)),
+        "trees": {label: {"median": _median(rounds[label]), "rounds": rounds[label]}
+                  for label in trees},
+    }
+    if args.baseline:
+        change, parent = (report["trees"][t]["median"] for t in ("change", "parent"))
+        report["change_over_parent_cells_per_s"] = {
+            name: change[name]["cells_per_s"] / parent[name]["cells_per_s"] for name in change
+        }
+    text = json.dumps(report, indent=1, sort_keys=True)
+    if args.out:
+        Path(args.out).write_text(text + "\n", encoding="utf-8")
+    print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,6 +18,7 @@ Conventions shared by every command:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import sys
 import time
@@ -97,6 +98,22 @@ def _prepare(path) -> Path:
 
 def _wrote(path) -> None:
     print(f"wrote: {path}")
+
+
+@contextlib.contextmanager
+def _info_to_stderr(module: str):
+    """Print the INFO lines that ``module`` logs (its timings) to stderr
+    while the block runs, keeping them out of every artifact."""
+    log = logging.getLogger(module)
+    handler = logging.StreamHandler()
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 def _real_flag(text: str, flag: str, low: float, high: float) -> float:
@@ -211,9 +228,10 @@ def _cmd_split(args) -> int:
     )
     _emit_hash(settings)
     records = read_dataset(args.in_path)
-    splits = build_ood_splits(
-        records, settings.thresholds, settings.test_fraction, settings.seed
-    )
+    with _info_to_stderr(build_ood_splits.__module__):
+        splits = build_ood_splits(
+            records, settings.thresholds, settings.test_fraction, settings.seed
+        )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     header = [f"seed: {settings.seed}", f"config_hash: {config_hash(settings)}"]
@@ -237,18 +255,8 @@ def _cmd_train(args) -> int:
     _emit_hash(cfg)
     train_records = read_dataset(args.train)
     val_records = read_dataset(args.val)
-    # the model logs its encoding and epoch timings; print that one line
-    # to stderr, keeping it out of every artifact
-    model_log = logging.getLogger(train.__module__)
-    handler = logging.StreamHandler()
-    level = model_log.level
-    model_log.addHandler(handler)
-    model_log.setLevel(logging.INFO)
-    try:
+    with _info_to_stderr(train.__module__):
         params, log = train(train_records, val_records, cfg.train_config())
-    finally:
-        model_log.removeHandler(handler)
-        model_log.setLevel(level)
     val_scores = evaluate_params(params, val_records)
     checkpoint_path = _prepare(args.checkpoint_out)
     write_checkpoint(

@@ -9,18 +9,19 @@ whole batches of pairs; every identity below goes through it.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DuplicateIdError, InfeasibleSplitError
 
-# Pairs aligned together, and the integer type of their DP rows: values
-# stay within 2 * (len a + len b), so int32 cannot overflow for any chunk
-# whose rows fit in memory.
+# Pairs aligned together.
 ALIGN_CHUNK = 256
-ALIGN_DTYPE = np.int32
+
+_LOG = logging.getLogger(__name__)
 
 
 def alignment_backend() -> str:
@@ -34,70 +35,115 @@ def align_stats_many(as_, bs) -> np.ndarray:
 
     Tie-break during traceback: diagonal, then up (gap in ``b``), then
     left (gap in ``a``).  Pairs are aligned in chunks of similar length.
+    Each call logs its pair and cell counts and its time at INFO level.
     """
+    start = time.perf_counter()
     as_, bs = list(as_), list(bs)
     if len(as_) != len(bs):
         raise ValueError(f"{len(as_)} first sequences but {len(bs)} second ones")
     if not all(as_) or not all(bs):
         raise ValueError("sequences must be non-empty")
-    order = np.lexsort(([len(s) for s in bs], [len(s) for s in as_]))
+    # every distinct sequence is encoded once, into one buffer that ends
+    # in the zero byte the chunks pad with
+    index = {s: k for k, s in enumerate(dict.fromkeys(as_ + bs))}
+    lengths = np.array([len(s) for s in index], dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    buf = np.frombuffer(("".join(index) + "\0").encode("ascii"), dtype=np.uint8)
+    ia = np.array([index[s] for s in as_], dtype=np.intp)
+    ib = np.array([index[s] for s in bs], dtype=np.intp)
+    la, lb = lengths[ia], lengths[ib]
+    order = np.lexsort((lb, la))
     out = np.empty((len(as_), 3), dtype=np.int64)
     for lo in range(0, len(order), ALIGN_CHUNK):
         chunk = order[lo : lo + ALIGN_CHUNK]
-        out[chunk] = _align_chunk([as_[k] for k in chunk], [bs[k] for k in chunk])
+        a = _codes(buf, starts[ia[chunk]], la[chunk])
+        b = _codes(buf, starts[ib[chunk]], lb[chunk])
+        out[chunk] = _align_chunk(a, b, la[chunk], lb[chunk])
+    _LOG.info(
+        "align: %s backend, %d pairs, %d DP cells in %.3f s",
+        alignment_backend(),
+        len(as_),
+        int(np.dot(la, lb)),
+        time.perf_counter() - start,
+    )
     return out
 
 
-def _codes(seqs) -> np.ndarray:
-    """Byte codes of ``seqs``, zero-padded to the longest."""
-    codes = np.zeros((len(seqs), max(len(s) for s in seqs)), dtype=np.uint8)
-    for k, s in enumerate(seqs):
-        codes[k, : len(s)] = np.frombuffer(s.encode("ascii"), dtype=np.uint8)
-    return codes
+def _codes(buf, starts, lengths) -> np.ndarray:
+    """Byte codes of the sequences at ``starts`` in ``buf``: column ``j``
+    holds residue ``j`` (from 1), and column 0 and the tail hold the
+    final zero byte of ``buf``."""
+    cols = np.arange(lengths.max() + 1)
+    inside = (cols > 0) & (cols <= lengths[:, None])
+    return buf[np.where(inside, starts[:, None] + cols - 1, buf.size - 1)]
 
 
-def _align_chunk(as_, bs) -> np.ndarray:
-    """One DP row at a time over every pair of the chunk.
+def _align_chunk(a, b, la, lb) -> np.ndarray:
+    """One DP row at a time over every pair of the chunk; ``a`` and ``b``
+    are as made by ``_codes``, row ``i`` reads residue ``i`` of ``a``.
 
-    Row ``i`` first takes diagonal or up per cell (up only when strictly
-    better), giving ``c``.  The left-gap chain then makes cell ``j`` the
-    best of ``c[k] - (j - k)`` over ``k <= j``, a prefix max of ``c + j``;
-    its source column is the last ``k`` where ``c[k] + k`` reaches that
-    max, so ties keep diagonal/up over left.  Matches are carried from the
-    source column; the length follows from score and matches, because
-    score = matches - gaps and a + b residues = 2 * diagonal + gaps.
-    Padding is never read: row ``i`` and column ``j`` depend only on
-    earlier ones, and each pair's result is taken at its own cell.
+    Each cell is one int64 key.  From the top bit down it holds a score
+    field, the column, a prefer-diagonal bit and the match count; the
+    column and match fields are ``bits`` wide, enough for the chunk's
+    longest sequence.  Comparing keys compares scores, then columns,
+    then diagonal before up, so one ``maximum`` picks a move and carries
+    its matches along.
+
+    - After row ``i - 1`` the key at column ``j`` is that of the up
+      move into row ``i``: score field = cell score - 1 + j, column j.
+    - The diagonal move into column ``j + 1`` is the key at ``j`` plus
+      a constant (two in the score field, one column, the
+      prefer-diagonal bit), plus one score and one match on a match.
+      ``maximum`` of the two takes up only when it scores strictly
+      higher.
+    - The left-gap chain makes cell ``j`` the best of ``c[k] - (j - k)``
+      over ``k <= j``, the prefix max of ``c[k] + k``, which the score
+      field already holds: one ``maximum.accumulate``.  Ties go to the
+      larger column, so diagonal and up beat left.
+    - Clearing the column and prefer-diagonal fields and adding
+      ``restore`` (column ``j``, score - 1) gives the next row's keys.
+
+    Every pass runs over whole contiguous arrays: the diagonal read from
+    column ``j - 1`` is the flat array shifted by one, so column 0 reads
+    the previous pair's last column and is then overwritten.  The length
+    follows from score and matches, because score = matches - gaps and
+    a + b residues = 2 * diagonal + gaps.  Padding is never read: row
+    ``i`` and column ``j`` depend only on earlier ones, and each pair's
+    result is taken at its own cell.
     """
-    a, b = _codes(as_), _codes(bs)
-    la = np.array([len(s) for s in as_])
-    lb = np.array([len(s) for s in bs])
-    n = len(as_)
-    j = np.arange(b.shape[1] + 1, dtype=ALIGN_DTYPE)
-    rows = np.arange(n)[:, None]
-    score = np.broadcast_to(-j, (n, j.size)).copy()
-    matches = np.zeros_like(score)
-    c = np.empty_like(score)
-    c_matches = np.empty_like(score)
+    n, cols = b.shape
+    longest = max(a.shape[1], cols) - 1
+    bits = longest.bit_length()  # matches and columns are at most ``longest``
+    pref = 1 << bits
+    k_shift = bits + 1
+    s_shift = k_shift + bits
+    # scores stay within +-(2 * longest + 1) in every key
+    if s_shift + (2 * longest + 1).bit_length() > 63:
+        raise ValueError(f"a {longest}-residue sequence does not fit 64-bit alignment keys")
+    j = np.arange(cols, dtype=np.int64)
+    restore = np.broadcast_to((j << k_shift) - (1 << s_shift), (n, cols)).copy()
+    keys = restore.copy()  # row 0: score -j, no matches
+    cand = np.empty_like(keys)
+    flat_keys, flat_cand = keys.ravel(), cand.ravel()
+    clear = ~((2 * pref - 1) << bits)  # drops the column and preference fields
+    miss = (2 << s_shift) + (1 << k_shift) + pref
+    hit = miss + (1 << s_shift) + 1
+    low = pref - 1
     out = np.empty((n, 3), dtype=np.int64)
-    for i in range(1, a.shape[1] + 1):
-        match = (a[:, i - 1 : i] == b).astype(ALIGN_DTYPE)
-        diag = score[:, :-1] + match
-        up = score[:, 1:] - 1
-        np.maximum(diag, up, out=c[:, 1:])
-        c_matches[:, 1:] = np.where(up > diag, matches[:, 1:], matches[:, :-1] + match)
-        c[:, 0] = -i
-        c_matches[:, 0] = 0
-        reach = c + j
-        best = np.maximum.accumulate(reach, axis=1)
-        source = np.maximum.accumulate(np.where(reach == best, j, 0), axis=1)
-        score = best - j
-        matches = c_matches[rows, source]
+    for i in range(1, a.shape[1]):
+        step = np.where(a[:, i : i + 1] == b, hit, miss).ravel()
+        np.add(flat_keys[:-1], step[1:], out=flat_cand[1:])
+        np.maximum(cand, keys, out=cand)
+        cand[:, 0] = -i << s_shift
+        np.maximum.accumulate(cand, axis=1, out=keys)
         done = np.flatnonzero(la == i)
         if done.size:
             end = lb[done]
-            out[done, 0] = score[done, end]
-            out[done, 1] = matches[done, end]
+            best = keys[done, end]
+            out[done, 0] = (best >> s_shift) - end
+            out[done, 1] = best & low
+        np.bitwise_and(keys, clear, out=keys)
+        np.add(keys, restore, out=keys)
     out[:, 2] = (la + lb - out[:, 0] + out[:, 1]) // 2
     return out
 

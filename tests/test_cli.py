@@ -400,3 +400,24 @@ def test_train_reports_encoding_and_epoch_time_on_stderr(tmp_path, capsys):
         assert "encoded" not in (tmp_path / artifact).read_text(encoding="utf-8")
     assert run_cli(argv) == 0  # the handler is removed again: still one line
     assert len([l for l in capsys.readouterr().err.splitlines() if l.startswith("train: ")]) == 1
+
+
+def test_split_reports_alignment_work_on_stderr(tmp_path, capsys):
+    bench = make_bench(tmp_path)
+    seqs = list(dict.fromkeys(r.sequence for r in read_dataset(bench)))
+    pairs = len(seqs) * (len(seqs) - 1) // 2
+    cells = sum(len(a) * len(b) for k, a in enumerate(seqs) for b in seqs[k + 1 :])
+    argv = ["split", "--in", bench, "--out-dir", tmp_path / "splits"]
+    capsys.readouterr()
+    assert run_cli(argv) == 0
+    captured = capsys.readouterr()
+    lines = [line for line in captured.err.splitlines() if line.startswith("align: ")]
+    assert len(lines) == 1
+    assert re.fullmatch(
+        rf"align: numpy backend, {pairs} pairs, {cells} DP cells in [0-9.]+ s", lines[0]
+    ), lines[0]
+    assert "align: " not in captured.out
+    for path in (tmp_path / "splits").iterdir():
+        assert "DP cells" not in path.read_text(encoding="utf-8")
+    assert run_cli(argv) == 0  # the handler is removed again: still one line
+    assert len([l for l in capsys.readouterr().err.splitlines() if l.startswith("align: ")]) == 1

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from enzood import metrics, synth
 from enzood.errors import DegenerateTargetsError
 from enzood.metrics import (
     GoodCurve,
@@ -10,6 +11,7 @@ from enzood.metrics import (
     mae,
     r_squared,
 )
+from enzood.seqid import max_identity_to_train
 
 
 def test_r_squared_examples():
@@ -162,3 +164,26 @@ def test_identity_weights_validation():
         identity_weights([], ["A"], [0.5])
     with pytest.raises(ValueError):
         identity_weights(["A"], ["A"], [0.6, 0.4])
+
+
+def test_identity_weights_aligns_test_by_train_in_one_batch(monkeypatch):
+    records, _ = synth.generate(synth.SynthConfig(family_count=4, members_per_family=6, seed=2))
+    seqs = [r.sequence for r in records]
+    test, train = seqs[::3], [s for k, s in enumerate(seqs) if k % 3]
+    expected = [max_identity_to_train(q, train) for q in test]
+    assert metrics._max_train_identities(test, train).tolist() == expected
+
+    original = metrics.align_stats_many
+    calls = []
+
+    def counted(as_, bs):
+        calls.append(len(as_))
+        return original(as_, bs)
+
+    monkeypatch.setattr(metrics, "align_stats_many", counted)
+    thresholds = [0.4, 0.6, 0.8, 0.99]
+    counts = np.bincount(
+        np.minimum(np.searchsorted(thresholds, expected, side="left"), 3), minlength=4
+    )
+    assert identity_weights(test, train, thresholds) == tuple(counts / counts.sum())
+    assert calls == [len(test) * len(train)]

@@ -140,6 +140,48 @@ def test_align_stats_many_matches_reference():
     assert_matches_reference([("ACDEFG", "ACDFG")])
 
 
+def test_align_stats_many_wide_fields_in_mixed_chunk():
+    # one chunk, three DP rows: a b past 65,536 residues needs a 17-bit
+    # column field, and the short pairs beside it share those widths
+    rng = np.random.default_rng(21)
+    long_b = random_seq(rng, 1, AA) + "".join(AA[int(c)] for c in rng.integers(0, 20, 65_600))
+    pairs = [("MKV", long_b), ("WWW", long_b[:65_537])]
+    pairs += [(random_seq(rng, 3, AA), random_seq(rng, 40, AA)) for _ in range(20)]
+    assert len(pairs) < seqid.ALIGN_CHUNK
+    assert_matches_reference(pairs)
+
+
+def test_align_stats_many_strongly_negative_scores():
+    assert_matches_reference([("A", "C" * 500), ("C" * 500, "A"), ("A" * 300, "C" * 200)])
+    assert alignment_stats("A", "C" * 500) == (-499, 0, 500)
+
+
+@pytest.mark.parametrize(
+    "a, b, expected",
+    [
+        # diagonal, up and left tie at the last cell; (0, 2, 4) if not diagonal
+        ("ACA", "CAC", (0, 0, 3)),
+        # (1, 3, 5) if up were preferred to diagonal
+        ("AACA", "CAAC", (1, 1, 4)),
+        # (1, 2, 6) and (1, 4, 7) if left were preferred to up
+        ("AACAC", "CCAACA", (1, 4, 7)),
+        ("AACCAC", "CCACA", (1, 2, 6)),
+    ],
+)
+def test_align_stats_many_frozen_ties(a, b, expected):
+    assert reference_stats(a.encode(), b.encode()) == expected
+    assert brute_force_stats(a, b) == expected
+    assert tuple(align_stats_many([a, "ACGT"], [b, "TGCA"])[0]) == expected
+
+
+def test_align_stats_many_rejects_keys_wider_than_64_bits():
+    # the longest sequence whose fields fit, and the first that does not
+    longest = 2**20 - 1
+    assert alignment_stats("A", "C" * longest) == (-(longest - 1), 0, longest)
+    with pytest.raises(ValueError):
+        alignment_stats("A", "C" * (longest + 1))
+
+
 def test_align_stats_many_rejects_empty():
     with pytest.raises(ValueError):
         align_stats_many(["A", ""], ["A", "A"])
