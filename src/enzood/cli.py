@@ -59,6 +59,8 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
+_LOG = logging.getLogger(__name__)
+
 
 # ---------------------------------------------------------------------------
 # Shared plumbing
@@ -253,11 +255,16 @@ def _cmd_split(args) -> int:
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     _emit_hash(cfg)
+    clock = time.perf_counter
+    stamps = [clock()]  # after each stage: read, train, evaluate, checkpoint
     train_records = read_dataset(args.train)
     val_records = read_dataset(args.val)
+    stamps.append(clock())
     with _info_to_stderr(train.__module__):
         params, log = train(train_records, val_records, cfg.train_config())
+    stamps.append(clock())
     val_scores = evaluate_params(params, val_records)
+    stamps.append(clock())
     checkpoint_path = _prepare(args.checkpoint_out)
     write_checkpoint(
         checkpoint_path,
@@ -265,11 +272,22 @@ def _cmd_train(args) -> int:
         cfg,
         extra={"best_epoch": int(log[-1]["best_epoch"]), "val": val_scores},
     )
+    stamps.append(clock())
     _wrote(checkpoint_path)
+    log_time = "skipped"
     if args.log_out:
+        start = clock()
         log_path = _prepare(args.log_out)
         write_train_log(log_path, log, cfg)
+        log_time = f"{clock() - start:.3f} s"
         _wrote(log_path)
+    read_s, train_s, evaluate_s, checkpoint_s = (b - a for a, b in zip(stamps, stamps[1:]))
+    with _info_to_stderr(__name__):
+        _LOG.info(
+            "train-stages: read %.3f s, train %.3f s, evaluate %.3f s, "
+            "checkpoint %.3f s (%d bytes), log %s",
+            read_s, train_s, evaluate_s, checkpoint_s, checkpoint_path.stat().st_size, log_time,
+        )
     return EXIT_OK
 
 

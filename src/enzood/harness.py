@@ -251,7 +251,34 @@ def write_report(path, kind: str, cfg: RunConfig, sections) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+_SEPARATORS = (",", ":")
+
+
+def _write_json(fh, value) -> None:
+    """Write exactly what ``json.dump(value, fh, sort_keys=True,
+    separators=(",", ":"))`` writes, through the C encoder of
+    ``json.dumps``: a dict with string keys and a list of lists are
+    written piece by piece, anything else, a matrix row included, as one
+    ``json.dumps``.  So no write is longer than the longest row's text."""
+    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        fh.write("{")
+        for k, key in enumerate(sorted(value)):
+            fh.write(("," if k else "") + json.dumps(key) + ":")
+            _write_json(fh, value[key])
+        fh.write("}")
+    elif isinstance(value, list) and value and all(isinstance(item, list) for item in value):
+        fh.write("[")
+        for k, item in enumerate(value):
+            if k:
+                fh.write(",")
+            _write_json(fh, item)
+        fh.write("]")
+    else:
+        fh.write(json.dumps(value, sort_keys=True, separators=_SEPARATORS))
+
+
 def write_checkpoint(path, params: ModelParams, cfg: RunConfig, extra: dict | None = None) -> None:
+    """Sorted-key, compact JSON, written row by row (see _write_json)."""
     data = {
         "kind": "checkpoint",
         "seed": cfg.seed,
@@ -262,7 +289,7 @@ def write_checkpoint(path, params: ModelParams, cfg: RunConfig, extra: dict | No
     if extra:
         data.update(extra)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(data, fh, sort_keys=True, separators=(",", ":"))
+        _write_json(fh, data)
         fh.write("\n")
 
 

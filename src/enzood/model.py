@@ -18,10 +18,11 @@ test suite.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -189,20 +190,26 @@ def _shapes(hidden_enzyme: int, hidden_substrate: int, embed_dim: int) -> dict:
     }
 
 
+@functools.lru_cache(maxsize=16)
+def _plan(hidden_enzyme: int, hidden_substrate: int, embed_dim: int) -> tuple:
+    """(vector length, ((name, slice, shape), ...)) of the layout for
+    these layer sizes, worked out once per size."""
+    plan = []
+    offset = 0
+    for name, shape in _shapes(hidden_enzyme, hidden_substrate, embed_dim).items():
+        end = offset + math.prod(shape)
+        plan.append((name, slice(offset, end), shape))
+        offset = end
+    return offset, tuple(plan)
+
+
 def _blocks(theta: np.ndarray, hidden_enzyme: int, hidden_substrate: int, embed_dim: int) -> dict:
     """Named row-major views into a parameter vector of these layer sizes;
     b_head is the shape-() view of the last entry."""
-    shapes = _shapes(hidden_enzyme, hidden_substrate, embed_dim)
-    size = sum(math.prod(shape) for shape in shapes.values())
+    size, plan = _plan(hidden_enzyme, hidden_substrate, embed_dim)
     if theta.shape != (size,):
         raise ValueError(f"parameter vector has shape {theta.shape}, the layout needs ({size},)")
-    views = {}
-    offset = 0
-    for name, shape in shapes.items():
-        end = offset + math.prod(shape)
-        views[name] = theta[offset:end].reshape(shape)
-        offset = end
-    return views
+    return {name: theta[part].reshape(shape) for name, part, shape in plan}
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,7 +239,7 @@ class ModelParams:
         theta = np.asarray(self.theta, dtype=np.float64).view()
         theta.flags.writeable = False
         blocks = _blocks(theta, self.hidden_enzyme, self.hidden_substrate, self.embed_dim)
-        if not np.all(np.isfinite(theta)):
+        if not np.isfinite(theta).all():
             raise ValueError("non-finite parameter values")
         object.__setattr__(self, "theta", theta)
         for name, view in blocks.items():
@@ -363,6 +370,8 @@ def gradients(
     targets,
     lam: float,
     normalize_cons: bool = False,
+    *,
+    _out: np.ndarray | None = None,
 ):
     """Analytical gradient of loss_total over one batch.
 
@@ -371,7 +380,9 @@ def gradients(
     lam=0 their contents cannot affect the update and may be None.
 
     Returns (gradient, base_loss, cons_loss); the gradient is a vector
-    laid out like params.theta.
+    laid out like params.theta.  ``_out``, train's own vector of that
+    layout, is zeroed, accumulated into and returned in place of a fresh
+    one.
     """
     if lam < 0:
         raise ValueError(f"lambda must be non-negative, got {lam}")
@@ -386,7 +397,11 @@ def gradients(
     base = float(np.mean((preds - y) ** 2))
 
     g_pred = (2.0 / batch) * (preds - y)
-    flat = np.zeros(params.theta.shape)
+    if _out is None:
+        flat = np.zeros(params.theta.shape)
+    else:
+        flat = _out
+        flat.fill(0.0)
     grads = _blocks(flat, params.hidden_enzyme, params.hidden_substrate, params.embed_dim)
     grads["w_head"] += z_raw.T @ g_pred
     grads["b_head"] += np.sum(g_pred)
@@ -506,7 +521,9 @@ def train(train_records, val_records, cfg: TrainConfig):
         hidden_substrate=cfg.hidden_substrate,
         embed_dim=cfg.embed_dim,
     )
+    sizes = (params.hidden_enzyme, params.hidden_substrate, params.embed_dim)
     velocity = np.zeros(params.theta.shape)
+    grad = np.empty(params.theta.shape)  # each step's gradient, accumulated in place
 
     n = len(train_records)
     best_params = params
@@ -556,15 +573,18 @@ def train(train_records, val_records, cfg: TrainConfig):
                     y[idx],
                     cfg.lam,
                     normalize_cons=cfg.normalize_cons,
+                    _out=grad,
                 )
             except NonFiniteError as exc:
                 abort(str(exc))
             total = loss_total(base, cons, cfg.lam)
             if not np.isfinite(total):
                 abort(f"non-finite training loss at epoch {epoch} step {step}")
-            velocity = MOMENTUM * velocity - cfg.learning_rate * grad
+            np.multiply(velocity, MOMENTUM, out=velocity)
+            velocity -= cfg.learning_rate * grad
             try:
-                params = replace(params, theta=params.theta + velocity)
+                # a fresh vector: params already handed out stay unchanged
+                params = ModelParams(params.theta + velocity, *sizes)
             except ValueError:
                 abort(f"non-finite parameters at epoch {epoch} step {step}")
             epoch_base += base

@@ -186,11 +186,12 @@ def _decorate(graph: MolGraph, count: int, rng: np.random.Generator) -> MolGraph
     return graph
 
 
-def _signal(sequence: str, smiles: str, enzyme_features, substrate_features) -> float:
-    """Linear invariant part of the target, computed from serialized text
-    so generation and reconstruction share every float operation."""
+def _signal(sequence: str, s: np.ndarray, enzyme_features, substrate_features) -> float:
+    """Linear invariant part of the target.  ``s`` is the descriptor of
+    the substrate parsed from its serialized SMILES, as
+    ``EsiRecord.graph`` is, so generation and reconstruction share every
+    float operation."""
     e = featurize_enzyme(sequence)
-    s = featurize_substrate(parse_smiles(smiles))
     total = 0.0
     for idx, w in enzyme_features:
         total += w * e[idx]
@@ -199,7 +200,7 @@ def _signal(sequence: str, smiles: str, enzyme_features, substrate_features) -> 
     return float(total)
 
 
-def _substrate_weights(all_smiles, rng: np.random.Generator) -> list[list]:
+def _substrate_weights(X: np.ndarray, rng: np.random.Generator) -> list[list]:
     """Pick ``_N_SUBSTRATE_SLOTS`` invariant descriptor entries with the
     largest spread over the realized substrate population.
 
@@ -209,13 +210,13 @@ def _substrate_weights(all_smiles, rng: np.random.Generator) -> list[list]:
     correlated, e.g. ring fraction and degree-2 fraction).  The whole
     bundle is then rescaled so the substrate part of the signal has
     exactly ``_SUBSTRATE_SIGNAL_STD`` spread over the realized
-    population, whatever the correlation structure of the draw."""
-    X = np.array([featurize_substrate(parse_smiles(s)) for s in all_smiles])
+    population, whatever the correlation structure of the draw.  X holds
+    one substrate descriptor per row."""
     stds = X.std(axis=0)
     live = [i for i in _SUBSTRATE_SLOT_POOL if stds[i] > 1e-9]
     live.sort(key=lambda i: (-stds[i], i))
     slots = live[:_N_SUBSTRATE_SLOTS]
-    combo = np.zeros(len(all_smiles))
+    combo = np.zeros(len(X))
     weights = {}
     for i in slots:
         w = (1.0 if rng.random() < 0.5 else -1.0) / stds[i]
@@ -277,22 +278,25 @@ def generate(cfg: SynthConfig) -> tuple[list[EsiRecord], dict]:
         offsets = (offsets - offsets.mean()) / offsets.std()
     family_offsets = {f"family-{f:02d}": float(v) for f, v in enumerate(offsets)}
 
+    scaffolds = [parse_smiles(text) for text in cfg.scaffolds]
     drawn = []
     for f in range(cfg.family_count):
         for m in range(cfg.members_per_family):
             rng = np.random.default_rng([cfg.seed, 1, f, m])
             sequence = _mutate(prototypes[f], cfg.mutation_rate, rng)
             scaffold_idx = int(rng.integers(len(cfg.scaffolds)))
-            graph = parse_smiles(cfg.scaffolds[scaffold_idx])
-            graph = _decorate(graph, int(rng.integers(_MAX_DECORATIONS + 1)), rng)
-            drawn.append((f, m, sequence, scaffold_idx, write_smiles(graph), float(rng.normal())))
+            graph = _decorate(scaffolds[scaffold_idx], int(rng.integers(_MAX_DECORATIONS + 1)), rng)
+            smiles = write_smiles(graph)
+            # the target reads the graph as a reader of the dataset parses it
+            descriptor = featurize_substrate(parse_smiles(smiles))
+            drawn.append((f, m, sequence, scaffold_idx, smiles, descriptor, float(rng.normal())))
 
-    substrate_features = _substrate_weights([d[4] for d in drawn], rng_weights)
+    substrate_features = _substrate_weights(np.array([d[5] for d in drawn]), rng_weights)
 
     records = []
-    for f, m, sequence, scaffold_idx, smiles, noise in drawn:
+    for f, m, sequence, scaffold_idx, smiles, descriptor, noise in drawn:
         organism = f"family-{f:02d}"
-        clean = _signal(sequence, smiles, enzyme_features, substrate_features)
+        clean = _signal(sequence, descriptor, enzyme_features, substrate_features)
         clean += cfg.rho * family_offsets[organism]
         records.append(
             EsiRecord(
@@ -326,7 +330,7 @@ def reconstruct_targets(records, truth: dict) -> np.ndarray:
     for record in records:
         clean = _signal(
             record.sequence,
-            record.smiles,
+            featurize_substrate(record.graph),
             truth["enzyme_features"],
             truth["substrate_features"],
         )

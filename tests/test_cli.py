@@ -402,6 +402,29 @@ def test_train_reports_encoding_and_epoch_time_on_stderr(tmp_path, capsys):
     assert len([l for l in capsys.readouterr().err.splitlines() if l.startswith("train: ")]) == 1
 
 
+def test_train_reports_stage_times_on_stderr(tmp_path, capsys):
+    bench = make_bench(tmp_path)
+    cfg = write_cfg(tmp_path, "run.cfg", "epochs=3\n")
+    ckpt = tmp_path / "m.ckpt"
+    argv = ["train", "--train", bench, "--val", bench, "--config", cfg, "--checkpoint-out", ckpt]
+    for extra, log_field in ((["--log-out", tmp_path / "train.log"], r"[0-9.]+ s"), ([], "skipped")):
+        capsys.readouterr()
+        assert run_cli(argv + extra) == 0
+        captured = capsys.readouterr()
+        lines = [line for line in captured.err.splitlines() if line.startswith("train-stages: ")]
+        assert len(lines) == 1
+        match = re.fullmatch(
+            r"train-stages: read [0-9.]+ s, train [0-9.]+ s, evaluate [0-9.]+ s, "
+            rf"checkpoint [0-9.]+ s \((\d+) bytes\), log {log_field}",
+            lines[0],
+        )
+        assert match, lines[0]
+        assert int(match.group(1)) == ckpt.stat().st_size
+        assert "train-stages" not in captured.out
+    for artifact in ("m.ckpt", "train.log"):
+        assert "train-stages" not in (tmp_path / artifact).read_text(encoding="utf-8")
+
+
 def test_split_reports_alignment_work_on_stderr(tmp_path, capsys):
     bench = make_bench(tmp_path)
     seqs = list(dict.fromkeys(r.sequence for r in read_dataset(bench)))

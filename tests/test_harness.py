@@ -1,10 +1,12 @@
 import dataclasses
+import io
+import json
 import sys
 
 import numpy as np
 import pytest
 
-from enzood import augment, molgraph
+from enzood import augment, harness, molgraph
 from enzood.errors import DatasetError
 from enzood.harness import (
     LAMBDA_GRID,
@@ -25,8 +27,9 @@ from enzood.harness import (
     write_report,
     write_train_log,
 )
-from enzood.io import RunConfig, config_hash
+from enzood.io import RunConfig, config_hash, resolved_items
 from enzood.metrics import METRIC_IDS
+from enzood.model import init_params, params_to_jsonable
 from enzood.seqid import build_ood_splits, max_identity_to_train
 from enzood.synth import SynthConfig, generate
 
@@ -212,6 +215,78 @@ def test_checkpoint_roundtrip(tmp_path, bench, split):
     assert data["note"] == "t"
     write_checkpoint(tmp_path / "again.ckpt", params, QUICK, extra={"note": "t"})
     assert path.read_bytes() == (tmp_path / "again.ckpt").read_bytes()
+
+
+EXTRAS = {
+    "best_epoch": 7,
+    "val": {"n": 3, "mse": 0.25, "r2": None, "mae": -0.0},
+    "nested": {"b": {"tiny": 5e-324, "big": 1e16, "small": 1e-05}, "a": [1, -2, 0.5]},
+}
+
+
+def json_dump_bytes(params, cfg, extra) -> bytes:
+    """What write_checkpoint wrote with json.dump: sorted keys, compact."""
+    data = {
+        "kind": "checkpoint",
+        "seed": cfg.seed,
+        "config_hash": config_hash(cfg),
+        "config": dict(resolved_items(cfg)),
+        "params": params_to_jsonable(params),
+        **extra,
+    }
+    out = io.StringIO()
+    json.dump(data, out, sort_keys=True, separators=(",", ":"))
+    return (out.getvalue() + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("sizes", [(1, 1, 1), (2, 1, 3), (8, 4, 8)])
+@pytest.mark.parametrize("extra", [None, EXTRAS])
+def test_checkpoint_bytes_equal_json_dump(tmp_path, sizes, extra):
+    """One-row matrices and one-entry vectors (sizes of 1) included."""
+    params = init_params(np.random.default_rng(41), *sizes)
+    path = tmp_path / "model.ckpt"
+    write_checkpoint(path, params, QUICK, extra=extra)
+    assert path.read_bytes() == json_dump_bytes(params, QUICK, extra or {})
+    loaded, data = read_checkpoint(path)
+    assert np.array_equal(loaded.theta, params.theta)
+    if extra:
+        assert {key: data[key] for key in extra} == extra
+        assert str(data["nested"]["b"]["tiny"]) == "5e-324"
+
+
+def test_checkpoint_is_written_a_row_at_a_time(tmp_path, monkeypatch):
+    """No write is longer than the text of the longest matrix row (or
+    vector block), so the document never exists as one string."""
+    params = init_params(np.random.default_rng(42), 48, 16, 64)
+    writes = []
+
+    class Recording:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            writes.append(len(text))
+            return self.fh.write(text)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    monkeypatch.setattr(harness, "open", lambda *a, **k: Recording(open(*a, **k)), raising=False)
+    path = tmp_path / "model.ckpt"
+    write_checkpoint(path, params, QUICK, extra=EXTRAS)
+    rows = [
+        row
+        for block in params_to_jsonable(params).values()
+        if isinstance(block, list)
+        for row in (block if isinstance(block[0], list) else [block])
+    ]
+    longest = max(len(json.dumps(row, separators=(",", ":"))) for row in rows)
+    assert max(writes) <= longest
+    assert len(writes) > len(rows)
+    assert sum(writes) == path.stat().st_size
 
 
 def test_checkpoint_read_errors(tmp_path):

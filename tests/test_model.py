@@ -257,6 +257,31 @@ def test_params_views_tile_theta():
     assert type(params.b_head) is float and params.b_head == params.theta[-1]
 
 
+@pytest.mark.parametrize("sizes", [(5, 4, 6), (1, 1, 1), (48, 16, 64)])
+def test_block_plan_views_match_a_walk_over_the_shapes(sizes):
+    """The cached plan cuts the vector as walking the block shapes in
+    order does, into read-only views of a read-only vector."""
+    params = init_params(np.random.default_rng(16), *sizes)
+    assert model._plan(*sizes) is model._plan(*sizes)
+    views = model._blocks(params.theta, *sizes)
+    offset = 0
+    for name, shape in model._shapes(*sizes).items():
+        size = int(np.prod(shape))
+        want = params.theta[offset : offset + size].reshape(shape)
+        offset += size
+        for view in (views[name], getattr(params, name)):
+            if name == "b_head":
+                assert view == want
+                continue
+            assert view.shape == shape and view.base is params.theta.base
+            assert np.array_equal(view, want) and np.shares_memory(view, want)
+            assert not view.flags.writeable
+    assert offset == params.theta.size
+    assert list(views) == list(BLOCK_NAMES) + ["b_head"]
+    with pytest.raises(ValueError, match="layout needs"):
+        model._blocks(params.theta[1:], *sizes)
+
+
 def test_params_views_are_read_only():
     params = init_params(np.random.default_rng(13), 5, 4, 6)
     for name in ("theta",) + BLOCK_NAMES:
@@ -426,6 +451,21 @@ def test_gradients_name_the_non_finite_block():
         gradients(params, x_e, x_s, xa_e, xa_s, huge, 0.0)
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+@pytest.mark.parametrize("normalize", [False, True])
+def test_gradients_into_a_buffer_match_the_public_call(lam, normalize):
+    rng = np.random.default_rng(int(lam * 10) + (100 if normalize else 0) + 24)
+    params, args = random_batch(rng, batch=4)
+    fresh, base, cons = gradients(params, *args, lam, normalize_cons=normalize)
+    buffer = np.full(params.theta.shape, np.nan)  # stale contents are zeroed first
+    into, base2, cons2 = gradients(params, *args, lam, normalize_cons=normalize, _out=buffer)
+    assert into is buffer and fresh is not buffer
+    assert fresh.tobytes() == into.tobytes()
+    assert (base, cons) == (base2, cons2)
+    again, *_ = gradients(params, *args, lam, normalize_cons=normalize, _out=buffer)
+    assert fresh.tobytes() == again.tobytes()
+
+
 def test_gradients_reject_negative_lambda():
     rng = np.random.default_rng(22)
     params, args = random_batch(rng, batch=2)
@@ -591,6 +631,27 @@ def test_train_aborts_on_divergence_with_checkpoint():
     assert isinstance(err.checkpoint, ModelParams)
     assert isinstance(err.log, list)
     assert any("aborted" in entry for entry in err.log)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_train_aborts_on_non_finite_parameters_with_the_initial_checkpoint():
+    """The first update overflows the velocity (targets of about 1e6
+    times a learning rate of 1e306), so the new parameters are not
+    finite: the run aborts at step 0 with the initial parameters as its
+    checkpoint, and no RuntimeWarning comes before it."""
+    rng = np.random.default_rng(34)
+    records = [dataclasses.replace(r, value=r.value * 1e6) for r in linear_dataset(rng, 24)]
+    cfg = TrainConfig(
+        learning_rate=1e306, epochs=3, batch_size=8, hidden_enzyme=4, hidden_substrate=3,
+        embed_dim=4, seed=5,
+    )
+    with pytest.raises(NonFiniteError) as excinfo:
+        train(records[:16], records[16:], cfg)
+    err = excinfo.value
+    assert str(err) == "non-finite parameters at epoch 0 step 0"
+    initial = init_params(np.random.default_rng([cfg.seed, 0xA11]), 4, 3, 4)
+    assert np.array_equal(err.checkpoint.theta, initial.theta)
+    assert err.log == [{"aborted": str(err), "epoch": 0}]
 
 
 def test_train_config_validation():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from enzood import io, synth
 from enzood.errors import ConfigError
 from enzood.io import read_dataset
 from enzood.molgraph import parse_smiles, write_smiles
@@ -95,6 +96,27 @@ def test_generate_deterministic():
     assert a_truth == b_truth
     c_records, _ = generate(SynthConfig(seed=1))
     assert c_records != a_records
+
+
+def test_generate_parses_each_scaffold_and_substrate_once(monkeypatch):
+    """Each scaffold is parsed once, each decorated SMILES once for the
+    target and once more by its EsiRecord."""
+    cfg = SynthConfig(family_count=3, members_per_family=5, seed=4)
+    calls = {"synth": 0, "io": 0}
+
+    def counting(module):
+        real = module.parse_smiles
+
+        def parse(text):
+            calls[module.__name__.rsplit(".", 1)[1]] += 1
+            return real(text)
+
+        return parse
+
+    for module in (synth, io):
+        monkeypatch.setattr(module, "parse_smiles", counting(module))
+    records, _ = generate(cfg)
+    assert calls == {"synth": len(cfg.scaffolds) + len(records), "io": len(records)}
 
 
 def test_mutation_rate_zero_collapses_families():
