@@ -6,7 +6,7 @@ get by with ``from enzood import ...``:
 
 - molgraph: SMILES parsing, canonical forms, rendering enumeration
 - augment: constrained enzyme/substrate masking of dataset records
-- seqid: alignment identity, clustering, and identity-disjoint splits
+- seqid: alignment identity, identity components, identity-disjoint splits
 - model: two-branch regressor with consistency-regularized training
 - metrics: regression scores plus threshold-curve aggregation
 - synth: synthetic benchmark generator with a ground-truth sidecar
@@ -88,7 +88,6 @@ from .seqid import (
     OodSplit,
     build_ood_splits,
     global_identity,
-    greedy_cluster,
     max_identity_to_train,
     pairwise_identity_matrix,
     read_split_file,
@@ -143,7 +142,6 @@ __all__ = [
     "generate",
     "global_identity",
     "good_evaluation",
-    "greedy_cluster",
     "init_params",
     "is_isomorphic",
     "lambda_sweep",

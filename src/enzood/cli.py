@@ -144,8 +144,14 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
     if not pieces:
         raise ConfigError("--thresholds expects a comma-separated list of identities")
     values = tuple(_real_flag(piece, "--thresholds", 0.0, 1.0) for piece in pieces)
-    if len(set(values)) != len(values):
-        raise ConfigError(f"--thresholds contains duplicates: {text}")
+    # each threshold names its split files, so two sharing a tag would
+    # overwrite each other's halves
+    seen = {}
+    for piece, value in zip(pieces, values):
+        tag = _threshold_tag(value)
+        if tag in seen:
+            raise ConfigError(f"--thresholds {seen[tag]} and {piece} share the file tag {tag}")
+        seen[tag] = piece
     return values
 
 

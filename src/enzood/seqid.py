@@ -1,4 +1,5 @@
-"""Sequence identity, greedy clustering, and identity-threshold OOD splits.
+"""Sequence identity, single-linkage identity components, and
+identity-threshold OOD splits.
 
 Identity is global Needleman-Wunsch (match=+1, mismatch=0, linear gap=-1)
 with identical-column count divided by gap-inclusive alignment length; the
@@ -190,49 +191,21 @@ def max_identity_to_train(q: str, train) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Clustering
+# Components
 
 
-def greedy_cluster(seqs, threshold: float, identity_fn=None) -> list[list[int]]:
-    """Incremental representative clustering.
+def _components(matrix, lengths, threshold) -> np.ndarray:
+    """Component index of each sequence in the graph whose edges are the
+    pairs with identity strictly above ``threshold``.
 
-    Sequences are processed in descending length order (ties by input
-    position); each joins the first cluster whose representative (its
-    founding member) has identity strictly above ``threshold``, else it
-    founds a new cluster.  Returns clusters in founding order as lists of
-    input indices, founding member first.
+    Sequences are ranked by descending length, ties by position, and each
+    component is numbered by its first member in that rank: one
+    union-find over the edges keeps the smaller rank as root.
     """
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    seqs = list(seqs)
-    if identity_fn is None:
-        matrix = pairwise_identity_matrix(seqs)
-
-        def identity_fn(i, j):
-            return matrix[i, j]
-
-    order = sorted(range(len(seqs)), key=lambda i: (-len(seqs[i]), i))
-    clusters: list[list[int]] = []
-    for idx in order:
-        for members in clusters:
-            if identity_fn(idx, members[0]) > threshold:
-                members.append(idx)
-                break
-        else:
-            clusters.append([idx])
-    return clusters
-
-
-def _merge_violating_clusters(clusters, matrix, threshold):
-    """Union clusters until no cross-cluster pair exceeds the threshold.
-
-    Representative clustering bounds member-to-representative identity
-    only; member-to-member identity across clusters can still exceed the
-    threshold, so clusters are transitively merged along every violating
-    pair.  After the closure the split invariant holds by construction.
-    """
-    n_clusters = len(clusters)
-    parent = list(range(n_clusters))
+    n = len(lengths)
+    rank = np.empty(n, dtype=np.intp)
+    rank[np.lexsort((np.arange(n), -np.asarray(lengths)))] = np.arange(n)
+    parent = list(range(n))  # indexed by rank
 
     def find(x):
         while parent[x] != x:
@@ -240,19 +213,13 @@ def _merge_violating_clusters(clusters, matrix, threshold):
             x = parent[x]
         return x
 
-    cluster_of = {}
-    for ci, members in enumerate(clusters):
-        for u in members:
-            cluster_of[u] = ci
-    iu, ju = np.triu_indices(matrix.shape[0], k=1)
-    for i, j in zip(iu[matrix[iu, ju] > threshold], ju[matrix[iu, ju] > threshold]):
-        ra, rb = find(cluster_of[int(i)]), find(cluster_of[int(j)])
+    iu, ju = np.nonzero(np.triu(matrix > threshold, k=1))
+    for a, b in zip(rank[iu].tolist(), rank[ju].tolist()):
+        ra, rb = find(a), find(b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
-    merged: dict[int, list[int]] = {}
-    for ci, members in enumerate(clusters):
-        merged.setdefault(find(ci), []).extend(members)
-    return [sorted(members) for _, members in sorted(merged.items())]
+    roots = [find(r) for r in range(n)]
+    return np.unique(roots, return_inverse=True)[1][rank]
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +245,14 @@ def build_ood_splits(records, thresholds, test_fraction: float, seed: int) -> li
     """One OodSplit per threshold over ``records`` (objects with ``id`` and
     ``sequence`` attributes).
 
-    Per threshold: cluster the unique sequences, merge any clusters with a
-    cross pair above the threshold, then move whole clusters into test,
-    smallest record count first (ties shuffled by ``seed``), until test
-    holds at least ``test_fraction`` of the records.  Test sets are drawn
-    independently per threshold.  Raises InfeasibleSplitError when one
-    cluster alone exceeds the 1 - test_fraction train capacity.
+    Per threshold: take the connected components of the unique sequences
+    joined by every pair with identity above the threshold, then move
+    whole components into test, smallest record count first (ties
+    shuffled by ``seed``), until test holds at least ``test_fraction`` of
+    the records.  No test-to-train pair then exceeds the threshold, by
+    construction.  Test sets are drawn independently per threshold.
+    Raises InfeasibleSplitError when one component alone exceeds the
+    1 - test_fraction train capacity.
     """
     return _ood_splits(records, thresholds, test_fraction, seed)[0]
 
@@ -308,7 +277,8 @@ def _ood_splits(records, thresholds, test_fraction, seed, known=None):
 
     uniq = list(dict.fromkeys(seqs))
     uniq_index = {s: u for u, s in enumerate(uniq)}
-    rec_u = [uniq_index[s] for s in seqs]
+    rec_u = np.array([uniq_index[s] for s in seqs], dtype=np.intp)
+    lengths = [len(s) for s in uniq]
     if known is None:
         matrix = pairwise_identity_matrix(uniq)
     else:
@@ -316,58 +286,37 @@ def _ood_splits(records, thresholds, test_fraction, seed, known=None):
         rows = [row[s] for s in uniq]
         matrix = known[1][np.ix_(rows, rows)]
     n_records = len(records)
+    capacity = (1.0 - test_fraction) * n_records + 1e-9
+    required = math.ceil(test_fraction * n_records - 1e-9)
 
     splits = []
     for thr in thresholds:
-        clusters = greedy_cluster(uniq, thr, identity_fn=lambda i, j: matrix[i, j])
-        clusters = _merge_violating_clusters(clusters, matrix, thr)
-        member_cluster = {}
-        for k, members in enumerate(clusters):
-            for u in members:
-                member_cluster[u] = k
-        rec_count = [0] * len(clusters)
-        for u in rec_u:
-            rec_count[member_cluster[u]] += 1
-        capacity = (1.0 - test_fraction) * n_records + 1e-9
-        if max(rec_count) > capacity:
+        labels = _components(matrix, lengths, thr)
+        rec_count = np.bincount(labels[rec_u])
+        if rec_count.max() > capacity:
             raise InfeasibleSplitError(
-                f"threshold {thr}: largest cluster holds {max(rec_count)} of "
+                f"threshold {thr}: largest component holds {rec_count.max()} of "
                 f"{n_records} records, exceeding train capacity {capacity:.1f}"
             )
-        required = math.ceil(test_fraction * n_records - 1e-9)
-        # fresh generator per threshold: identical clusterings at two
-        # thresholds then pick identical test clusters, which keeps
+        # fresh generator per threshold: identical components at two
+        # thresholds then pick identical test components, which keeps
         # realized test difficulty monotone across thresholds
         rng = np.random.default_rng(seed)
-        shuffle_rank = rng.permutation(len(clusters))
-        order = sorted(range(len(clusters)), key=lambda k: (rec_count[k], shuffle_rank[k]))
-        test_clusters = set()
-        count = 0
-        for k in order:
-            if count >= required:
-                break
-            test_clusters.add(k)
-            count += rec_count[k]
-        test_uniq = {
-            u for k in test_clusters for u in clusters[k]
-        }
-        test_ids = tuple(ids[r] for r in range(n_records) if rec_u[r] in test_uniq)
-        train_ids = tuple(ids[r] for r in range(n_records) if rec_u[r] not in test_uniq)
-        train_uniq = [u for u in range(len(uniq)) if u not in test_uniq]
-        worst = _max_cross_identity(matrix, sorted(test_uniq), train_uniq)
+        shuffle_rank = rng.permutation(len(rec_count))
+        order = np.lexsort((shuffle_rank, rec_count))
+        # whole components in that order while test holds fewer than required
+        counts = rec_count[order]
+        test_comp = np.zeros(len(rec_count), dtype=bool)
+        test_comp[order[np.cumsum(counts) - counts < required]] = True
+        in_test = test_comp[labels]
+        rec_test = in_test[rec_u]
+        test_ids = tuple(rid for rid, t in zip(ids, rec_test) if t)
+        train_ids = tuple(rid for rid, t in zip(ids, rec_test) if not t)
+        worst = matrix[np.ix_(in_test, ~in_test)].max(initial=0.0)
         if worst > thr:
-            raise RuntimeError(
-                f"split construction bug: cross identity {worst} above {thr}"
-            )
+            raise RuntimeError(f"split construction bug: cross identity {worst} above {thr}")
         splits.append(OodSplit(threshold=thr, train_ids=train_ids, test_ids=test_ids))
     return splits, (uniq, matrix)
-
-
-def _max_cross_identity(matrix, test_uniq, train_uniq) -> float:
-    if not test_uniq or not train_uniq:
-        return 0.0
-    sub = matrix[np.ix_(test_uniq, train_uniq)]
-    return float(sub.max())
 
 
 def max_cross_identity(split: OodSplit, id_to_seq) -> float:
@@ -411,9 +360,13 @@ def read_split_file(path) -> list[OodSplit]:
             if not line or line.startswith("#"):
                 continue
             parts = line.split("\t")
-            if len(parts) != 3 or parts[1] not in ("train", "test"):
+            try:
+                thr = float(parts[2])
+            except (IndexError, ValueError):
+                thr = math.nan
+            # NaN fails the range test too
+            if len(parts) != 3 or parts[1] not in ("train", "test") or not 0.0 < thr <= 1.0:
                 raise ValueError(f"{path}:{lineno}: malformed split line {line!r}")
-            thr = float(parts[2])
             if thr not in groups:
                 groups[thr] = ([], [])
                 order.append(thr)

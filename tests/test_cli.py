@@ -303,6 +303,17 @@ def test_exit_code_two_for_config_problems(tmp_path, capsys):
     assert run_cli(["split", "--in", bench, "--out-dir", tmp_path, "--thresholds", "1.5"]) == 2
 
 
+def test_split_rejects_thresholds_sharing_a_file_tag(tmp_path, capsys):
+    bench = make_bench(tmp_path)
+    out_dir = tmp_path / "splits"
+    code = run_cli(["split", "--in", bench, "--out-dir", out_dir, "--thresholds", "0.4,0.401"])
+    assert code == 2
+    err_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error\t")]
+    assert err_lines[0].split("\t")[:3] == ["error", "2", "ConfigError"]
+    assert "0.4 and 0.401" in err_lines[0]
+    assert not out_dir.exists()
+
+
 def test_exit_code_two_for_usage_problems(capsys):
     assert run_cli(["bogus-command"]) == 2
     assert run_cli(["synth"]) == 2  # --out is required

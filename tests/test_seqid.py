@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from _alignment_py import align_stats as reference_stats
+from _cluster_py import greedy_cluster, reference_clusters
 from enzood import seqid
 from enzood.errors import DuplicateIdError, InfeasibleSplitError
 from enzood.seqid import (
@@ -14,7 +15,6 @@ from enzood.seqid import (
     alignment_stats,
     build_ood_splits,
     global_identity,
-    greedy_cluster,
     max_cross_identity,
     max_identity_to_train,
     pairwise_identity_matrix,
@@ -298,6 +298,34 @@ def test_greedy_cluster_validates_threshold():
         greedy_cluster(["AA"], 1.5)
 
 
+def chain_seqs():
+    """a-b and b-c lie above 0.5 identity, a-c does not."""
+    return ["A" * 20, "A" * 12 + "C" * 8, "A" * 4 + "C" * 16]
+
+
+def reference_corpora():
+    rng = np.random.default_rng(41)
+    short = [s for fam in make_families(rng, 3, 5, length=60) for s in fam]
+    long = [s for fam in make_families(rng, 2, 4, length=90, rate=0.3) for s in fam]
+    loose = [random_seq(rng, 100, AA) for _ in range(8)]
+    mixed = short + long + loose
+    return [
+        [s for fam in make_families(rng, 3, 10) for s in fam],
+        [mixed[k] for k in rng.permutation(len(mixed))],
+        chain_seqs() + ["W" * 20, "A" * 10 + "C" * 10],
+    ]
+
+
+@pytest.mark.parametrize("threshold", [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99])
+def test_components_match_cluster_reference(threshold):
+    # same partition, same members, same order as greedy plus merge
+    for seqs in reference_corpora():
+        matrix = pairwise_identity_matrix(seqs)
+        labels = seqid._components(matrix, [len(s) for s in seqs], threshold)
+        components = [np.flatnonzero(labels == k).tolist() for k in range(labels.max() + 1)]
+        assert components == reference_clusters(seqs, matrix, threshold)
+
+
 # ---------------------------------------------------------------------------
 # Splits
 
@@ -362,9 +390,7 @@ def test_build_ood_splits_oversized_cluster_infeasible():
 def test_build_ood_splits_merges_identity_chains():
     # id(a,b) and id(b,c) exceed 0.5 but id(a,c) does not; the three must
     # still end up on the same side of the split
-    a = "A" * 20
-    b = "A" * 12 + "C" * 8
-    c = "A" * 4 + "C" * 16
+    a, b, c = chain_seqs()
     assert global_identity(a, b) > 0.5
     assert global_identity(b, c) > 0.5
     assert global_identity(a, c) <= 0.5
@@ -396,8 +422,22 @@ def test_build_ood_splits_deterministic():
     assert a == b
 
 
+def test_build_ood_splits_threshold_strict():
+    # identity exactly at the threshold is no edge
+    a, b = "AAAA", "AACC"
+    assert global_identity(a, b) == 0.5
+    records = [Rec("a", a), Rec("b", b)]
+    (split,) = build_ood_splits(records, [0.5], test_fraction=0.5, seed=0)
+    assert sorted(split.train_ids + split.test_ids) == ["a", "b"]
+    assert len(split.test_ids) == 1
+    with pytest.raises(InfeasibleSplitError):
+        build_ood_splits(records, [0.49], test_fraction=0.5, seed=0)
+
+
 def test_build_ood_splits_validation():
     records = [Rec("r1", "ACD"), Rec("r2", "WYV")]
+    with pytest.raises(ValueError):
+        build_ood_splits(records, [0.0], test_fraction=0.3, seed=0)
     with pytest.raises(ValueError):
         build_ood_splits(records, [0.6], test_fraction=0.0, seed=0)
     with pytest.raises(ValueError):
@@ -432,4 +472,12 @@ def test_split_file_rejects_malformed(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("r1\tvalidation\t0.4\n")
     with pytest.raises(ValueError):
+        read_split_file(path)
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "0", "1.5"])
+def test_split_file_rejects_bad_threshold(tmp_path, value):
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"# columns\nr1\ttrain\t0.4\nr2\ttest\t{value}\n")
+    with pytest.raises(ValueError, match=r"bad\.tsv:3: malformed split line"):
         read_split_file(path)

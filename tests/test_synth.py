@@ -7,7 +7,7 @@ from enzood import io, synth
 from enzood.errors import ConfigError
 from enzood.io import read_dataset
 from enzood.molgraph import parse_smiles, write_smiles
-from enzood.seqid import global_identity, greedy_cluster, pairwise_identity_matrix
+from enzood.seqid import global_identity, pairwise_identity_matrix
 from enzood.synth import (
     DEFAULT_SCAFFOLDS,
     SynthConfig,
@@ -160,16 +160,14 @@ def test_three_family_recovery_matches_components_oracle():
         for j in range(i + 1, len(seqs)):
             if identity[i, j] > 0.6:
                 parent[find(i)] = find(j)
-    components = {find(i) for i in range(len(seqs))}
-    assert len(components) == 3
-
-    clusters = greedy_cluster(seqs, 0.6)
-    assert len(clusters) == 3
-    # the clusters are exactly the families
+    components = {}
     families = {}
     for k, r in enumerate(records):
+        components.setdefault(find(k), set()).add(k)
         families.setdefault(r.organism, set()).add(k)
-    assert {frozenset(c) for c in clusters} == {frozenset(v) for v in families.values()}
+    assert len(components) == 3
+    # the components are exactly the families
+    assert {frozenset(c) for c in components.values()} == {frozenset(v) for v in families.values()}
 
 
 def test_family_identity_structure():
