@@ -26,15 +26,11 @@ change-to-parent ratio of the median rates and the machine facts.
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
-import subprocess
 import sys
 import time
-from pathlib import Path
 
-REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 MIN_SECONDS = 0.5
 
 
@@ -95,51 +91,30 @@ def _median(rounds: list[dict]) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--baseline", help="src directory of a tree to compare against")
-    parser.add_argument("--rounds", type=int, default=1, help="rounds per tree (default 1)")
-    parser.add_argument("--out", help="write the JSON here as well as to stdout")
-    parser.add_argument("--measure", help=argparse.SUPPRESS)  # child process: one round
-    args = parser.parse_args(argv)
+    import benchtrees
+
+    args = benchtrees.parser(__doc__.split("\n\n")[0]).parse_args(argv)
     if args.measure:
         print(json.dumps(measure(args.measure)))
         return 0
 
-    from bench_train_step import machine
-
-    trees = {"change": str(REPO_SRC)}
-    if args.baseline:
-        trees["parent"] = str(Path(args.baseline).resolve())
-    rounds = {label: [] for label in trees}
-    for k in range(args.rounds):
-        labels = list(trees) if k % 2 == 0 else list(reversed(trees))
-        for label in labels:
-            child = subprocess.run(
-                [sys.executable, __file__, "--measure", trees[label]],
-                check=True, capture_output=True, text=True,
-            )
-            rounds[label].append(json.loads(child.stdout))
-            print(f"round {k} {label}: " + ", ".join(
-                f"{name} {r['cells_per_s']:.3g} cells/s" for name, r in rounds[label][-1].items()
-            ), file=sys.stderr)
+    rounds = benchtrees.run_rounds(__file__, args, lambda result: ", ".join(
+        f"{name} {r['cells_per_s']:.3g} cells/s" for name, r in result.items()
+    ))
     report = {
         "script": "scripts/bench_align.py",
         "workload": "seqid.align_stats_many over the upper triangle of the all-pairs "
                     "identity matrix of each corpus (see the script's docstring)",
-        "machine": machine(str(REPO_SRC)),
-        "trees": {label: {"median": _median(rounds[label]), "rounds": rounds[label]}
-                  for label in trees},
+        "machine": benchtrees.machine(),
+        "trees": {label: {"median": _median(runs), "rounds": runs}
+                  for label, runs in rounds.items()},
     }
     if args.baseline:
         change, parent = (report["trees"][t]["median"] for t in ("change", "parent"))
         report["change_over_parent_cells_per_s"] = {
             name: change[name]["cells_per_s"] / parent[name]["cells_per_s"] for name in change
         }
-    text = json.dumps(report, indent=1, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    print(text)
-    return 0
+    return benchtrees.write_report(report, args.out)
 
 
 if __name__ == "__main__":

@@ -33,19 +33,16 @@ facts.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import io
 import json
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 STAGES = ("read", "train", "evaluate", "checkpoint", "log", "other")
 # cli binding -> stage
 WRAPPED = {
@@ -148,54 +145,36 @@ def _median(rounds: list[dict]) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--baseline", help="src directory of a tree to compare against")
-    parser.add_argument("--rounds", type=int, default=1, help="rounds per tree (default 1)")
+    import benchtrees
+
+    parser = benchtrees.parser(__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=5,
                         help="command pairs per round (default 5)")
-    parser.add_argument("--out", help="write the JSON here as well as to stdout")
-    parser.add_argument("--measure", help=argparse.SUPPRESS)  # child process: one round
     args = parser.parse_args(argv)
     if args.measure:
         print(json.dumps(measure(args.measure, args.repeats)))
         return 0
 
-    from bench_train_step import machine
-
-    trees = {"change": str(REPO_SRC)}
-    if args.baseline:
-        trees["parent"] = str(Path(args.baseline).resolve())
-    rounds = {label: [] for label in trees}
-    for k in range(args.rounds):
-        labels = list(trees) if k % 2 == 0 else list(reversed(trees))
-        for label in labels:
-            child = subprocess.run(
-                [sys.executable, __file__, "--measure", trees[label],
-                 "--repeats", str(args.repeats)],
-                check=True, capture_output=True, text=True,
-            )
-            rounds[label].append(json.loads(child.stdout))
-            last = rounds[label][-1]
-            print(f"round {k} {label}: {last['commands_s']:.3f} s (" + ", ".join(
-                f"{stage} {s:.3f}" for stage, s in last["stage_s"].items()
-            ) + ")", file=sys.stderr)
+    rounds = benchtrees.run_rounds(
+        __file__, args,
+        lambda result: f"{result['commands_s']:.3f} s (" + ", ".join(
+            f"{stage} {s:.3f}" for stage, s in result["stage_s"].items()
+        ) + ")",
+        child_args=("--repeats", str(args.repeats)),
+    )
     report = {
         "script": "scripts/bench_cli_train.py",
         "workload": "the two enzood train commands of perfbench's pipeline workload "
                     "(20 train and 20 validation records, 50 epochs each, control and "
                     f"treated), median of {args.repeats} pairs per round",
-        "machine": machine(str(REPO_SRC)),
-        "trees": {label: {"median": _median(rounds[label]), "rounds": rounds[label]}
-                  for label in trees},
+        "machine": benchtrees.machine(),
+        "trees": {label: {"median": _median(runs), "rounds": runs}
+                  for label, runs in rounds.items()},
     }
     if args.baseline:
         change, parent = (report["trees"][t]["median"] for t in ("change", "parent"))
         report["parent_over_change_commands_s"] = parent["commands_s"] / change["commands_s"]
-    text = json.dumps(report, indent=1, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    print(text)
-    return 0
+    return benchtrees.write_report(report, args.out)
 
 
 if __name__ == "__main__":

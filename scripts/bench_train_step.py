@@ -30,19 +30,13 @@ machine facts.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
 import time
 from collections import defaultdict
-from pathlib import Path
 
-REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 MODES = ("graph_mask", "enumeration")
 PHASES = ("encode", "draw", "render", "parse", "featurize", "forward", "backward", "other")
 
@@ -165,22 +159,6 @@ def measure(src: str) -> dict:
     return out
 
 
-def machine(src: str) -> dict:
-    import numpy
-
-    sys.path.insert(0, src)
-    from enzood import seqid
-
-    return {
-        "cpu_count": os.cpu_count(),
-        "usable_cores": len(os.sched_getaffinity(0)),
-        "machine": platform.machine(),
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "alignment_backend": seqid.alignment_backend(),
-    }
-
-
 def _median(rounds: list[dict], mode: str) -> dict:
     runs = [r[mode] for r in rounds]
     return {
@@ -191,45 +169,26 @@ def _median(rounds: list[dict], mode: str) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--baseline", help="src directory of a tree to compare against")
-    parser.add_argument("--rounds", type=int, default=1, help="rounds per tree (default 1)")
-    parser.add_argument("--out", help="write the JSON here as well as to stdout")
-    parser.add_argument("--measure", help=argparse.SUPPRESS)  # child process: one round
-    args = parser.parse_args(argv)
+    import benchtrees
+
+    args = benchtrees.parser(__doc__.split("\n\n")[0]).parse_args(argv)
     if args.measure:
         print(json.dumps(measure(args.measure)))
         return 0
 
-    trees = {"change": str(REPO_SRC)}
-    if args.baseline:
-        trees["parent"] = str(Path(args.baseline).resolve())
-    rounds = {label: [] for label in trees}
-    for k in range(args.rounds):
-        labels = list(trees) if k % 2 == 0 else list(reversed(trees))
-        for label in labels:
-            child = subprocess.run(
-                [sys.executable, __file__, "--measure", trees[label]],
-                check=True, capture_output=True, text=True,
-            )
-            rounds[label].append(json.loads(child.stdout))
-            print(f"round {k} {label}: " + ", ".join(
-                f"{mode} {rounds[label][-1][mode]['wall_s']:.2f} s" for mode in MODES
-            ), file=sys.stderr)
+    rounds = benchtrees.run_rounds(__file__, args, lambda result: ", ".join(
+        f"{mode} {result[mode]['wall_s']:.2f} s" for mode in MODES
+    ))
     report = {
         "script": "scripts/bench_train_step.py",
         "workload": "lam=0.5 train_on_split, 300 epochs, acceptance split of the "
                     "default 300-record benchmark (150 train, 60 val)",
-        "machine": machine(str(REPO_SRC)),
-        "trees": {label: {"median": {mode: _median(rounds[label], mode) for mode in MODES},
-                          "rounds": rounds[label]}
-                  for label in trees},
+        "machine": benchtrees.machine(),
+        "trees": {label: {"median": {mode: _median(runs, mode) for mode in MODES},
+                          "rounds": runs}
+                  for label, runs in rounds.items()},
     }
-    text = json.dumps(report, indent=1, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    print(text)
-    return 0
+    return benchtrees.write_report(report, args.out)
 
 
 if __name__ == "__main__":

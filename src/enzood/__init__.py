@@ -16,7 +16,6 @@ get by with ``from enzood import ...``:
 """
 
 from .augment import (
-    AugmentConfig,
     augment_dataset,
     augment_record,
     mask_graph,
@@ -69,7 +68,6 @@ from .metrics import (
 )
 from .model import (
     ModelParams,
-    TrainConfig,
     featurize_enzyme,
     featurize_substrate,
     init_params,
@@ -104,7 +102,6 @@ from .synth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentConfig",
     "ConfigError",
     "DatasetError",
     "DegenerateTargetsError",
@@ -125,7 +122,6 @@ __all__ = [
     "SizeError",
     "SmilesSyntaxError",
     "SynthConfig",
-    "TrainConfig",
     "ValenceError",
     "au_good",
     "augment_dataset",

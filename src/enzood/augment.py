@@ -6,18 +6,26 @@ traversal (isomorphic graph, different text), and masking a fraction of
 substrate atoms drawn only from the unprotected pool (rings, functional
 groups, and charged atoms are never masked).  Counts use floor so the
 requested ratio is never exceeded.
+
+The settings come from ``io.RunConfig``: ``draw_masks``,
+``augment_record`` and ``augment_dataset`` read its ``p_s``, ``p_g``,
+``substrate_mode`` and ``seed`` fields.  This module does not import
+``io`` (``io`` imports it), so any object with those fields will do.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 from math import floor
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError
 from .molgraph import MolGraph, enumerate_smiles
+
+if TYPE_CHECKING:
+    from .io import RunConfig
 
 AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWY"
 MASK_SYMBOL = "X"
@@ -42,8 +50,10 @@ def validate_sequence(seq: str) -> None:
 
 
 def _check_ratio(name: str, value: float) -> None:
+    """Mask ratios above 0.3 hurt more than they help, so both are capped
+    there; NaN fails the range test too."""
     if not 0.0 <= value <= MAX_MASK_RATIO:
-        raise ValueError(f"{name} must be in [0, {MAX_MASK_RATIO}], got {value}")
+        raise ConfigError(f"{name} must be in [0, {MAX_MASK_RATIO}], got {value}")
 
 
 def _draw_positions(size: int, ratio: float, rng: np.random.Generator, pool: int | None = None):
@@ -63,7 +73,7 @@ def unprotected_atoms(g: MolGraph) -> np.ndarray:
     return np.flatnonzero(np.logical_not(g.protected))
 
 
-def draw_masks(length: int, atom_count: int, pool, cfg: AugmentConfig, rng: np.random.Generator):
+def draw_masks(length: int, atom_count: int, pool, cfg: RunConfig, rng: np.random.Generator):
     """One record's masking draws, in order: residue positions of an
     enzyme of ``length``, then, in graph_mask mode, the masked atoms,
     taken from ``pool`` (the record's unprotected_atoms) for a substrate
@@ -108,35 +118,8 @@ def mask_graph(g: MolGraph, p_g: float, rng: np.random.Generator) -> tuple[bool,
     return _atom_mask(len(g), pool[_draw_positions(len(g), p_g, rng, len(pool))])
 
 
-@dataclass(frozen=True)
-class AugmentConfig:
-    """Knobs for pseudo-pair generation.
-
-    Mask ratios above 0.3 hurt more than they help, so both are capped
-    there; 0.10 is the sweet spot on the reference data and is the
-    default.  substrate_mode picks between re-rendered SMILES text
-    (enumeration) and atom masking (graph_mask).
-    """
-
-    p_s: float = 0.10
-    p_g: float = 0.10
-    substrate_mode: str = "graph_mask"
-    seed: int = 0
-
-    def __post_init__(self):
-        for name, value in (("p_s", self.p_s), ("p_g", self.p_g)):
-            if not 0.0 <= value <= MAX_MASK_RATIO:
-                raise ConfigError(f"{name} must be in [0, {MAX_MASK_RATIO}], got {value}")
-        if self.substrate_mode not in SUBSTRATE_MODES:
-            raise ConfigError(
-                f"substrate_mode must be one of {SUBSTRATE_MODES}, got {self.substrate_mode!r}"
-            )
-        if not isinstance(self.seed, (int, np.integer)):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-
-
 def augment_record(
-    record, cfg: AugmentConfig, rng: np.random.Generator
+    record, cfg: RunConfig, rng: np.random.Generator
 ) -> tuple[str, str, tuple[bool, ...] | None]:
     """Pseudo counterpart of ``record`` as (sequence, smiles,
     substrate_mask): the masked enzyme plus either a re-rendered
@@ -154,7 +137,7 @@ def augment_record(
     return sequence, record.smiles, _atom_mask(len(g), atoms)
 
 
-def augment_dataset(records, cfg: AugmentConfig) -> list[tuple]:
+def augment_dataset(records, cfg: RunConfig) -> list[tuple]:
     """One (raw, augmented) record tuple per record, in input order; the
     augmented twin carries an '#aug' id suffix so both halves can live
     in one file.

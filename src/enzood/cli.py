@@ -220,7 +220,7 @@ def _cmd_augment(args) -> int:
     cfg = load_config(args.config)
     _emit_hash(cfg)
     records = read_dataset(args.in_path)
-    pairs = augment_dataset(records, cfg.augment_config())
+    pairs = augment_dataset(records, cfg)
     flat = [record for pair in pairs for record in pair]
     out = _prepare(args.out)
     write_dataset(flat, out)
@@ -267,7 +267,7 @@ def _cmd_train(args) -> int:
     val_records = read_dataset(args.val)
     stamps.append(clock())
     with _info_to_stderr(train.__module__):
-        params, log = train(train_records, val_records, cfg.train_config())
+        params, log = train(train_records, val_records, cfg)
     stamps.append(clock())
     val_scores = evaluate_params(params, val_records)
     stamps.append(clock())

@@ -97,7 +97,7 @@ def train_on_split(records, split: NestedSplit, cfg: RunConfig):
     train_recs = select_records(records, split.train_ids)
     val_recs = select_records(records, split.val_ids)
     test_recs = select_records(records, split.test_ids)
-    params, log = train(train_recs, val_recs, cfg.train_config())
+    params, log = train(train_recs, val_recs, cfg)
     scores = {
         "val": evaluate_params(params, val_recs),
         "test": evaluate_params(params, test_recs),

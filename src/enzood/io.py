@@ -13,12 +13,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .augment import AugmentConfig, validate_sequence
+from .augment import SUBSTRATE_MODES, _check_ratio, validate_sequence
 from .errors import ConfigError, DatasetError, DuplicateIdError
-from .model import TrainConfig
 from .molgraph import MolGraph, parse_smiles
 
 TASKS = ("kcat", "km")
@@ -314,9 +314,18 @@ def write_dataset(records, path, fmt: str | None = None) -> None:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved pipeline configuration; defaults match the reference
-    operating point (10% masking on both sides, lam=0.5, 64-dim
-    embedding)."""
+    """The run configuration: every setting of augmentation and training.
+
+    Defaults match the reference operating point (10% masking on both
+    sides, lam=0.5, 64-dim embedding).  p_s and p_g are the enzyme and
+    substrate mask ratios, capped at 0.3 (augment.MAX_MASK_RATIO);
+    substrate_mode picks between re-rendered SMILES text (enumeration)
+    and atom masking (graph_mask).  lam weighs the consistency term (0
+    disables it); normalize_cons applies it to L2-normalized embeddings
+    instead of raw ones.  seed drives initialisation, batch order and
+    every augmentation draw.  Every range check lives here and raises
+    ConfigError naming the field.
+    """
 
     p_s: float = 0.10
     p_g: float = 0.10
@@ -332,30 +341,30 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # constructing the module configs runs their validation
-        self.train_config()
+        _check_ratio("p_s", self.p_s)
+        _check_ratio("p_g", self.p_g)
+        if self.substrate_mode not in SUBSTRATE_MODES:
+            raise ConfigError(
+                f"substrate_mode must be one of {SUBSTRATE_MODES}, got {self.substrate_mode!r}"
+            )
+        if not (self.lam >= 0 and math.isfinite(self.lam)):
+            raise ConfigError(f"lam must be finite and non-negative, got {self.lam}")
+        if not isinstance(self.normalize_cons, bool):
+            raise ConfigError(f"normalize_cons must be true or false, got {self.normalize_cons!r}")
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ConfigError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}"
+            )
+        for name in ("epochs", "batch_size", "hidden_enzyme", "hidden_substrate", "embed_dim"):
+            check_integer(name, getattr(self, name), 1)
+        check_integer("seed", self.seed, 0)
 
-    def augment_config(self) -> AugmentConfig:
-        return AugmentConfig(
-            p_s=self.p_s,
-            p_g=self.p_g,
-            substrate_mode=self.substrate_mode,
-            seed=self.seed,
-        )
 
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            lam=self.lam,
-            learning_rate=self.learning_rate,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            hidden_enzyme=self.hidden_enzyme,
-            hidden_substrate=self.hidden_substrate,
-            embed_dim=self.embed_dim,
-            seed=self.seed,
-            normalize_cons=self.normalize_cons,
-            augment=self.augment_config(),
-        )
+def check_integer(name: str, value, least: int) -> None:
+    """ConfigError naming ``name`` unless value is an integer (not a
+    bool) of at least ``least``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+        raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 _CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))

@@ -10,10 +10,12 @@ linear head emits the log10 kinetic prediction.
 Training minimizes prediction MSE on the records plus lam times the mean
 squared embedding distance between each record and its augmented
 counterpart; the augmented samples feed only the consistency term.
-Records are any objects with sequence, graph (the parsed substrate),
+Training reads its settings from an ``io.RunConfig`` (the model does
+not import ``io``; any object with the same fields will do).  Records
+are any objects with sequence, graph (the parsed substrate),
 substrate_mask, and value attributes, as io.EsiRecord has.  All
-gradients are hand-derived and checked against finite differences in the
-test suite.
+gradients are hand-derived and checked against finite differences in
+the test suite.
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .augment import ALPHABET, MASK_SYMBOL, AugmentConfig, draw_masks, unprotected_atoms
-from .errors import ConfigError, DegenerateTargetsError, NonFiniteError
+from .augment import ALPHABET, MASK_SYMBOL, draw_masks, unprotected_atoms
+from .errors import DegenerateTargetsError, NonFiniteError
 from .metrics import mae, r_squared
 from .molgraph import (
     BOND_AROMATIC,
@@ -37,6 +40,9 @@ from .molgraph import (
     ELEMENTS,
     MolGraph,
 )
+
+if TYPE_CHECKING:
+    from .io import RunConfig
 
 ENZYME_FEATURES = len(ALPHABET) + len(ALPHABET) ** 2  # 462
 
@@ -448,41 +454,12 @@ def gradients(
 # Training
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    """Optimization and architecture settings.
-
-    lam weighs the consistency term (0 disables it); momentum is the
-    fixed constant MOMENTUM.  normalize_cons applies the consistency loss
-    to L2-normalized embeddings instead of raw ones.
-    """
-
-    lam: float = 0.5
-    learning_rate: float = 0.02
-    epochs: int = 300
-    batch_size: int = 16
-    hidden_enzyme: int = 48
-    hidden_substrate: int = 16
-    embed_dim: int = 64
-    seed: int = 0
-    normalize_cons: bool = False
-    augment: AugmentConfig = field(default_factory=AugmentConfig)
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ConfigError("lam must be non-negative")
-        if self.learning_rate <= 0 or self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("learning_rate, epochs, and batch_size must be positive")
-        for dim in (self.hidden_enzyme, self.hidden_substrate, self.embed_dim):
-            if dim < 1:
-                raise ConfigError("layer dimensions must be positive")
-
-
 @np.errstate(over="ignore", invalid="ignore")  # each step checks finiteness itself
-def train(train_records, val_records, cfg: TrainConfig):
+def train(train_records, val_records, cfg: RunConfig):
     """Momentum SGD with per-step augmentation.
 
-    Every record is encoded once as index arrays.  With lam > 0 every
+    ``cfg`` is an ``io.RunConfig``; the momentum is the fixed constant
+    MOMENTUM.  Every record is encoded once as index arrays.  With lam > 0 every
     step draws fresh masks for its batch records with a generator seeded
     by (seed, epoch, step), in batch order (augment.draw_masks), and
     builds the augmented rows from the masked index arrays.  The
@@ -510,7 +487,7 @@ def train(train_records, val_records, cfg: TrainConfig):
     y = np.array([r.value for r in train_records], dtype=float)
     xv_e, xv_s = _featurize(val_records)
     yv = np.array([r.value for r in val_records], dtype=float)
-    enumeration = cfg.augment.substrate_mode == "enumeration"
+    enumeration = cfg.substrate_mode == "enumeration"
     plain_s = _substrate_rows(counts, [b[:0] for b in bins]) if enumeration else None
     pools = [None if enumeration else unprotected_atoms(r.graph) for r in train_records]
     encode_s = time.perf_counter() - encode_start
@@ -554,7 +531,7 @@ def train(train_records, val_records, cfg: TrainConfig):
                 masked_atoms = []
                 for i in idx:
                     sites, atoms = draw_masks(
-                        len(residues[i]), len(bins[i]), pools[i], cfg.augment, step_rng
+                        len(residues[i]), len(bins[i]), pools[i], cfg, step_rng
                     )
                     codes = residues[i].copy()
                     codes[sites] = _MASK_CODE

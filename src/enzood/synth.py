@@ -13,6 +13,7 @@ sidecar so tests can rebuild noise-free targets bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from .augment import ALPHABET, AMINO_ACIDS
 from .errors import ConfigError
 from .io import (
     EsiRecord,
+    check_integer,
     parse_config_pairs,
     parse_int,
     parse_real,
@@ -94,10 +96,11 @@ class SynthConfig:
             raise ConfigError("prototype_length must be at least 2")
         if not 0.0 <= self.mutation_rate <= 0.5:
             raise ConfigError(f"mutation_rate must be in [0, 0.5], got {self.mutation_rate}")
-        if self.sigma < 0:
-            raise ConfigError(f"sigma must be non-negative, got {self.sigma}")
+        if not (self.sigma >= 0 and math.isfinite(self.sigma)):
+            raise ConfigError(f"sigma must be finite and non-negative, got {self.sigma}")
         if not 0.0 <= self.rho <= 1.0:
             raise ConfigError(f"rho must be in [0, 1], got {self.rho}")
+        check_integer("seed", self.seed, 0)
         if not self.scaffolds:
             raise ConfigError("scaffold set must be non-empty")
         for k, text in enumerate(self.scaffolds):

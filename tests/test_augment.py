@@ -6,7 +6,6 @@ import pytest
 from enzood.augment import (
     ALPHABET,
     AMINO_ACIDS,
-    AugmentConfig,
     MASK_SYMBOL,
     augment_dataset,
     augment_record,
@@ -15,7 +14,7 @@ from enzood.augment import (
     validate_sequence,
 )
 from enzood.errors import ConfigError
-from enzood.io import EsiRecord
+from enzood.io import EsiRecord, RunConfig
 from enzood.molgraph import detect_protected, enumerate_smiles, is_isomorphic, parse_smiles
 
 
@@ -64,10 +63,13 @@ def test_mask_sequence_deterministic():
 
 
 def test_mask_sequence_validates_ratio():
-    with pytest.raises(ValueError):
+    """The maskers share RunConfig's ratio check and its ConfigError."""
+    with pytest.raises(ConfigError, match="p_s"):
         mask_sequence("ACD", 0.31, np.random.default_rng(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="p_s"):
         mask_sequence("ACD", -0.01, np.random.default_rng(0))
+    with pytest.raises(ConfigError, match="p_g"):
+        mask_graph(parse_smiles("CCO"), float("nan"), np.random.default_rng(0))
 
 
 def test_mask_graph_frozen_examples():
@@ -101,18 +103,6 @@ def test_mask_graph_never_marks_protected(corpus_smiles):
         )
 
 
-def test_augment_config_validation():
-    AugmentConfig()
-    with pytest.raises(ConfigError):
-        AugmentConfig(p_s=0.35)
-    with pytest.raises(ConfigError):
-        AugmentConfig(p_g=-0.1)
-    with pytest.raises(ConfigError):
-        AugmentConfig(substrate_mode="edges")
-    with pytest.raises(ConfigError):
-        AugmentConfig(seed="zero")
-
-
 def test_esipair_mask_invariant():
     """A record's substrate mask may not mark a protected atom and must
     cover every atom; the hydroxyl oxygen of ethanol is protected."""
@@ -125,7 +115,7 @@ def test_esipair_mask_invariant():
 
 def test_augment_record_graph_mask_mode():
     rec = EsiRecord("r1", "ACDEFGHIKLMNPQRSTVWY", "CCCCCCCCCC", 1.5)
-    cfg = AugmentConfig(p_s=0.10, p_g=0.10, substrate_mode="graph_mask")
+    cfg = RunConfig(p_s=0.10, p_g=0.10, substrate_mode="graph_mask")
     sequence, smiles, mask = augment_record(rec, cfg, np.random.default_rng(4))
     assert sequence.count(MASK_SYMBOL) == 2
     assert smiles == rec.smiles
@@ -134,7 +124,7 @@ def test_augment_record_graph_mask_mode():
 
 def test_augment_record_enumeration_mode():
     rec = EsiRecord("r1", "ACDEFGHIKL", "CC(=O)OC", -1.5)
-    cfg = AugmentConfig(p_s=0.0, substrate_mode="enumeration")
+    cfg = RunConfig(p_s=0.0, substrate_mode="enumeration")
     sequence, smiles, mask = augment_record(rec, cfg, np.random.default_rng(3))
     assert sequence == rec.sequence
     assert mask is None
@@ -146,7 +136,7 @@ def test_augment_record_modes():
     their mode, from the one generator they are given."""
     rec = EsiRecord("r1", "ACDEFGHIKLMNPQRSTVWY", "CC(C)CCCCCO", 0.5)
     for mode in ("graph_mask", "enumeration"):
-        cfg = AugmentConfig(p_s=0.2, p_g=0.3, substrate_mode=mode)
+        cfg = RunConfig(p_s=0.2, p_g=0.3, substrate_mode=mode)
         rng = np.random.default_rng(5)
         sequence = mask_sequence(rec.sequence, cfg.p_s, rng)
         if mode == "graph_mask":
@@ -159,7 +149,7 @@ def test_augment_record_modes():
 def test_augment_record_deterministic():
     rec = EsiRecord("r1", "ACDEFGHIKLMNPQRSTVWY", "CC(C)CCO", 2.0)
     for mode in ("graph_mask", "enumeration"):
-        cfg = AugmentConfig(p_s=0.2, p_g=0.2, substrate_mode=mode)
+        cfg = RunConfig(p_s=0.2, p_g=0.2, substrate_mode=mode)
         a = augment_record(rec, cfg, np.random.default_rng(8))
         b = augment_record(rec, cfg, np.random.default_rng(8))
         assert a == b
@@ -170,7 +160,7 @@ def test_augment_dataset_pairing_and_determinism():
     records = [
         EsiRecord(f"r{i}", random_enzyme(rng, 30), "CC(C)CCO", float(i)) for i in range(100)
     ]
-    cfg = AugmentConfig(seed=123)
+    cfg = RunConfig(seed=123)
     pairs = augment_dataset(records, cfg)
     assert len(pairs) == 100
     assert all(raw.value == aug.value for raw, aug in pairs)
@@ -184,7 +174,7 @@ def test_augment_dataset_pairing_and_determinism():
 
 def test_augment_dataset_identity_config():
     records = [EsiRecord("a", "ACDEFG", "CC(=O)O", 0.1)]
-    cfg = AugmentConfig(p_s=0.0, p_g=0.0, substrate_mode="enumeration", seed=1)
+    cfg = RunConfig(p_s=0.0, p_g=0.0, substrate_mode="enumeration", seed=1)
     ((raw, aug),) = augment_dataset(records, cfg)
     assert aug.sequence == raw.sequence
     assert is_isomorphic(parse_smiles(aug.smiles), parse_smiles(raw.smiles))
@@ -192,7 +182,7 @@ def test_augment_dataset_identity_config():
 
 def test_augment_dataset_rejects_empty():
     with pytest.raises(ValueError):
-        augment_dataset([], AugmentConfig())
+        augment_dataset([], RunConfig())
 
 
 def test_pair_from_record():

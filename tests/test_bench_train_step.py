@@ -1,0 +1,47 @@
+"""Smoke test of scripts/bench_train_step.py: its PhaseTracer skips any
+traced name the tree lacks, so a renamed function would move its time
+into ``other`` without failing anything; it fails here first."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from enzood import harness, io, model, synth
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_train_step.py"
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("bench_train_step", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_resolve():
+    bench = load_script()
+    for qualname in (*bench.CATEGORY, *bench.STEP_START):
+        module_name, attr = qualname.rsplit(".", 1)
+        module = importlib.import_module(f"enzood.{module_name}")
+        assert callable(getattr(module, attr, None)), qualname
+
+
+def test_traced_train_on_split_phases():
+    bench = load_script()
+    records, _ = synth.generate(synth.SynthConfig(family_count=4, members_per_family=6))
+    split = harness.nested_identity_split(records, 0.6, 0.3, 0.3, seed=0)
+    cfg = io.RunConfig(lam=0.5, epochs=2)
+    original = model.train
+    tracer = bench.PhaseTracer()
+    with tracer.installed():
+        harness.train_on_split(records, split, cfg)
+    assert model.train is original
+    result = tracer.result()
+    phases = result["phase_s"]
+    assert list(phases) == list(bench.PHASES)
+    assert sum(phases.values()) == pytest.approx(result["train_s"], rel=1e-9)
+    assert phases["draw"] > 0.0 and phases["featurize"] > 0.0
+    assert phases["other"] >= 0.0
+    assert result["calls"]["augment.draw_masks"] == len(split.train_ids) * cfg.epochs

@@ -303,6 +303,29 @@ def test_exit_code_two_for_config_problems(tmp_path, capsys):
     assert run_cli(["split", "--in", bench, "--out-dir", tmp_path, "--thresholds", "1.5"]) == 2
 
 
+@pytest.mark.parametrize(
+    "command", ["synth", "augment", "train", "ablate-mask", "ablate-lambda"]
+)
+def test_negative_seed_is_a_config_problem(tmp_path, capsys, command):
+    bench = make_bench(tmp_path)
+    cfg = write_cfg(tmp_path, "neg.cfg", "seed=-1\n")
+    out = tmp_path / "out"
+    argv = {
+        "synth": ["--out", out],
+        "augment": ["--in", bench, "--out", out],
+        "train": ["--train", bench, "--val", bench, "--checkpoint-out", out],
+        "ablate-mask": ["--in", bench, "--report-out", out],
+        "ablate-lambda": ["--in", bench, "--report-out", out],
+    }[command]
+    capsys.readouterr()
+    assert run_cli([command, "--config", cfg, *argv]) == 2
+    err_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error\t")]
+    assert len(err_lines) == 1
+    assert err_lines[0].split("\t")[:3] == ["error", "2", "ConfigError"]
+    assert "seed must be an integer of at least 0, got -1" in err_lines[0]
+    assert not out.exists()
+
+
 def test_split_rejects_thresholds_sharing_a_file_tag(tmp_path, capsys):
     bench = make_bench(tmp_path)
     out_dir = tmp_path / "splits"

@@ -116,7 +116,7 @@ def test_train_on_split_parses_no_smiles(bench, split, monkeypatch, mode):
                         monkeypatch.setattr(module, attr, wrapped)
     dataclasses.replace(bench[0], id="probe")
     augment.augment_record(
-        bench[0], augment.AugmentConfig(substrate_mode="enumeration"), np.random.default_rng(0)
+        bench[0], RunConfig(substrate_mode="enumeration"), np.random.default_rng(0)
     )
     # the patches reach record validation and the renderer's callers
     assert calls == ["parse_smiles", "enumerate_smiles"]

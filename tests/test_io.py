@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from enzood.augment import AugmentConfig, augment_dataset
+from enzood.augment import augment_dataset
 from enzood.errors import ConfigError, DatasetError, DuplicateIdError
 from enzood.io import (
     FORMATS,
@@ -228,7 +228,7 @@ def test_read_missing_file(tmp_path):
 
 def test_augmented_records_round_trip(tmp_path):
     base = make_record(7)
-    ((_, aug),) = augment_dataset([base], AugmentConfig(p_s=0.2, p_g=0.2, seed=1))
+    ((_, aug),) = augment_dataset([base], RunConfig(p_s=0.2, p_g=0.2, seed=1))
     assert aug.id == "rec7#aug"
     assert aug.substrate_mask is not None
     for fmt in FORMATS:
@@ -311,13 +311,45 @@ def test_load_config(tmp_path):
         load_config(tmp_path / "missing.cfg")
 
 
-def test_config_to_module_configs():
-    cfg = parse_config_text("lam = 2.0\nseed = 9\np_g = 0.15\n")
-    tc = cfg.train_config()
-    assert tc.lam == 2.0 and tc.seed == 9
-    assert tc.augment.p_g == 0.15 and tc.augment.seed == 9
-    ac = cfg.augment_config()
-    assert ac.p_s == cfg.p_s
+RUN_CONFIG_REJECTS = [
+    ("p_s", 0.35),
+    ("p_s", -0.01),
+    ("p_s", float("nan")),
+    ("p_g", -0.1),
+    ("p_g", 0.31),
+    ("substrate_mode", "edges"),
+    ("lam", -0.5),
+    ("lam", float("nan")),
+    ("lam", float("inf")),
+    ("normalize_cons", "true"),
+    ("normalize_cons", 1),
+    ("learning_rate", 0.0),
+    ("learning_rate", -0.02),
+    ("learning_rate", float("inf")),
+    ("learning_rate", float("nan")),
+    ("epochs", 0),
+    ("epochs", 2.5),
+    ("batch_size", 0),
+    ("hidden_enzyme", 0),
+    ("hidden_substrate", -1),
+    ("embed_dim", 0),
+    ("seed", -1),
+    ("seed", "zero"),
+    ("seed", 1.0),
+    ("seed", True),
+]
+
+
+@pytest.mark.parametrize("field, value", RUN_CONFIG_REJECTS)
+def test_run_config_rejects(field, value):
+    with pytest.raises(ConfigError) as excinfo:
+        RunConfig(**{field: value})
+    assert str(excinfo.value).startswith(f"{field} must be")
+
+
+def test_run_config_rejects_covers_every_field():
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert {field for field, _ in RUN_CONFIG_REJECTS} == fields
 
 
 def test_config_hash_stability():

@@ -7,15 +7,14 @@ import pytest
 
 import _featurize_py as reference
 from enzood import model
-from enzood.augment import ALPHABET, AMINO_ACIDS, AugmentConfig, mask_graph, mask_sequence
-from enzood.errors import ConfigError, NonFiniteError
-from enzood.io import EsiRecord
+from enzood.augment import ALPHABET, AMINO_ACIDS, mask_graph, mask_sequence
+from enzood.errors import NonFiniteError
+from enzood.io import EsiRecord, RunConfig
 from enzood.model import (
     ENZYME_FEATURES,
     MOMENTUM,
     ModelParams,
     SUBSTRATE_FEATURES,
-    TrainConfig,
     featurize_enzyme,
     featurize_substrate,
     forward_batch,
@@ -491,7 +490,7 @@ def linear_dataset(rng, n, noise=0.05):
 def test_train_learns_and_logs():
     rng = np.random.default_rng(30)
     pairs = linear_dataset(rng, 80)
-    cfg = TrainConfig(
+    cfg = RunConfig(
         lam=0.5,
         learning_rate=0.1,
         epochs=20,
@@ -500,7 +499,8 @@ def test_train_learns_and_logs():
         hidden_substrate=6,
         embed_dim=8,
         seed=5,
-        augment=AugmentConfig(p_s=0.1, p_g=0.1, seed=9),
+        p_s=0.1,
+        p_g=0.1,
     )
     params, log = train(pairs[:60], pairs[60:], cfg)
     assert len(log) == 20
@@ -519,7 +519,7 @@ def test_train_learns_and_logs():
 def test_train_deterministic():
     rng = np.random.default_rng(31)
     pairs = linear_dataset(rng, 40)
-    cfg = TrainConfig(
+    cfg = RunConfig(
         epochs=5, batch_size=8, hidden_enzyme=6, hidden_substrate=4, embed_dim=5, seed=3
     )
     p1, log1 = train(pairs[:30], pairs[30:], cfg)
@@ -535,8 +535,8 @@ def test_train_lambda_zero_independent_of_augment_stream():
         lam=0.0, epochs=4, batch_size=8, hidden_enzyme=6, hidden_substrate=4,
         embed_dim=5, seed=3,
     )
-    cfg_a = TrainConfig(augment=AugmentConfig(p_s=0.0, p_g=0.0, seed=1), **base_cfg)
-    cfg_b = TrainConfig(augment=AugmentConfig(p_s=0.3, p_g=0.3, seed=999), **base_cfg)
+    cfg_a = RunConfig(p_s=0.0, p_g=0.0, **base_cfg)
+    cfg_b = RunConfig(p_s=0.3, p_g=0.3, substrate_mode="enumeration", **base_cfg)
     p1, log1 = train(pairs[:30], pairs[30:], cfg_a)
     p2, log2 = train(pairs[:30], pairs[30:], cfg_b)
     assert np.array_equal(p1.theta, p2.theta)
@@ -550,7 +550,7 @@ def test_train_lambda_zero_draws_no_augmentation(monkeypatch):
     monkeypatch.setattr(model, "draw_masks", refuse)
     rng = np.random.default_rng(36)
     pairs = linear_dataset(rng, 24)
-    cfg = TrainConfig(
+    cfg = RunConfig(
         lam=0.0, epochs=3, batch_size=8, hidden_enzyme=4, hidden_substrate=3, embed_dim=4
     )
     _, log = train(pairs[:16], pairs[16:], cfg)
@@ -574,9 +574,9 @@ def test_train_features_the_augmented_records(monkeypatch, mode):
     monkeypatch.setattr(model, "gradients", spy)
     rng = np.random.default_rng(38)
     records = [sample_record(rng, atoms="CC(C)CC(=O)OCC") for _ in range(12)]
-    cfg = TrainConfig(
+    cfg = RunConfig(
         lam=0.5, epochs=2, batch_size=5, hidden_enzyme=4, hidden_substrate=3, embed_dim=4,
-        seed=6, augment=AugmentConfig(p_s=0.2, p_g=0.3, substrate_mode=mode, seed=2),
+        seed=6, p_s=0.2, p_g=0.3, substrate_mode=mode,
     )
     train(records[:10], records[10:], cfg)
     expected = []
@@ -606,7 +606,7 @@ def test_train_never_changes_params_it_handed_out(monkeypatch):
     monkeypatch.setattr(model, "gradients", spy)
     rng = np.random.default_rng(37)
     pairs = linear_dataset(rng, 40, noise=0.3)
-    cfg = TrainConfig(
+    cfg = RunConfig(
         learning_rate=0.3, epochs=12, batch_size=8, hidden_enzyme=6, hidden_substrate=4,
         embed_dim=5, seed=4,
     )
@@ -621,7 +621,7 @@ def test_train_never_changes_params_it_handed_out(monkeypatch):
 def test_train_aborts_on_divergence_with_checkpoint():
     rng = np.random.default_rng(33)
     pairs = linear_dataset(rng, 24)
-    cfg = TrainConfig(
+    cfg = RunConfig(
         learning_rate=1e155, epochs=4, batch_size=8, hidden_enzyme=4,
         hidden_substrate=3, embed_dim=4, seed=2,
     )
@@ -641,7 +641,7 @@ def test_train_aborts_on_non_finite_parameters_with_the_initial_checkpoint():
     checkpoint, and no RuntimeWarning comes before it."""
     rng = np.random.default_rng(34)
     records = [dataclasses.replace(r, value=r.value * 1e6) for r in linear_dataset(rng, 24)]
-    cfg = TrainConfig(
+    cfg = RunConfig(
         learning_rate=1e306, epochs=3, batch_size=8, hidden_enzyme=4, hidden_substrate=3,
         embed_dim=4, seed=5,
     )
@@ -654,22 +654,13 @@ def test_train_aborts_on_non_finite_parameters_with_the_initial_checkpoint():
     assert err.log == [{"aborted": str(err), "epoch": 0}]
 
 
-def test_train_config_validation():
-    with pytest.raises(ConfigError):
-        TrainConfig(lam=-0.5)
-    with pytest.raises(ConfigError):
-        TrainConfig(epochs=0)
-    with pytest.raises(ConfigError):
-        TrainConfig(embed_dim=0)
-
-
 def test_train_rejects_empty_sets():
     rng = np.random.default_rng(34)
     pairs = linear_dataset(rng, 4)
     with pytest.raises(ValueError):
-        train([], pairs, TrainConfig(epochs=1))
+        train([], pairs, RunConfig(epochs=1))
     with pytest.raises(ValueError):
-        train(pairs, [], TrainConfig(epochs=1))
+        train(pairs, [], RunConfig(epochs=1))
 
 
 def test_momentum_constant():

@@ -46,6 +46,9 @@ def test_config_defaults():
         {"prototype_length": 1},
         {"scaffolds": ()},
         {"scaffolds": ("CCO", "C(((")},
+        {"sigma": float("nan")},
+        {"sigma": float("inf")},
+        {"seed": -1},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
