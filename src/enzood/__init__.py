@@ -4,7 +4,7 @@ The package splits into small single-purpose modules; this namespace
 re-exports the pieces a typical workflow touches so short scripts can
 get by with ``from enzood import ...``:
 
-- molgraph: SMILES parsing, canonical forms, rendering enumeration
+- molgraph: SMILES parsing, rendering enumeration, protected atoms
 - augment: constrained enzyme/substrate masking of dataset records
 - seqid: alignment identity, identity components, identity-disjoint splits
 - model: two-branch regressor with consistency-regularized training
@@ -30,7 +30,6 @@ from .errors import (
     GraphError,
     InfeasibleSplitError,
     NonFiniteError,
-    SizeError,
     SmilesSyntaxError,
     ValenceError,
 )
@@ -76,9 +75,7 @@ from .model import (
 )
 from .molgraph import (
     MolGraph,
-    canonical_smiles,
     enumerate_smiles,
-    is_isomorphic,
     parse_smiles,
     write_smiles,
 )
@@ -86,7 +83,7 @@ from .seqid import (
     OodSplit,
     build_ood_splits,
     global_identity,
-    max_identity_to_train,
+    max_identities,
     pairwise_identity_matrix,
     read_split_file,
     write_split_file,
@@ -119,7 +116,6 @@ __all__ = [
     "NonFiniteError",
     "OodSplit",
     "RunConfig",
-    "SizeError",
     "SmilesSyntaxError",
     "SynthConfig",
     "ValenceError",
@@ -128,7 +124,6 @@ __all__ = [
     "augment_record",
     "best_lambda_index",
     "build_ood_splits",
-    "canonical_smiles",
     "config_hash",
     "curve_from_risks",
     "enumerate_smiles",
@@ -139,7 +134,6 @@ __all__ = [
     "global_identity",
     "good_evaluation",
     "init_params",
-    "is_isomorphic",
     "lambda_sweep",
     "load_config",
     "load_synth_config",
@@ -147,7 +141,7 @@ __all__ = [
     "mask_graph",
     "mask_sequence",
     "mask_sweep",
-    "max_identity_to_train",
+    "max_identities",
     "nested_identity_split",
     "pairwise_identity_matrix",
     "parse_smiles",

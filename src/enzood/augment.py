@@ -77,11 +77,12 @@ def draw_masks(length: int, atom_count: int, pool, cfg: RunConfig, rng: np.rando
     """One record's masking draws, in order: residue positions of an
     enzyme of ``length``, then, in graph_mask mode, the masked atoms,
     taken from ``pool`` (the record's unprotected_atoms) for a substrate
-    of ``atom_count`` atoms.  Enumeration mode masks no atom and reads
-    no pool; its atom draw is None."""
+    of ``atom_count`` atoms.  Enumeration mode masks no atom: its atom
+    draw is empty and reads nothing from ``pool`` or ``rng``, the same
+    stream as graph_mask at p_g = 0."""
     residues = _draw_positions(length, cfg.p_s, rng)
     if cfg.substrate_mode == "enumeration":
-        return residues, None
+        return residues, _NO_POSITIONS
     return residues, pool[_draw_positions(atom_count, cfg.p_g, rng, len(pool))]
 
 
@@ -132,7 +133,7 @@ def augment_record(
     g = record.graph
     residues, atoms = draw_masks(len(record.sequence), len(g), unprotected_atoms(g), cfg, rng)
     sequence = _masked_text(record.sequence, residues)
-    if atoms is None:
+    if cfg.substrate_mode == "enumeration":
         return sequence, enumerate_smiles(g, 1, rng)[0], None
     return sequence, record.smiles, _atom_mask(len(g), atoms)
 

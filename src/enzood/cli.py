@@ -160,12 +160,20 @@ def _threshold_tag(threshold: float) -> str:
 
 
 def _config_from_checkpoint(meta: dict, origin) -> "object":
-    """Rebuild the run configuration echoed inside a checkpoint."""
+    """Rebuild the run configuration echoed inside a checkpoint and check
+    it against the stored ``config_hash``.  A damaged echo or hash is a
+    data problem, not a configuration one."""
     echo = meta.get("config")
     if not isinstance(echo, dict):
         raise DatasetError(f"checkpoint {origin} has no config echo")
     text = "\n".join(f"{key}={value}" for key, value in echo.items())
-    return parse_config_text(text, origin=f"{origin}:config")
+    try:
+        cfg = parse_config_text(text, origin=f"{origin}:config")
+    except ConfigError as exc:
+        raise DatasetError(f"checkpoint {origin} has a bad config echo: {exc}") from exc
+    if meta.get("config_hash") != config_hash(cfg):
+        raise DatasetError(f"checkpoint {origin}: config echo does not match its config_hash")
+    return cfg
 
 
 def _resolve_nested_split_flags(args) -> tuple[float, float, float, int]:

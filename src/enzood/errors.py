@@ -19,10 +19,6 @@ class GraphError(EnzoodError, ValueError):
     aromatic bond between non-aromatic atoms, ...)."""
 
 
-class SizeError(EnzoodError, ValueError):
-    """Graph too large for the exact isomorphism search."""
-
-
 class InfeasibleSplitError(EnzoodError, ValueError):
     """No train/test assignment can satisfy the requested test fraction."""
 

@@ -169,7 +169,9 @@ def best_lambda_index(rows) -> int:
 
 def mask_sweep(records, split: NestedSplit, base_cfg: RunConfig, grid=MASK_GRID) -> list[dict]:
     """Sweep p_s and p_g independently, holding the other at its base
-    value; one row per (side, ratio)."""
+    value; one row per (side, ratio).  In enumeration mode training
+    draws no substrate atom, so the substrate rows all come from one
+    run repeated."""
     rows = []
     for side, field in (("enzyme", "p_s"), ("substrate", "p_g")):
         for ratio in grid:

@@ -140,14 +140,8 @@ def _infer_format(path: Path) -> str:
     if suffix in FORMATS:
         return suffix
     raise ConfigError(
-        f"cannot infer dataset format from {path.name!r}; pass fmt explicitly"
+        f"cannot infer dataset format from {path.name!r}; the suffix must be one of {FORMATS}"
     )
-
-
-def _check_format(fmt: str) -> str:
-    if fmt not in FORMATS:
-        raise ConfigError(f"dataset format must be one of {FORMATS}, got {fmt!r}")
-    return fmt
 
 
 def _build_record(raw: dict, origin: str, lineno: int) -> EsiRecord:
@@ -218,14 +212,15 @@ def _parse_jsonl(lines, origin: str) -> list[tuple[int, EsiRecord]]:
     return records
 
 
-def read_dataset(path, fmt: str | None = None) -> list[EsiRecord]:
-    """Load and eagerly validate every record.
+def read_dataset(path) -> list[EsiRecord]:
+    """Load and eagerly validate every record; the file suffix names the
+    format.
 
     Validation errors name the file and line; duplicate ids raise
     DuplicateIdError.
     """
     path = Path(path)
-    fmt = _check_format(fmt) if fmt else _infer_format(path)
+    fmt = _infer_format(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -286,11 +281,12 @@ def _record_to_jsonl(r: EsiRecord) -> str:
     return "{" + ", ".join(parts) + "}"
 
 
-def write_dataset(records, path, fmt: str | None = None) -> None:
-    """Deterministic field order and formatting; rewriting the same
-    records yields a byte-identical file."""
+def write_dataset(records, path) -> None:
+    """Deterministic field order and formatting, in the format the file
+    suffix names; rewriting the same records yields a byte-identical
+    file."""
     path = Path(path)
-    fmt = _check_format(fmt) if fmt else _infer_format(path)
+    fmt = _infer_format(path)
     records = list(records)
     seen = set()
     for record in records:

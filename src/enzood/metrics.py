@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTargetsError
-from .seqid import align_stats_many
+from .seqid import max_identities
 
 METRIC_IDS = ("r2", "mae")
 
@@ -124,21 +124,11 @@ def identity_weights(test_seqs, train_seqs, thresholds) -> tuple[float, ...]:
     edges = [float(t) for t in thresholds]
     if any(b <= a for a, b in zip(edges, edges[1:])):
         raise ValueError("thresholds must be strictly increasing")
-    maxima = _max_train_identities(test_seqs, train_seqs)
+    maxima = max_identities(test_seqs, train_seqs)
     bins = np.searchsorted(edges, maxima, side="left")
     bins = np.minimum(bins, len(edges) - 1)
     counts = np.bincount(bins, minlength=len(edges)).astype(float)
     return tuple(counts / counts.sum())
-
-
-def _max_train_identities(test_seqs, train_seqs) -> np.ndarray:
-    """Each query's highest identity to any training sequence, from one
-    alignment batch over test x train."""
-    stats = align_stats_many(
-        [q for q in test_seqs for _ in train_seqs], train_seqs * len(test_seqs)
-    )
-    identities = stats[:, 1] / stats[:, 2]
-    return identities.reshape(len(test_seqs), len(train_seqs)).max(axis=1)
 
 
 def au_good(curve: GoodCurve) -> float:

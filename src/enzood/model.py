@@ -465,7 +465,8 @@ def train(train_records, val_records, cfg: RunConfig):
     builds the augmented rows from the masked index arrays.  The
     substrate featurizer is invariant under graph isomorphism, so in
     enumeration mode a re-rendered substrate would featurize as the
-    unmasked graph: that row is used and nothing is rendered.  With
+    unmasked graph: its atom draw is empty and nothing is rendered,
+    which makes the run the graph_mask run at p_g = 0.  With
     lam = 0 the consistency term is off and nothing is drawn.  Each step
     computes the combined loss and updates the parameter vector.
     Returns (params of the best validation-MSE epoch, per-epoch log).
@@ -487,9 +488,7 @@ def train(train_records, val_records, cfg: RunConfig):
     y = np.array([r.value for r in train_records], dtype=float)
     xv_e, xv_s = _featurize(val_records)
     yv = np.array([r.value for r in val_records], dtype=float)
-    enumeration = cfg.substrate_mode == "enumeration"
-    plain_s = _substrate_rows(counts, [b[:0] for b in bins]) if enumeration else None
-    pools = [None if enumeration else unprotected_atoms(r.graph) for r in train_records]
+    pools = [unprotected_atoms(r.graph) for r in train_records]
     encode_s = time.perf_counter() - encode_start
 
     params = init_params(
@@ -536,10 +535,9 @@ def train(train_records, val_records, cfg: RunConfig):
                     codes = residues[i].copy()
                     codes[sites] = _MASK_CODE
                     masked_residues.append(codes)
-                    if atoms is not None:
-                        masked_atoms.append(bins[i][atoms])
+                    masked_atoms.append(bins[i][atoms])
                 xa_e = _enzyme_rows(masked_residues)
-                xa_s = plain_s[idx] if enumeration else _substrate_rows(counts[idx], masked_atoms)
+                xa_s = _substrate_rows(counts[idx], masked_atoms)
             try:
                 grad, base, cons = gradients(
                     params,

@@ -10,11 +10,9 @@ trusted); there is no perception pass, so aromatic bonds count 1.5 toward
 valence and ring heteroatoms that rely on lone-pair donation (furan-style
 oxygen) fall outside the dialect.
 
-Besides parsing/writing, the module provides a deterministic canonical
-form based on iterative neighborhood refinement, randomized SMILES
-enumeration, an exact isomorphism test used as the round-trip oracle, and
-detection of "protected" atoms (rings, functional groups, charged
-centers) that the augmentation stage must never mask.
+Besides parsing/writing, the module provides randomized SMILES
+enumeration and detection of "protected" atoms (rings, functional
+groups, charged centers) that the augmentation stage must never mask.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from math import ceil
 
 import numpy as np
 
-from .errors import GraphError, SizeError, SmilesSyntaxError, ValenceError
+from .errors import GraphError, SmilesSyntaxError, ValenceError
 
 ELEMENTS = ("B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I")
 AROMATIC_ELEMENTS = frozenset({"B", "C", "N", "O", "P", "S"})
@@ -60,12 +58,6 @@ _DEFAULT_VALENCES = {
     "Br": (1,),
     "I": (1,),
 }
-
-ISOMORPHISM_MAX_ATOMS = 64
-
-PROTECT_MOTIFS = frozenset(
-    {"hydroxyl", "carbonyl", "carboxyl", "amine", "thiol", "phosphate", "halogen", "charged"}
-)
 
 
 @dataclass(frozen=True)
@@ -476,14 +468,13 @@ def _bond_token(g: MolGraph, a: int, b: int, order: int) -> str:
     return "" if order == default else _BOND_TOKEN[order]
 
 
-def write_smiles(g: MolGraph, start_atom: int = 0, rng: np.random.Generator | None = None,
-                 _neighbor_key=None) -> str:
+def write_smiles(g: MolGraph, start_atom: int = 0, rng: np.random.Generator | None = None) -> str:
     """Render ``g`` as SMILES via depth-first traversal from ``start_atom``.
 
-    Neighbor order is shuffled with ``rng`` when given, follows
-    ``_neighbor_key`` when set (canonicalization hook), and otherwise is
-    ascending atom index.  The output always parses back to a graph
-    isomorphic to ``g``.
+    Neighbor order is shuffled with ``rng`` when given, and otherwise
+    follows each atom's adjacency list, in the order of ``g.bonds``
+    (``parse_smiles("C1CCC1")`` lists atom 3's neighbors as 2, then 0).
+    The output always parses back to a graph isomorphic to ``g``.
     """
     n = len(g)
     if n == 0:
@@ -495,8 +486,6 @@ def write_smiles(g: MolGraph, start_atom: int = 0, rng: np.random.Generator | No
         neigh = list(g.neighbors(idx))
         if rng is not None:
             neigh = [neigh[k] for k in rng.permutation(len(neigh))]
-        elif _neighbor_key is not None:
-            neigh.sort(key=_neighbor_key)
         return neigh
 
     # Pass 1: depth-first classification into tree edges (children, in
@@ -593,176 +582,41 @@ def enumerate_smiles(g: MolGraph, n: int, rng: np.random.Generator) -> list[str]
 
 
 # ---------------------------------------------------------------------------
-# Canonicalization
-
-
-def _canonical_ranks(g: MolGraph) -> list[int]:
-    """Dense atom ranks from iterative neighborhood refinement."""
-    n = len(g)
-    keys = [
-        (a.element, a.formal_charge, a.aromatic, g.degree(i)) for i, a in enumerate(g.atoms)
-    ]
-    ranks = _dense_rank(keys)
-    for _ in range(2 * n):
-        refined = [
-            (
-                ranks[i],
-                tuple(sorted((order, ranks[j]) for j, order in g.adjacency[i])),
-            )
-            for i in range(n)
-        ]
-        new_ranks = _dense_rank(refined)
-        if new_ranks == ranks:
-            break
-        ranks = new_ranks
-    return ranks
-
-
-def _dense_rank(keys) -> list[int]:
-    lookup = {key: r for r, key in enumerate(sorted(set(keys)))}
-    return [lookup[key] for key in keys]
-
-
-def canonical_smiles(g: MolGraph) -> str:
-    """Deterministic SMILES shared by all graphs isomorphic to ``g``.
-
-    Ranking ties are broken by original atom index; for the symmetric
-    (automorphic) ties this produces the same string for any labeling.
-    Equality with any external toolkit's canonical form is not a goal.
-    """
-    ranks = _canonical_ranks(g)
-    start = min(range(len(g)), key=lambda i: (ranks[i], i))
-    return write_smiles(g, start, _neighbor_key=lambda j: (ranks[j], j))
-
-
-# ---------------------------------------------------------------------------
-# Isomorphism (round-trip oracle)
-
-
-def _atom_key(atom: Atom) -> tuple:
-    return (atom.element, atom.formal_charge, atom.aromatic, atom.explicit_h)
-
-
-def is_isomorphic(a: MolGraph, b: MolGraph) -> bool:
-    """Exact test for an element/charge/aromaticity/H/bond-order-preserving
-    bijection, by backtracking search.  Intended for graphs of at most
-    :data:`ISOMORPHISM_MAX_ATOMS` atoms; larger inputs raise SizeError."""
-    if len(a) > ISOMORPHISM_MAX_ATOMS or len(b) > ISOMORPHISM_MAX_ATOMS:
-        raise SizeError(f"isomorphism search limited to {ISOMORPHISM_MAX_ATOMS} atoms")
-    n = len(a)
-    if n != len(b) or len(a.bonds) != len(b.bonds):
-        return False
-
-    def profile(g, i):
-        return (
-            _atom_key(g.atoms[i]),
-            tuple(sorted(order for _, order in g.adjacency[i])),
-            tuple(sorted((order, _atom_key(g.atoms[j])) for j, order in g.adjacency[i])),
-        )
-
-    prof_a = [profile(a, i) for i in range(n)]
-    prof_b = [profile(b, i) for i in range(n)]
-    if sorted(prof_a) != sorted(prof_b):
-        return False
-
-    candidates = [[j for j in range(n) if prof_b[j] == prof_a[i]] for i in range(n)]
-
-    # Search order: rarest candidate set first, then grow along adjacency
-    # so every new atom is constrained by an already-mapped neighbor.
-    order: list[int] = []
-    placed = [False] * n
-    while len(order) < n:
-        frontier = [
-            i
-            for i in range(n)
-            if not placed[i] and any(placed[j] for j in a.neighbors(i))
-        ]
-        pool = frontier if frontier else [i for i in range(n) if not placed[i]]
-        nxt = min(pool, key=lambda i: (len(candidates[i]), -a.degree(i), i))
-        placed[nxt] = True
-        order.append(nxt)
-
-    mapping = [-1] * n
-    used = [False] * n
-
-    def feasible(i, j):
-        for neigh, bond_order in a.adjacency[i]:
-            m = mapping[neigh]
-            if m >= 0 and b.bond_order(j, m) != bond_order:
-                return False
-        mapped_deg_a = sum(1 for neigh in a.neighbors(i) if mapping[neigh] >= 0)
-        mapped_deg_b = sum(1 for neigh in b.neighbors(j) if used[neigh])
-        return mapped_deg_a == mapped_deg_b
-
-    def search(depth):
-        if depth == n:
-            return True
-        i = order[depth]
-        for j in candidates[i]:
-            if not used[j] and feasible(i, j):
-                mapping[i] = j
-                used[j] = True
-                if search(depth + 1):
-                    return True
-                mapping[i] = -1
-                used[j] = False
-        return False
-
-    return search(0)
-
-
-# ---------------------------------------------------------------------------
 # Protected atoms
 
 
-def detect_protected(g: MolGraph, motifs: frozenset[str] = PROTECT_MOTIFS) -> tuple[bool, ...]:
+def detect_protected(g: MolGraph) -> tuple[bool, ...]:
     """Per-atom mask of atoms that masking augmentation must leave alone.
 
     An atom is protected when it sits on a ring or matches one of the
     functional-group motifs: hydroxyl/terminal O, carbonyl C=O (both
     atoms), carboxyl C(=O)O (all three), any N, terminal S, P with its O
-    neighbors, halogens on carbon, and any charged atom.  ``motifs``
-    selects which group patterns apply; ring protection is unconditional.
+    neighbors, halogens on carbon, and any charged atom.
     """
-    unknown = motifs - PROTECT_MOTIFS
-    if unknown:
-        raise ValueError(f"unknown motif name(s): {sorted(unknown)}")
-    n = len(g)
     mask = list(g.ring_membership)
     for i, atom in enumerate(g.atoms):
         elem = atom.element
-        if "charged" in motifs and atom.formal_charge != 0:
+        if atom.formal_charge != 0:
             mask[i] = True
-        if elem == "O" and "hydroxyl" in motifs and g.degree(i) == 1:
+        if elem == "O" and g.degree(i) == 1:
             mask[i] = True
-        if elem == "N" and "amine" in motifs:
+        if elem == "N":
             mask[i] = True
-        if elem == "S" and "thiol" in motifs and g.degree(i) == 1:
-            if g.adjacency[i][0][1] == BOND_SINGLE:
-                mask[i] = True
-        if elem == "P" and "phosphate" in motifs:
+        if elem == "S" and g.degree(i) == 1 and g.adjacency[i][0][1] == BOND_SINGLE:
+            mask[i] = True
+        if elem == "P":
             mask[i] = True
             for j, _ in g.adjacency[i]:
                 if g.atoms[j].element == "O":
                     mask[j] = True
-        if elem in HALOGENS and "halogen" in motifs:
-            if any(g.atoms[j].element == "C" for j, _ in g.adjacency[i]):
-                mask[i] = True
+        if elem in HALOGENS and any(g.atoms[j].element == "C" for j, _ in g.adjacency[i]):
+            mask[i] = True
         if elem == "C":
-            double_o = [
-                j for j, order in g.adjacency[i]
-                if order == BOND_DOUBLE and g.atoms[j].element == "O"
-            ]
-            single_o = [
-                j for j, order in g.adjacency[i]
-                if order == BOND_SINGLE and g.atoms[j].element == "O"
-            ]
-            if double_o and "carbonyl" in motifs:
+            oxygens = [(j, order) for j, order in g.adjacency[i] if g.atoms[j].element == "O"]
+            # carbonyl C=O, and a carboxyl C(=O)O takes its single-bonded O too
+            if any(order == BOND_DOUBLE for _, order in oxygens):
                 mask[i] = True
-                for j in double_o:
-                    mask[j] = True
-            if double_o and single_o and "carboxyl" in motifs:
-                mask[i] = True
-                for j in double_o + single_o:
-                    mask[j] = True
+                for j, order in oxygens:
+                    if order in (BOND_SINGLE, BOND_DOUBLE):
+                        mask[j] = True
     return tuple(mask)

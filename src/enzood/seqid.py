@@ -182,12 +182,15 @@ def pairwise_identity_matrix(seqs) -> np.ndarray:
     return matrix
 
 
-def max_identity_to_train(q: str, train) -> float:
-    """Highest identity between ``q`` and any training sequence."""
-    train = list(train)
-    if not train:
-        raise ValueError("train set must be non-empty")
-    return float(_identities([q] * len(train), train).max())
+def max_identities(queries, refs) -> np.ndarray:
+    """Each query's highest identity to any reference sequence, from one
+    alignment batch over queries x refs."""
+    queries = list(queries)
+    refs = list(refs)
+    if not refs:
+        raise ValueError("reference set must be non-empty")
+    identities = _identities([q for q in queries for _ in refs], refs * len(queries))
+    return identities.reshape(len(queries), len(refs)).max(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +328,7 @@ def max_cross_identity(split: OodSplit, id_to_seq) -> float:
     train_seqs = sorted({id_to_seq[i] for i in split.train_ids})
     if not test_seqs or not train_seqs:
         return 0.0
-    return float(_identities([t for t in test_seqs for _ in train_seqs],
-                             train_seqs * len(test_seqs)).max())
+    return float(max_identities(test_seqs, train_seqs).max())
 
 
 # ---------------------------------------------------------------------------

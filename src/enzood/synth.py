@@ -192,8 +192,8 @@ def _decorate(graph: MolGraph, count: int, rng: np.random.Generator) -> MolGraph
 def _signal(sequence: str, s: np.ndarray, enzyme_features, substrate_features) -> float:
     """Linear invariant part of the target.  ``s`` is the descriptor of
     the substrate parsed from its serialized SMILES, as
-    ``EsiRecord.graph`` is, so generation and reconstruction share every
-    float operation."""
+    ``EsiRecord.graph`` is, so generation and a reconstruction from the
+    sidecar weights share every float operation."""
     e = featurize_enzyme(sequence)
     total = 0.0
     for idx, w in enzyme_features:
@@ -326,21 +326,6 @@ def generate(cfg: SynthConfig) -> tuple[list[EsiRecord], dict]:
     return records, truth
 
 
-def reconstruct_targets(records, truth: dict) -> np.ndarray:
-    """Noise-free targets from the sidecar weights; equals record values
-    exactly when sigma=0."""
-    out = []
-    for record in records:
-        clean = _signal(
-            record.sequence,
-            featurize_substrate(record.graph),
-            truth["enzyme_features"],
-            truth["substrate_features"],
-        )
-        out.append(clean + truth["rho"] * truth["family_offsets"][record.organism])
-    return np.array(out)
-
-
 # ---------------------------------------------------------------------------
 # Persistence
 
@@ -349,9 +334,9 @@ def sidecar_path(dataset_path) -> Path:
     return Path(f"{dataset_path}.meta.json")
 
 
-def write_benchmark(records, truth: dict, path, fmt: str | None = None) -> Path:
+def write_benchmark(records, truth: dict, path) -> Path:
     """Dataset plus ground-truth sidecar; returns the sidecar path."""
-    write_dataset(records, path, fmt)
+    write_dataset(records, path)
     side = sidecar_path(path)
     with open(side, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(truth, fh, indent=2, sort_keys=True)

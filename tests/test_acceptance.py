@@ -13,6 +13,7 @@ from math import floor
 from pathlib import Path
 
 import numpy as np
+from _molgraph_py import canonical_smiles, is_isomorphic
 
 from enzood import cli
 from enzood.augment import AMINO_ACIDS, mask_graph
@@ -33,10 +34,8 @@ from enzood.model import (
     init_params,
 )
 from enzood.molgraph import (
-    canonical_smiles,
     detect_protected,
     enumerate_smiles,
-    is_isomorphic,
     parse_smiles,
 )
 from enzood.seqid import build_ood_splits, max_cross_identity

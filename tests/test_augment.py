@@ -2,6 +2,7 @@ from math import floor
 
 import numpy as np
 import pytest
+from _molgraph_py import is_isomorphic
 
 from enzood.augment import (
     ALPHABET,
@@ -9,13 +10,15 @@ from enzood.augment import (
     MASK_SYMBOL,
     augment_dataset,
     augment_record,
+    draw_masks,
     mask_graph,
     mask_sequence,
+    unprotected_atoms,
     validate_sequence,
 )
 from enzood.errors import ConfigError
 from enzood.io import EsiRecord, RunConfig
-from enzood.molgraph import detect_protected, enumerate_smiles, is_isomorphic, parse_smiles
+from enzood.molgraph import detect_protected, enumerate_smiles, parse_smiles
 
 
 def random_enzyme(rng, length):
@@ -129,6 +132,22 @@ def test_augment_record_enumeration_mode():
     assert sequence == rec.sequence
     assert mask is None
     assert is_isomorphic(parse_smiles(smiles), rec.graph)
+
+
+def test_draw_masks_enumeration_draws_no_atom():
+    """Enumeration mode's atom draw is empty and takes nothing from the
+    generator: the stream of graph_mask at p_g = 0."""
+    g = parse_smiles("CC(C)CCCCCO")
+    pool = unprotected_atoms(g)
+    assert len(pool) > 0
+    draws = {}
+    for mode, p_g in (("enumeration", 0.3), ("graph_mask", 0.0)):
+        rng = np.random.default_rng(7)
+        residues, atoms = draw_masks(20, len(g), pool, RunConfig(p_s=0.2, p_g=p_g,
+                                                                 substrate_mode=mode), rng)
+        assert atoms.dtype == np.intp and atoms.shape == (0,)
+        draws[mode] = (residues.tolist(), rng.integers(1 << 30))
+    assert draws["enumeration"] == draws["graph_mask"]
 
 
 def test_augment_record_modes():

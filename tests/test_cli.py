@@ -390,6 +390,37 @@ def test_exit_code_three_for_malformed_checkpoint(tmp_path, capsys, damage, name
     assert kind == "DatasetError" and named in message
 
 
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda data: data["config"].update(seed="-1"),
+        lambda data: data["config"].update(lam="0.25"),
+        lambda data: data.pop("config_hash"),
+    ],
+    ids=["negative-seed", "edited-lam", "no-hash"],
+)
+def test_exit_code_three_for_damaged_config_echo(tmp_path, capsys, damage):
+    """The echo must rebuild a valid config whose hash is the stored
+    one; anything else is a damaged checkpoint, a data problem."""
+    bench = make_bench(tmp_path)
+    run_cfg = write_cfg(tmp_path, "run.cfg", "epochs=1\n")
+    assert run_cli(["split", "--in", bench, "--out-dir", tmp_path / "s"]) == 0
+    ckpt = tmp_path / "m.ckpt"
+    assert run_cli(["train", "--train", tmp_path / "s" / "train-060.tsv",
+                    "--val", tmp_path / "s" / "test-060.tsv", "--config", run_cfg,
+                    "--checkpoint-out", ckpt]) == 0
+    argv = ["eval", "--checkpoint", ckpt, "--data", bench,
+            "--splits", tmp_path / "s" / "splits.tsv", "--report-out", tmp_path / "r.txt"]
+    assert run_cli(argv) == 0
+    data = json.loads(ckpt.read_text(encoding="utf-8"))
+    damage(data)
+    ckpt.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli(argv) == 3
+    err_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error\t")]
+    assert err_lines[0].split("\t")[:3] == ["error", "3", "DatasetError"]
+
+
 # divergence must surface only as exit code 4, never as a numpy warning first
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_exit_code_four_for_numeric_failures(tmp_path):

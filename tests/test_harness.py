@@ -30,7 +30,7 @@ from enzood.harness import (
 from enzood.io import RunConfig, config_hash, resolved_items
 from enzood.metrics import METRIC_IDS
 from enzood.model import init_params, params_to_jsonable
-from enzood.seqid import build_ood_splits, max_identity_to_train
+from enzood.seqid import build_ood_splits, max_identities
 from enzood.synth import SynthConfig, generate
 
 # small benchmark and a deliberately light model: harness plumbing is
@@ -67,10 +67,8 @@ def test_nested_split_identity_soundness(bench, split):
     by_id = {r.id: r for r in bench}
     train_seqs = [by_id[i].sequence for i in split.train_ids]
     fit_seqs = train_seqs + [by_id[i].sequence for i in split.val_ids]
-    for i in split.test_ids:
-        assert max_identity_to_train(by_id[i].sequence, fit_seqs) <= 0.6
-    for i in split.val_ids:
-        assert max_identity_to_train(by_id[i].sequence, train_seqs) <= 0.6
+    assert max_identities([by_id[i].sequence for i in split.test_ids], fit_seqs).max() <= 0.6
+    assert max_identities([by_id[i].sequence for i in split.val_ids], train_seqs).max() <= 0.6
 
 
 def test_nested_split_rejects_overlap():
@@ -166,6 +164,17 @@ def test_mask_sweep_shape(bench, split):
         ("substrate", 0.30),
     ]
     assert MASK_GRID == (0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
+
+
+def test_mask_sweep_enumeration_substrate_rows_repeat_one_run(bench, split):
+    """In enumeration mode p_g changes nothing in training, so every
+    substrate row of the sweep holds the same scores."""
+    cfg = dataclasses.replace(QUICK, substrate_mode="enumeration")
+    rows = mask_sweep(bench, split, cfg)
+    substrate = [row for row in rows if row["side"] == "substrate"]
+    assert [row["ratio"] for row in substrate] == list(MASK_GRID)
+    scores = {(row["val_mse"], row["val_r2"], row["val_mae"]) for row in substrate}
+    assert len(scores) == 1
 
 
 def test_good_evaluation_structure(bench, split):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from _molgraph_py import canonical_smiles
 
 from enzood.augment import augment_dataset
 from enzood.errors import ConfigError, DatasetError, DuplicateIdError
@@ -18,7 +19,7 @@ from enzood.io import (
     resolved_items,
     write_dataset,
 )
-from enzood.molgraph import canonical_smiles, parse_smiles
+from enzood.molgraph import parse_smiles
 
 HEADER = "id\tsequence\tsmiles\tvalue\ttask\torganism\tsubstrate_name\tph\ttemperature\tsubstrate_mask"
 
@@ -139,16 +140,18 @@ def test_empty_roundtrips(tmp_path):
 
 
 def test_format_inference_and_override(tmp_path):
+    """The file suffix is the only way to name a format."""
     records = sample_records()[:2]
-    path = tmp_path / "data.txt"
-    with pytest.raises(ConfigError):
-        write_dataset(records, path)
-    write_dataset(records, path, fmt="jsonl")
-    with pytest.raises(ConfigError):
-        read_dataset(path)
-    assert read_dataset(path, fmt="jsonl") == records
-    with pytest.raises(ConfigError):
-        read_dataset(path, fmt="csv")
+    path = tmp_path / "data.jsonl"
+    write_dataset(records, path)
+    assert path.read_text(encoding="utf-8").startswith("{")
+    assert read_dataset(path) == records
+    for name in ("data.txt", "data.csv"):
+        with pytest.raises(ConfigError):
+            write_dataset(records, tmp_path / name)
+        (tmp_path / name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+        with pytest.raises(ConfigError):
+            read_dataset(tmp_path / name)
 
 
 def test_write_rejects_duplicate_ids(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from enzood import metrics, synth
+from enzood import metrics, seqid, synth
 from enzood.errors import DegenerateTargetsError
 from enzood.metrics import (
     GoodCurve,
@@ -11,7 +11,7 @@ from enzood.metrics import (
     mae,
     r_squared,
 )
-from enzood.seqid import max_identity_to_train
+from enzood.seqid import global_identity
 
 
 def test_r_squared_examples():
@@ -170,17 +170,17 @@ def test_identity_weights_aligns_test_by_train_in_one_batch(monkeypatch):
     records, _ = synth.generate(synth.SynthConfig(family_count=4, members_per_family=6, seed=2))
     seqs = [r.sequence for r in records]
     test, train = seqs[::3], [s for k, s in enumerate(seqs) if k % 3]
-    expected = [max_identity_to_train(q, train) for q in test]
-    assert metrics._max_train_identities(test, train).tolist() == expected
+    expected = [max(global_identity(q, t) for t in train) for q in test]
+    assert seqid.max_identities(test, train).tolist() == expected
 
-    original = metrics.align_stats_many
+    original = seqid.align_stats_many
     calls = []
 
     def counted(as_, bs):
         calls.append(len(as_))
         return original(as_, bs)
 
-    monkeypatch.setattr(metrics, "align_stats_many", counted)
+    monkeypatch.setattr(seqid, "align_stats_many", counted)
     thresholds = [0.4, 0.6, 0.8, 0.99]
     counts = np.bincount(
         np.minimum(np.searchsorted(thresholds, expected, side="left"), 3), minlength=4

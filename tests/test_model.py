@@ -595,6 +595,23 @@ def test_train_features_the_augmented_records(monkeypatch, mode):
         assert np.array_equal(xa_e, want_e) and np.array_equal(xa_s, want_s)
 
 
+def test_train_enumeration_is_the_graph_mask_run_at_p_g_zero():
+    """The descriptor is invariant under graph isomorphism and a zero
+    atom count draws nothing, so enumeration mode trains exactly as
+    graph_mask at p_g = 0, whatever its own p_g."""
+    rng = np.random.default_rng(39)
+    records = [sample_record(rng, atoms="CC(C)CC(=O)OCC") for _ in range(14)]
+    base = dict(lam=0.5, epochs=3, batch_size=4, hidden_enzyme=4, hidden_substrate=3,
+                embed_dim=4, seed=2, p_s=0.2)
+    p0, log0 = train(records[:10], records[10:], RunConfig(p_g=0.0, **base))
+    for p_g in (0.1, 0.3):
+        cfg = RunConfig(p_g=p_g, substrate_mode="enumeration", **base)
+        p, log = train(records[:10], records[10:], cfg)
+        assert np.array_equal(p.theta, p0.theta) and log == log0
+    masked, _ = train(records[:10], records[10:], RunConfig(p_g=0.3, **base))
+    assert not np.array_equal(masked.theta, p0.theta)
+
+
 def test_train_never_changes_params_it_handed_out(monkeypatch):
     seen = []
     real = model.gradients

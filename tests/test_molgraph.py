@@ -2,8 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from _molgraph_py import SizeError, canonical_smiles, is_isomorphic
 
-from enzood.errors import GraphError, SizeError, SmilesSyntaxError, ValenceError
+from enzood.errors import GraphError, SmilesSyntaxError, ValenceError
 from enzood.molgraph import (
     Atom,
     Bond,
@@ -11,10 +12,8 @@ from enzood.molgraph import (
     BOND_DOUBLE,
     BOND_SINGLE,
     MolGraph,
-    canonical_smiles,
     detect_protected,
     enumerate_smiles,
-    is_isomorphic,
     parse_smiles,
     write_smiles,
 )
@@ -303,17 +302,6 @@ def test_detect_protected_motifs():
     assert detect_protected(parse_smiles("CC[O-]")) == (False, False, True)
     # ether oxygen is not a listed motif
     assert detect_protected(parse_smiles("CCOC")) == (False, False, False, False)
-
-
-def test_detect_protected_motif_subset():
-    g = parse_smiles("CCO")
-    assert detect_protected(g, motifs=frozenset()) == (False, False, False)
-    assert detect_protected(g, motifs=frozenset({"hydroxyl"})) == (False, False, True)
-    # ring protection is unconditional
-    g = parse_smiles("C1CC1")
-    assert detect_protected(g, motifs=frozenset()) == (True, True, True)
-    with pytest.raises(ValueError):
-        detect_protected(g, motifs=frozenset({"no-such-motif"}))
 
 
 def test_detect_protected_permutation_equivariant(rng):

@@ -16,7 +16,7 @@ from enzood.seqid import (
     build_ood_splits,
     global_identity,
     max_cross_identity,
-    max_identity_to_train,
+    max_identities,
     pairwise_identity_matrix,
     read_split_file,
     write_split_file,
@@ -208,13 +208,13 @@ def test_pairwise_matrix_invariants():
 
 def test_max_identity_to_train():
     train = ["ACDEFG", "WWWWWW", "ACDFG"]
-    assert max_identity_to_train("ACDEFG", train) == 1.0
-    assert max_identity_to_train("YYYY", ["WWWW"]) == 0.0
-    q = "ACDEG"
-    expected = max(global_identity(q, t) for t in train)
-    assert max_identity_to_train(q, train) == expected
+    assert max_identities(["YYYY"], ["WWWW"]).tolist() == [0.0]
+    queries = ["ACDEFG", "ACDEG", "WWWA"]
+    expected = [max(global_identity(q, t) for t in train) for q in queries]
+    assert expected[0] == 1.0
+    assert max_identities(queries, train).tolist() == expected
     with pytest.raises(ValueError):
-        max_identity_to_train("A", [])
+        max_identities(["A"], [])
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from _synth_py import reconstruct_targets
 
 from enzood import io, synth
 from enzood.errors import ConfigError
@@ -15,7 +16,6 @@ from enzood.synth import (
     load_synth_config,
     parse_synth_config_text,
     read_truth,
-    reconstruct_targets,
     sidecar_path,
     write_benchmark,
 )
