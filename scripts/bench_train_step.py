@@ -7,14 +7,16 @@ fraction 2/7, seed 0), 300 epochs.  Each measurement runs the mode once
 untraced (wall time) and once traced, splitting ``model.train`` into:
 
 - encode: from entry to the first step (records to feature rows, init);
-- draw: the masking draws (``augment.draw_masks``, or the parent's
-  ``augment.augment_record``, minus the rendering and parsing inside it);
+- draw: the masking draws and the masked index arrays built from them
+  (``model._draw_epoch``, once per epoch; in older trees the per-record
+  ``augment.draw_masks``, or ``augment.augment_record`` minus the
+  rendering and parsing inside it);
 - render / parse: SMILES rendering and parsing inside the steps;
 - featurize: feature rows built inside the steps;
 - forward: ``model._forward_arrays`` (steps and per-epoch validation);
 - backward: ``model.gradients`` minus the forward passes inside it;
-- other: the rest of ``model.train`` (batch indexing, the masked index
-  arrays, the parameter update, the per-epoch log).
+- other: the rest of ``model.train`` (batch indexing, the parameter
+  update, the per-epoch log; in older trees the masked index arrays).
 
 Functions a source tree lacks are skipped, so the same script times an
 older tree.  Usage::
@@ -43,6 +45,7 @@ PHASES = ("encode", "draw", "render", "parse", "featurize", "forward", "backward
 # traced function -> phase; a call's self time (its time minus that of
 # traced calls inside it) goes to its phase
 CATEGORY = {
+    "model._draw_epoch": "draw",
     "augment.draw_masks": "draw",
     "augment.augment_record": "draw",
     "molgraph.enumerate_smiles": "render",
@@ -54,7 +57,8 @@ CATEGORY = {
     "model._forward_arrays": "forward",
     "model.gradients": "backward",
 }
-STEP_START = ("augment.draw_masks", "augment.augment_record", "model.gradients")
+STEP_START = ("model._draw_epoch", "augment.draw_masks", "augment.augment_record",
+              "model.gradients")
 
 
 class PhaseTracer:

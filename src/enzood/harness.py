@@ -169,14 +169,20 @@ def best_lambda_index(rows) -> int:
 
 def mask_sweep(records, split: NestedSplit, base_cfg: RunConfig, grid=MASK_GRID) -> list[dict]:
     """Sweep p_s and p_g independently, holding the other at its base
-    value; one row per (side, ratio).  In enumeration mode training
-    draws no substrate atom, so the substrate rows all come from one
-    run repeated."""
+    value; one row per (side, ratio).  Training reads p_g only in
+    graph_mask mode, so a row whose run training cannot tell from an
+    earlier row's reuses that row's scores: in enumeration mode the six
+    substrate rows are one run (the enzyme row at the base p_s, when the
+    grid holds it)."""
     rows = []
+    runs = {}  # (p_s, p_g as training reads it) -> scores
     for side, field in (("enzyme", "p_s"), ("substrate", "p_g")):
         for ratio in grid:
             cfg = dataclasses.replace(base_cfg, **{field: float(ratio)})
-            _, _, scores = train_on_split(records, split, cfg)
+            key = (cfg.p_s, cfg.p_g if cfg.substrate_mode == "graph_mask" else None)
+            if key not in runs:
+                runs[key] = train_on_split(records, split, cfg)[2]
+            scores = runs[key]
             rows.append(
                 {
                     "side": side,

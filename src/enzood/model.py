@@ -110,14 +110,18 @@ def _masked_bins(bins: np.ndarray, mask) -> np.ndarray:
     return bins[np.asarray(mask, dtype=bool)]
 
 
-def _enzyme_rows(residues: list[np.ndarray]) -> np.ndarray:
-    """Feature rows of residue-code arrays: 1-mer counts over the length,
-    2-mer counts (pair a, b in bin a * 21 + b) over the length - 1, and
-    no 2-mers for a single residue."""
+def _flat(arrays) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays end to end, and the length of each."""
+    return np.concatenate(arrays), np.array([len(a) for a in arrays], dtype=np.int64)
+
+
+def _enzyme_rows(codes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Feature rows of residue codes laid end to end, ``lengths`` per
+    row: 1-mer counts over the length, 2-mer counts (pair a, b in bin
+    a * 21 + b) over the length - 1, and no 2-mers for a single
+    residue."""
     k = len(ALPHABET)
-    b = len(residues)
-    lengths = np.array([len(r) for r in residues])
-    codes = np.concatenate(residues)
+    b = len(lengths)
     ones = np.repeat(np.arange(0, b * k, k), lengths) + codes  # row * k + code
     twos = ones[:-1] * k + codes[1:]
     twos[np.cumsum(lengths)[:-1] - 1] = b * k * k  # pairs across two sequences: a spare bin
@@ -130,15 +134,15 @@ def _enzyme_rows(residues: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _substrate_rows(counts: np.ndarray, masked: list[np.ndarray]) -> np.ndarray:
+def _substrate_rows(counts: np.ndarray, hidden: np.ndarray, per_row) -> np.ndarray:
     """Feature rows of unmasked count rows: row j moves one count from
-    the element bin of each entry of masked[j] to MASKED, then every
-    entry but the atom total is divided by the atom total."""
+    the element bin of each of its per_row[j] entries of ``hidden`` (laid
+    end to end, row by row) to MASKED, then every entry but the atom
+    total is divided by the atom total."""
     b, f = counts.shape
-    hidden = np.concatenate(masked)
     out = counts.astype(np.float64)
     if len(hidden):
-        row = np.repeat(np.arange(b), [len(m) for m in masked])
+        row = np.repeat(np.arange(b), per_row)
         moved = np.bincount(row * f + hidden, minlength=b * f).reshape(b, f)
         out -= moved
         out[:, _MASKED_BIN] += moved.sum(axis=1)
@@ -148,7 +152,8 @@ def _substrate_rows(counts: np.ndarray, masked: list[np.ndarray]) -> np.ndarray:
 
 def featurize_enzyme(seq: str) -> np.ndarray:
     """Length-normalized 1-mer (21) and 2-mer (441) counts."""
-    return _enzyme_rows([_residue_codes(seq)])[0]
+    codes = _residue_codes(seq)
+    return _enzyme_rows(codes, np.array([len(codes)]))[0]
 
 
 def featurize_substrate(g: MolGraph, mask=None) -> np.ndarray:
@@ -158,23 +163,25 @@ def featurize_substrate(g: MolGraph, mask=None) -> np.ndarray:
     graph, so masking hides identity, not topology.
     """
     bins, counts = _atom_counts(g)
-    return _substrate_rows(counts[None], [_masked_bins(bins, mask)])[0]
+    hidden = _masked_bins(bins, mask)
+    return _substrate_rows(counts[None], hidden, [len(hidden)])[0]
 
 
 def _encode(records):
-    """The records as index arrays: each one's residue codes, per-atom
-    element bins, and the bins its own substrate mask hides, plus the
-    stacked count rows of the unmasked graphs."""
-    residues = [_residue_codes(r.sequence) for r in records]
+    """The records as index arrays: (residue codes end to end, each
+    record's length), each record's per-atom element bins, (the bins
+    its own substrate mask hides end to end, their count per record),
+    and the stacked count rows of the unmasked graphs."""
+    residues = _flat([_residue_codes(r.sequence) for r in records])
     bins, counts = zip(*(_atom_counts(r.graph) for r in records))
-    hidden = [_masked_bins(b, r.substrate_mask) for b, r in zip(bins, records)]
+    hidden = _flat([_masked_bins(b, r.substrate_mask) for b, r in zip(bins, records)])
     return residues, bins, hidden, np.stack(counts)
 
 
 def _featurize(records) -> tuple[np.ndarray, np.ndarray]:
     """Stacked (enzyme, substrate) feature rows of the records."""
     residues, _, hidden, counts = _encode(records)
-    return _enzyme_rows(residues), _substrate_rows(counts, hidden)
+    return _enzyme_rows(*residues), _substrate_rows(counts, *hidden)
 
 
 # ---------------------------------------------------------------------------
@@ -454,26 +461,61 @@ def gradients(
 # Training
 
 
+def _draw_epoch(order, residues, atom_counts, pools, cfg: RunConfig, epoch: int) -> list[tuple]:
+    """One epoch's augmented index arrays, one tuple per step: (residue
+    codes of the step's records end to end with every drawn position set
+    to MASK, their lengths, the element bins of the masked atoms end to
+    end, their count per record).  Step s's records draw in batch order
+    from the generator seeded by (seed, epoch, s); the whole epoch is
+    one draw_masks call.  ``residues`` and ``pools`` are (values end to
+    end, length per record) pairs in record order: residue codes, and
+    the element bins of each record's unprotected atoms."""
+    (codes, lengths), (pool_bins, pool_sizes) = residues, pools
+    n = len(order)
+    edges = list(range(0, n, cfg.batch_size)) + [n]  # each step's first record, then n
+    rngs = [np.random.default_rng([cfg.seed, epoch, step]) for step in range(len(edges) - 1)]
+    sites, site_counts, picks, pick_counts = draw_masks(
+        lengths[order], atom_counts[order], pool_sizes[order], cfg, rngs, np.diff(edges)
+    )
+    code_starts = np.cumsum(lengths) - lengths
+    pool_starts = np.cumsum(pool_sizes) - pool_sizes
+    lengths = lengths[order]
+    ends = np.cumsum(lengths)  # of each record's codes in epoch order
+    masked = codes[np.repeat(code_starts[order] - ends + lengths, lengths) + np.arange(ends[-1])]
+    masked[np.repeat(ends - lengths, site_counts) + sites] = _MASK_CODE
+    atoms = pool_bins[np.repeat(pool_starts[order], pick_counts) + picks]
+    code_edges = np.concatenate(([0], ends))[edges].tolist()
+    atom_edges = np.concatenate(([0], np.cumsum(pick_counts)))[edges].tolist()
+    return [
+        (masked[c0:c1], lengths[r0:r1], atoms[a0:a1], pick_counts[r0:r1])
+        for r0, r1, c0, c1, a0, a1 in zip(
+            edges, edges[1:], code_edges, code_edges[1:], atom_edges, atom_edges[1:]
+        )
+    ]
+
+
 @np.errstate(over="ignore", invalid="ignore")  # each step checks finiteness itself
 def train(train_records, val_records, cfg: RunConfig):
     """Momentum SGD with per-step augmentation.
 
     ``cfg`` is an ``io.RunConfig``; the momentum is the fixed constant
-    MOMENTUM.  Every record is encoded once as index arrays.  With lam > 0 every
-    step draws fresh masks for its batch records with a generator seeded
-    by (seed, epoch, step), in batch order (augment.draw_masks), and
-    builds the augmented rows from the masked index arrays.  The
-    substrate featurizer is invariant under graph isomorphism, so in
-    enumeration mode a re-rendered substrate would featurize as the
-    unmasked graph: its atom draw is empty and nothing is rendered,
-    which makes the run the graph_mask run at p_g = 0.  With
-    lam = 0 the consistency term is off and nothing is drawn.  Each step
-    computes the combined loss and updates the parameter vector.
+    MOMENTUM.  Every record is encoded once as index arrays.  With
+    lam > 0 each epoch draws fresh masks for every step's records at
+    once (_draw_epoch): step s's records draw in batch order from a
+    generator seeded by (seed, epoch, s) (augment.draw_masks), and each
+    step builds its augmented rows from its slice of the masked index
+    arrays.  The substrate featurizer is invariant under graph
+    isomorphism, so in enumeration mode a re-rendered substrate would
+    featurize as the unmasked graph: its atom draw is empty and nothing
+    is rendered, which makes the run the graph_mask run at p_g = 0.
+    With lam = 0 the consistency term is off and nothing is drawn.  Each
+    step computes the combined loss and updates the parameter vector.
     Returns (params of the best validation-MSE epoch, per-epoch log).
     On a non-finite loss or gradient the run raises NonFiniteError
     carrying the best finite checkpoint and the log so far in its
-    ``checkpoint`` and ``log`` attributes.  Logs the encoding and
-    per-epoch wall times at INFO level.
+    ``checkpoint`` and ``log`` attributes.  Logs the encoding time, the
+    per-epoch wall time and the time spent drawing and masking at INFO
+    level.
     """
     train_records = list(train_records)
     val_records = list(val_records)
@@ -484,11 +526,12 @@ def train(train_records, val_records, cfg: RunConfig):
 
     encode_start = time.perf_counter()
     residues, bins, hidden, counts = _encode(train_records)
-    x_e, x_s = _enzyme_rows(residues), _substrate_rows(counts, hidden)
+    x_e, x_s = _enzyme_rows(*residues), _substrate_rows(counts, *hidden)
     y = np.array([r.value for r in train_records], dtype=float)
     xv_e, xv_s = _featurize(val_records)
     yv = np.array([r.value for r in val_records], dtype=float)
-    pools = [unprotected_atoms(r.graph) for r in train_records]
+    atom_counts = np.array([len(b) for b in bins])
+    pools = _flat([b[unprotected_atoms(r.graph)] for b, r in zip(bins, train_records)])
     encode_s = time.perf_counter() - encode_start
 
     params = init_params(
@@ -516,8 +559,13 @@ def train(train_records, val_records, cfg: RunConfig):
         raise err
 
     epochs_start = time.perf_counter()
+    draw_s = 0.0
     for epoch in range(cfg.epochs):
         order = np.random.default_rng([cfg.seed, epoch, 0xD5]).permutation(n)
+        if cfg.lam > 0:
+            draw_start = time.perf_counter()
+            augmented = _draw_epoch(order, residues, atom_counts, pools, cfg, epoch)
+            draw_s += time.perf_counter() - draw_start
         epoch_base = 0.0
         epoch_cons = 0.0
         steps = 0
@@ -525,19 +573,9 @@ def train(train_records, val_records, cfg: RunConfig):
             idx = order[start : start + cfg.batch_size]
             xa_e = xa_s = None
             if cfg.lam > 0:
-                step_rng = np.random.default_rng([cfg.seed, epoch, step])
-                masked_residues = []
-                masked_atoms = []
-                for i in idx:
-                    sites, atoms = draw_masks(
-                        len(residues[i]), len(bins[i]), pools[i], cfg, step_rng
-                    )
-                    codes = residues[i].copy()
-                    codes[sites] = _MASK_CODE
-                    masked_residues.append(codes)
-                    masked_atoms.append(bins[i][atoms])
-                xa_e = _enzyme_rows(masked_residues)
-                xa_s = _substrate_rows(counts[idx], masked_atoms)
+                codes, lengths, atoms, per_row = augmented[step]
+                xa_e = _enzyme_rows(codes, lengths)
+                xa_s = _substrate_rows(counts[idx], atoms, per_row)
             try:
                 grad, base, cons = gradients(
                     params,
@@ -592,12 +630,14 @@ def train(train_records, val_records, cfg: RunConfig):
     for entry in log:
         entry["best_epoch"] = best_epoch
     _LOG.info(
-        "train: encoded %d train + %d val records in %.3f s; %d epochs, %.4f s per epoch",
+        "train: encoded %d train + %d val records in %.3f s; %d epochs, %.4f s per epoch, "
+        "%.3f s drawing and masking",
         len(train_records),
         len(val_records),
         encode_s,
         cfg.epochs,
         (time.perf_counter() - epochs_start) / cfg.epochs,
+        draw_s,
     )
     return best_params, log
 

@@ -162,18 +162,6 @@ class MolGraph:
             object.__setattr__(self, "_protected", cached)
         return cached
 
-    def permuted(self, perm) -> "MolGraph":
-        """Relabeled copy: new index ``perm[i]`` holds old atom ``i``."""
-        n = len(self.atoms)
-        perm = list(perm)
-        if sorted(perm) != list(range(n)):
-            raise GraphError("perm must be a permutation of atom indices")
-        atoms = [None] * n
-        for old, new in enumerate(perm):
-            atoms[new] = self.atoms[old]
-        bonds = [Bond(perm[b.a], perm[b.b], b.order) for b in self.bonds]
-        return MolGraph(atoms, bonds)
-
 
 def _ring_membership(n, bonds, adjacency):
     """An atom is on a simple cycle iff it has an incident non-bridge edge."""

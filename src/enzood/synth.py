@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .augment import ALPHABET, AMINO_ACIDS
+from .augment import ALPHABET, AMINO_ACIDS, choice_many
 from .errors import ConfigError
 from .io import (
     EsiRecord,
@@ -271,7 +271,8 @@ def generate(cfg: SynthConfig) -> tuple[list[EsiRecord], dict]:
 
     rng_weights = np.random.default_rng([cfg.seed, 0xFC])
     n_bins = min(_N_ENZYME_BINS, len(inner_bins))
-    enzyme_bins = np.sort(rng_weights.choice(inner_bins, size=n_bins, replace=False))
+    picks = choice_many([rng_weights], [len(inner_bins)], [n_bins])
+    enzyme_bins = np.sort(np.array(inner_bins)[picks])
     enzyme_weights = rng_weights.normal(0.0, _ENZYME_WEIGHT_SCALE, size=n_bins)
     enzyme_features = [[int(i), float(w)] for i, w in zip(enzyme_bins, enzyme_weights)]
     offsets = np.random.default_rng([cfg.seed, 0xFB]).normal(0.0, 1.0, cfg.family_count)

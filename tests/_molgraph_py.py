@@ -3,11 +3,11 @@ molecular-graph tests.
 
 The package needs neither: the substrate descriptor is invariant under
 graph isomorphism, and training never renders a substrate.  The tests
-use them to show that renderings, relabelings and file round trips keep
-the molecule.
+use them to show that renderings, relabelings (``permuted``) and file
+round trips keep the molecule.
 """
 
-from enzood.errors import EnzoodError
+from enzood.errors import EnzoodError, GraphError
 from enzood.molgraph import Atom, Bond, MolGraph, write_smiles
 
 ISOMORPHISM_MAX_ATOMS = 64
@@ -15,6 +15,19 @@ ISOMORPHISM_MAX_ATOMS = 64
 
 class SizeError(EnzoodError, ValueError):
     """Graph too large for the exact isomorphism search."""
+
+
+def permuted(g: MolGraph, perm) -> MolGraph:
+    """Relabeled copy: new index ``perm[i]`` holds old atom ``i``."""
+    n = len(g.atoms)
+    perm = list(perm)
+    if sorted(perm) != list(range(n)):
+        raise GraphError("perm must be a permutation of atom indices")
+    atoms = [None] * n
+    for old, new in enumerate(perm):
+        atoms[new] = g.atoms[old]
+    bonds = [Bond(perm[b.a], perm[b.b], b.order) for b in g.bonds]
+    return MolGraph(atoms, bonds)
 
 
 def _canonical_ranks(g: MolGraph) -> list[int]:

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from _molgraph_py import is_isomorphic
 
+from enzood import augment
 from enzood.augment import (
     ALPHABET,
     AMINO_ACIDS,
     MASK_SYMBOL,
     augment_dataset,
     augment_record,
+    choice_many,
     draw_masks,
     mask_graph,
     mask_sequence,
@@ -143,11 +145,141 @@ def test_draw_masks_enumeration_draws_no_atom():
     draws = {}
     for mode, p_g in (("enumeration", 0.3), ("graph_mask", 0.0)):
         rng = np.random.default_rng(7)
-        residues, atoms = draw_masks(20, len(g), pool, RunConfig(p_s=0.2, p_g=p_g,
-                                                                 substrate_mode=mode), rng)
-        assert atoms.dtype == np.intp and atoms.shape == (0,)
-        draws[mode] = (residues.tolist(), rng.integers(1 << 30))
+        cfg = RunConfig(p_s=0.2, p_g=p_g, substrate_mode=mode)
+        sites, site_counts, picks, pick_counts = draw_masks([20], [len(g)], [len(pool)], cfg,
+                                                            [rng], [1])
+        assert picks.dtype == np.intp and picks.shape == (0,) and pick_counts.tolist() == [0]
+        assert site_counts.tolist() == [4]
+        draws[mode] = (sites.tolist(), rng.integers(1 << 30))
     assert draws["enumeration"] == draws["graph_mask"]
+
+
+def consecutive_choices(rngs, pops, counts, per_rng):
+    """The oracle: one rng.choice per non-empty request, in order."""
+    out = []
+    owners = np.repeat(np.arange(len(rngs)), per_rng)
+    for owner, pop, k in zip(owners, pops, counts):
+        if k:
+            out.append(rngs[owner].choice(pop, size=k, replace=False))
+    return np.concatenate(out) if out else np.empty(0, dtype=np.intp)
+
+
+def assert_same_state(a, b):
+    """Follow-up draws of every kind agree."""
+    assert a.integers(1 << 40) == b.integers(1 << 40)
+    assert a.random() == b.random()
+    assert np.array_equal(a.permutation(9), b.permutation(9))
+    assert np.array_equal(a.choice(60, size=7, replace=False), b.choice(60, size=7, replace=False))
+
+
+@pytest.fixture(params=["arrays", "one_by_one"])
+def replay(request, monkeypatch):
+    """Run a test through each of choice_many's two replays: the array
+    passes, and the request-by-request loop it takes for small inputs."""
+    monkeypatch.setattr(augment, "_ARRAY_MIN_DRAWS", 0 if request.param == "arrays" else 1 << 62)
+    return request.param
+
+
+def test_choice_many_matches_consecutive_choice_calls(replay):
+    """Random request lists over 1 to 3 generators.  Most populations
+    are sequence-sized; one list in ten holds populations past 10000
+    with counts around pop // 50, where numpy switches from Floyd's
+    algorithm to the tail shuffle."""
+    meta = np.random.default_rng(12)
+    for trial in range(250):
+        n = int(meta.integers(1, 10))
+        if trial % 10:
+            pops = meta.integers(1, 121, size=n)
+            counts = np.where(
+                meta.random(n) < 0.3,
+                meta.integers(0, pops + 1),  # up to the whole population
+                np.minimum(meta.integers(0, pops // 4 + 2), pops),
+            )
+        else:
+            pops = meta.integers(9_990, 10_200, size=n)
+            counts = pops // 50 + meta.integers(-2, 3, size=n)
+        counts[meta.random(n) < 0.2] = 0
+        g = int(meta.integers(1, 4))
+        per_rng = np.bincount(np.sort(meta.integers(0, g, size=n)), minlength=g)
+        seeds = [int(s) for s in meta.integers(1 << 31, size=g)]
+        ours = [np.random.default_rng(s) for s in seeds]
+        theirs = [np.random.default_rng(s) for s in seeds]
+        got = choice_many(ours, pops, counts, per_rng)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, consecutive_choices(theirs, pops, counts, per_rng))
+        for a, b in zip(ours, theirs):
+            assert_same_state(a, b)
+
+
+@pytest.mark.parametrize(
+    "pop, k",
+    [
+        (1, 1),
+        (1, 0),
+        (7, 7),  # the whole population
+        (10_000, 200),  # Floyd at pop // 50, and past it: pop 10000 never takes the tail
+        (10_000, 201),
+        (10_001, 200),  # pop // 50: still Floyd
+        (10_001, 201),  # one more: the tail shuffle
+        (10_001, 10_001),
+        (10**12, 3),  # Floyd's memory does not grow with pop
+    ],
+)
+def test_choice_many_edges(replay, pop, k):
+    for with_neighbours in (False, True):
+        pops, counts = [pop], [k]
+        if with_neighbours:  # zero requests around it draw nothing
+            pops, counts = [5, pop, 30, 4], [0, k, 3, 0]
+        a, b = np.random.default_rng(21), np.random.default_rng(21)
+        got = choice_many([a], pops, counts)
+        assert np.array_equal(got, consecutive_choices([b], pops, counts, [len(pops)]))
+        assert_same_state(a, b)
+
+
+def test_choice_many_zero_counts_draw_nothing():
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    assert choice_many([rng], [5, 1, 0], [0, 0, 0]).shape == (0,)
+    assert choice_many([rng], [], []).shape == (0,)
+    assert choice_many([], [], [], []).shape == (0,)
+    assert rng.bit_generator.state == state
+
+
+def test_choice_many_rejects_bad_counts():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError):
+        choice_many([rng], [3], [4])
+    with pytest.raises(ValueError):
+        choice_many([rng], [3], [-1])
+    with pytest.raises(ValueError):
+        choice_many([rng], [3, 4], [1])
+    with pytest.raises(ValueError):  # the shares must cover every request
+        choice_many([rng, rng], [3, 4], [1, 1], [1, 0])
+
+
+def test_draw_masks_many_records_many_generators(replay):
+    """Records draw residues, then atoms from their pool, from their
+    generator in record order; each draw is one rng.choice."""
+    meta = np.random.default_rng(13)
+    n = 11
+    lengths = meta.integers(1, 90, size=n)
+    atom_counts = meta.integers(1, 30, size=n)
+    pool_sizes = np.minimum(meta.integers(0, 30, size=n), atom_counts)
+    per_rng = [4, 0, 5, 2]
+    cfg = RunConfig(p_s=0.25, p_g=0.3)
+    sites, site_counts, picks, pick_counts = draw_masks(
+        lengths, atom_counts, pool_sizes, cfg, [np.random.default_rng([9, g]) for g in range(4)],
+        per_rng,
+    )
+    assert site_counts.tolist() == [floor(0.25 * x) for x in lengths]
+    assert pick_counts.tolist() == [min(floor(0.3 * a), p) for a, p in zip(atom_counts, pool_sizes)]
+    rngs = [np.random.default_rng([9, g]) for g in range(4)]
+    want_sites, want_picks = [], []
+    for owner, length, k, pool, m in zip(np.repeat(np.arange(4), per_rng), lengths, site_counts,
+                                         pool_sizes, pick_counts):
+        want_sites.extend(consecutive_choices([rngs[owner]], [length], [k], [1]))
+        want_picks.extend(consecutive_choices([rngs[owner]], [pool], [m], [1]))
+    assert sites.tolist() == want_sites and picks.tolist() == want_picks
 
 
 def test_augment_record_modes():
@@ -189,6 +321,23 @@ def test_augment_dataset_pairing_and_determinism():
     # per-record derivation: a subset reproduces the same augmentations
     subset = augment_dataset(records[:10], cfg)
     assert subset == pairs[:10]
+
+
+@pytest.mark.parametrize("mode", ["graph_mask", "enumeration"])
+def test_augment_dataset_is_augment_record_per_record(mode):
+    """One draw for the whole set gives each record what augment_record
+    gives it with the (seed, index) generator, renderings included."""
+    rng = np.random.default_rng(14)
+    smiles = ("CC(C)CC(=O)OCC", "CCCCCCCCCCO", "C", "c1ccccc1CCCN")
+    records = [
+        EsiRecord(f"r{i}", random_enzyme(rng, int(rng.integers(1, 60))), smiles[i % 4], 0.0)
+        for i in range(15)
+    ]
+    cfg = RunConfig(p_s=0.3, p_g=0.3, substrate_mode=mode, seed=5)
+    got = [aug for _, aug in augment_dataset(records, cfg)]
+    for index, (record, aug) in enumerate(zip(records, got)):
+        want = augment_record(record, cfg, np.random.default_rng([cfg.seed, index]))
+        assert (aug.sequence, aug.smiles, aug.substrate_mask) == want
 
 
 def test_augment_dataset_identity_config():

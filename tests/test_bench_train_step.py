@@ -44,4 +44,6 @@ def test_traced_train_on_split_phases():
     assert sum(phases.values()) == pytest.approx(result["train_s"], rel=1e-9)
     assert phases["draw"] > 0.0 and phases["featurize"] > 0.0
     assert phases["other"] >= 0.0
-    assert result["calls"]["augment.draw_masks"] == len(split.train_ids) * cfg.epochs
+    # one draw per epoch, covering every step
+    assert result["calls"]["model._draw_epoch"] == cfg.epochs
+    assert result["calls"]["augment.draw_masks"] == cfg.epochs

@@ -447,6 +447,7 @@ def test_wall_time_goes_to_stderr_only(tmp_path, capsys):
 
 
 def test_train_reports_encoding_and_epoch_time_on_stderr(tmp_path, capsys):
+    """Encoding, per-epoch and drawing times: stderr only."""
     bench = make_bench(tmp_path)
     cfg = write_cfg(tmp_path, "run.cfg", "epochs=3\n")
     argv = ["train", "--train", bench, "--val", bench, "--config", cfg,
@@ -457,12 +458,14 @@ def test_train_reports_encoding_and_epoch_time_on_stderr(tmp_path, capsys):
     lines = [line for line in captured.err.splitlines() if line.startswith("train: ")]
     assert len(lines) == 1
     assert re.fullmatch(
-        r"train: encoded (\d+) train \+ \1 val records in [0-9.]+ s; 3 epochs, [0-9.]+ s per epoch",
+        r"train: encoded (\d+) train \+ \1 val records in [0-9.]+ s; "
+        r"3 epochs, [0-9.]+ s per epoch, [0-9.]+ s drawing and masking",
         lines[0],
     ), lines[0]
-    assert "encoded" not in captured.out
+    assert "encoded" not in captured.out and "drawing" not in captured.out
     for artifact in ("m.ckpt", "train.log"):
-        assert "encoded" not in (tmp_path / artifact).read_text(encoding="utf-8")
+        text = (tmp_path / artifact).read_text(encoding="utf-8")
+        assert "encoded" not in text and "drawing" not in text
     assert run_cli(argv) == 0  # the handler is removed again: still one line
     assert len([l for l in capsys.readouterr().err.splitlines() if l.startswith("train: ")]) == 1
 

@@ -177,6 +177,31 @@ def test_mask_sweep_enumeration_substrate_rows_repeat_one_run(bench, split):
     assert len(scores) == 1
 
 
+@pytest.mark.parametrize("mode, runs", [("enumeration", 6), ("graph_mask", 11)])
+def test_mask_sweep_trains_each_distinct_run_once(monkeypatch, bench, split, mode, runs):
+    """A row whose config trains like an earlier row's reuses its scores:
+    in enumeration mode every substrate row is the enzyme row at the
+    base p_s (0.10, on the grid), and in graph_mask mode the enzyme and
+    substrate rows at 0.10 are the base config twice."""
+    calls = []
+    real = harness.train_on_split
+
+    def counting(records, split, cfg):
+        calls.append((cfg.p_s, cfg.p_g))
+        return real(records, split, cfg)
+
+    monkeypatch.setattr(harness, "train_on_split", counting)
+    cfg = dataclasses.replace(QUICK, substrate_mode=mode)
+    rows = mask_sweep(bench, split, cfg)
+    assert len(calls) == len(set(calls)) == runs
+    assert len(rows) == 2 * len(MASK_GRID)
+    scores = {(row["side"], row["ratio"]): (row["val_mse"], row["val_r2"], row["val_mae"])
+              for row in rows}
+    assert scores[("substrate", 0.10)] == scores[("enzyme", 0.10)]
+    if mode == "enumeration":
+        assert {scores[("substrate", r)] for r in MASK_GRID} == {scores[("enzyme", 0.10)]}
+
+
 def test_good_evaluation_structure(bench, split):
     params, _, _ = train_on_split(bench, split, QUICK)
     splits = build_ood_splits(bench, [0.8, 0.4], test_fraction=0.3, seed=1)

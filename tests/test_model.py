@@ -545,8 +545,9 @@ def test_train_lambda_zero_independent_of_augment_stream():
 
 def test_train_lambda_zero_draws_no_augmentation(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("draw_masks called with lam=0")
+        raise AssertionError("masks drawn with lam=0")
 
+    monkeypatch.setattr(model, "_draw_epoch", refuse)
     monkeypatch.setattr(model, "draw_masks", refuse)
     rng = np.random.default_rng(36)
     pairs = linear_dataset(rng, 24)
@@ -591,6 +592,59 @@ def test_train_features_the_augmented_records(monkeypatch, mode):
                 rows_s.append(featurize_substrate(r.graph, mask))
             expected.append((np.stack(rows_e), np.stack(rows_s)))
     assert len(seen) == len(expected) == 4
+    for (xa_e, xa_s), (want_e, want_s) in zip(seen, expected):
+        assert np.array_equal(xa_e, want_e) and np.array_equal(xa_s, want_s)
+
+
+def test_train_masks_are_consecutive_choice_draws(monkeypatch):
+    """One draw per epoch gives each step what one rng.choice per
+    non-empty draw from the (seed, epoch, step) generator gives: mixed
+    sequence lengths (some too short to mask), substrates of 10 or more
+    atoms, and a short last batch."""
+    seen = []
+    real = model.gradients
+
+    def spy(params, x_e, x_s, xa_e, xa_s, *args, **kwargs):
+        seen.append((xa_e, xa_s))
+        return real(params, x_e, x_s, xa_e, xa_s, *args, **kwargs)
+
+    monkeypatch.setattr(model, "gradients", spy)
+    rng = np.random.default_rng(40)
+    substrates = ("CCCCCCCCCC", "CC(C)CC(=O)OCCCCC", "CCCCCCC(C)CCCCN", "OCC(C)CCCCCCCCCCO")
+    records = [
+        EsiRecord(f"r{i}", random_enzyme(rng, int(rng.integers(2, 120))), substrates[i % 4],
+                  float(rng.normal()))
+        for i in range(27)
+    ]
+    assert min(len(r.graph) for r in records) >= 10
+    cfg = RunConfig(
+        lam=0.5, epochs=2, batch_size=6, hidden_enzyme=4, hidden_substrate=3, embed_dim=4,
+        seed=11, p_s=0.3, p_g=0.3,
+    )
+    train(records[:23], records[23:], cfg)
+
+    def choice(step_rng, pop, k):
+        return step_rng.choice(pop, size=k, replace=False) if k else np.empty(0, dtype=int)
+
+    expected = []
+    for epoch in range(cfg.epochs):
+        order = np.random.default_rng([cfg.seed, epoch, 0xD5]).permutation(23)
+        for step, start in enumerate(range(0, 23, cfg.batch_size)):
+            step_rng = np.random.default_rng([cfg.seed, epoch, step])
+            rows_e, rows_s = [], []
+            for r in (records[i] for i in order[start : start + cfg.batch_size]):
+                seq = list(r.sequence)
+                for site in choice(step_rng, len(seq), floor(0.3 * len(seq))):
+                    seq[site] = "X"
+                rows_e.append(featurize_enzyme("".join(seq)))
+                pool = [i for i, p in enumerate(r.graph.protected) if not p]
+                hidden = {pool[j] for j in choice(step_rng, len(pool),
+                                                   min(floor(0.3 * len(r.graph)), len(pool)))}
+                mask = [i in hidden for i in range(len(r.graph))]
+                rows_s.append(featurize_substrate(r.graph, mask))
+            expected.append((np.stack(rows_e), np.stack(rows_s)))
+    assert len(seen) == len(expected) == 8
+    assert [len(e) for e, _ in expected[:4]] == [6, 6, 6, 5]
     for (xa_e, xa_s), (want_e, want_s) in zip(seen, expected):
         assert np.array_equal(xa_e, want_e) and np.array_equal(xa_s, want_s)
 
