@@ -69,6 +69,8 @@ _TAIL_CUTOFF = 50
 # in Python beats the array passes, whose cost is mostly fixed or per
 # step: the two break even near 400 on a 2-core x86-64 machine
 _ARRAY_MIN_DRAWS = 400
+# Up to this many requests, the counts are read and checked as Python ints
+_LIST_MAX_REQUESTS = 8
 
 
 def _ranks(lengths) -> np.ndarray:
@@ -110,16 +112,21 @@ def choice_many(rngs, pops, counts, per_rng=None) -> np.ndarray:
     the tail route needs memory that grows with pop.  Under
     _ARRAY_MIN_DRAWS values in all, the same bounds are drawn and the
     requests replayed one by one in Python instead, which is faster at
-    that size."""
-    pops = np.asarray(pops, dtype=np.int64).reshape(-1)
-    counts = np.asarray(counts, dtype=np.int64).reshape(-1)
-    if pops.shape != counts.shape:
+    that size; up to _LIST_MAX_REQUESTS requests are also read and
+    checked as Python ints, so that route builds no array first."""
+    if len(pops) != len(counts):
         raise ValueError(f"{len(pops)} populations but {len(counts)} counts")
-    if (counts < 0).any() or (counts > pops).any():
-        raise ValueError("every count must lie between 0 and its population")
     per_rng = [len(pops)] if per_rng is None else per_rng
     if len(per_rng) != len(rngs) or sum(per_rng) != len(pops):
         raise ValueError("per_rng must give each generator's share of the requests")
+    if len(pops) <= _LIST_MAX_REQUESTS:  # bad counts fall through and raise below
+        few = [int(p) for p in pops], [int(k) for k in counts]
+        if all(0 <= k <= p for p, k in zip(*few)) and sum(few[1]) < _ARRAY_MIN_DRAWS:
+            return _replay_one_by_one(rngs, *few, per_rng)
+    pops = np.asarray(pops, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    if (counts < 0).any() or (counts > pops).any():
+        raise ValueError("every count must lie between 0 and its population")
     if counts.sum() < _ARRAY_MIN_DRAWS:
         return _replay_one_by_one(rngs, pops.tolist(), counts.tolist(), per_rng)
     tail = (pops > _TAIL_MIN_POP) & (counts > pops // _TAIL_CUTOFF)
@@ -184,15 +191,15 @@ def _replay_one_by_one(rngs, pops, counts, per_rng) -> np.ndarray:
     requests = iter(zip(pops, counts))
     for rng, share in zip(rngs, per_rng):
         mine = [next(requests) for _ in range(share)]
-        highs = []
+        ends = []  # the bounds, exclusive
         for pop, k in mine:
             if _on_tail(pop, k):
-                highs += range(pop - 1, max(pop - k, 1) - 1, -1)
+                ends += range(pop, max(pop - k, 1), -1)
             else:
-                highs += [*range(pop - k, pop), *range(k - 1, 0, -1)]
-        if not highs:
+                ends += [*range(pop - k + 1, pop + 1), *range(k, 1, -1)]
+        if not ends:
             continue
-        raw = iter(rng.integers(0, np.array(highs, dtype=np.int64) + 1).tolist())
+        raw = iter(rng.integers(0, np.array(ends, dtype=np.int64)).tolist())
         for pop, k in mine:
             if _on_tail(pop, k):
                 cards = list(range(pop))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DatasetError
+from .errors import DatasetError, DegenerateTargetsError
 from .io import RunConfig, config_hash, format_real, resolved_items
 from .metrics import METRIC_IDS, au_good, curve_from_risks, mae, r_squared
 from .model import (
@@ -79,15 +79,24 @@ def select_records(records, ids) -> list:
     return [by_id[i] for i in ids]
 
 
-def evaluate_params(params: ModelParams, records) -> dict:
-    """R2, MAE, and MSE of the checkpoint on the given records."""
+def evaluate_params(params: ModelParams, records, *, require_r2: bool = True) -> dict:
+    """R2, MAE, and MSE of the checkpoint on the given records.  R2 is
+    undefined on one record or constant targets: that raises
+    DegenerateTargetsError, or with require_r2 False gives an r2 of
+    None."""
     records = list(records)
     preds = predict(params, records)
     targets = np.array([r.value for r in records], dtype=float)
+    try:
+        r2 = r_squared(preds, targets)
+    except DegenerateTargetsError:
+        if require_r2:
+            raise
+        r2 = None
     return {
         "n": len(records),
         "mse": float(np.mean((preds - targets) ** 2)),
-        "r2": r_squared(preds, targets),
+        "r2": r2,
         "mae": mae(preds, targets),
     }
 
@@ -259,34 +268,12 @@ def write_report(path, kind: str, cfg: RunConfig, sections) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-_SEPARATORS = (",", ":")
-
-
-def _write_json(fh, value) -> None:
-    """Write exactly what ``json.dump(value, fh, sort_keys=True,
-    separators=(",", ":"))`` writes, through the C encoder of
-    ``json.dumps``: a dict with string keys and a list of lists are
-    written piece by piece, anything else, a matrix row included, as one
-    ``json.dumps``.  So no write is longer than the longest row's text."""
-    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
-        fh.write("{")
-        for k, key in enumerate(sorted(value)):
-            fh.write(("," if k else "") + json.dumps(key) + ":")
-            _write_json(fh, value[key])
-        fh.write("}")
-    elif isinstance(value, list) and value and all(isinstance(item, list) for item in value):
-        fh.write("[")
-        for k, item in enumerate(value):
-            if k:
-                fh.write(",")
-            _write_json(fh, item)
-        fh.write("]")
-    else:
-        fh.write(json.dumps(value, sort_keys=True, separators=_SEPARATORS))
-
-
 def write_checkpoint(path, params: ModelParams, cfg: RunConfig, extra: dict | None = None) -> None:
-    """Sorted-key, compact JSON, written row by row (see _write_json)."""
+    """One line of sorted-key, compact JSON: the seed, the config echo
+    and its hash, the parameters in their base64 form
+    (params_to_jsonable), and the ``extra`` keys.  A NaN or infinity
+    anywhere raises ValueError, as JSON has no such numbers, before the
+    file is opened."""
     data = {
         "kind": "checkpoint",
         "seed": cfg.seed,
@@ -296,9 +283,9 @@ def write_checkpoint(path, params: ModelParams, cfg: RunConfig, extra: dict | No
     }
     if extra:
         data.update(extra)
+    text = json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        _write_json(fh, data)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_checkpoint(path) -> tuple[ModelParams, dict]:

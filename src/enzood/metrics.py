@@ -22,21 +22,23 @@ METRIC_IDS = ("r2", "mae")
 METRIC_DIRECTION = {"r2": True, "mae": False}
 
 
-def _paired_arrays(preds, targets, min_len=1):
+def _paired_arrays(preds, targets):
     p = np.asarray(preds, dtype=float)
     t = np.asarray(targets, dtype=float)
     if p.ndim != 1 or t.ndim != 1:
         raise ValueError("preds and targets must be 1-D")
     if p.shape[0] != t.shape[0]:
         raise ValueError(f"length mismatch: {p.shape[0]} preds vs {t.shape[0]} targets")
-    if p.shape[0] < min_len:
-        raise ValueError(f"need at least {min_len} values, got {p.shape[0]}")
+    if p.shape[0] == 0:
+        raise ValueError("need at least one value, got none")
     return p, t
 
 
 def r_squared(preds, targets) -> float:
-    """Coefficient of determination, 1 - SS_res / SS_tot."""
-    p, t = _paired_arrays(preds, targets, min_len=2)
+    """Coefficient of determination, 1 - SS_res / SS_tot.  Undefined
+    (DegenerateTargetsError) when the targets have zero variance, as one
+    target always has."""
+    p, t = _paired_arrays(preds, targets)
     ss_tot = float(np.sum((t - t.mean()) ** 2))
     if ss_tot == 0.0:
         raise DegenerateTargetsError("targets have zero variance")

@@ -20,6 +20,7 @@ the test suite.
 
 from __future__ import annotations
 
+import base64
 import functools
 import logging
 import math
@@ -647,38 +648,41 @@ def train(train_records, val_records, cfg: RunConfig):
 
 
 def params_to_jsonable(params: ModelParams) -> dict:
-    """Checkpoint form: each named block as nested lists, b_head a float."""
-    blocks = _blocks(params.theta, params.hidden_enzyme, params.hidden_substrate, params.embed_dim)
-    return {name: block.tolist() for name, block in blocks.items()}
+    """Checkpoint form: the three layer sizes, and ``theta`` as the
+    base64 text of its little-endian float64 bytes, so every value, -0.0
+    and subnormals included, comes back bit for bit."""
+    return {
+        "layers": [params.hidden_enzyme, params.hidden_substrate, params.embed_dim],
+        "theta": base64.b64encode(params.theta.astype("<f8").tobytes()).decode("ascii"),
+    }
 
 
 def params_from_jsonable(data) -> ModelParams:
     """Inverse of params_to_jsonable.
 
-    The layer sizes come from the weight matrices; every block's shape,
-    the feature widths included, and its finiteness are checked before
-    the vector is built.  Raises ValueError naming the missing or bad
-    block."""
+    ``layers`` must be three positive integers, and ``theta`` base64
+    text of exactly the float64 values those sizes lay out, all finite.
+    Raises ValueError naming the missing or bad field."""
     if not isinstance(data, dict):
-        raise ValueError(f"params must map block names to arrays, got {type(data).__name__}")
-
-    def rows(name):
-        value = data.get(name)
-        return len(value) if isinstance(value, list) else 0
-
-    sizes = [rows(name) for name in ("w_enzyme", "w_substrate", "w_fusion")]
-    arrays = []
-    for name, shape in _shapes(*sizes).items():
-        if name not in data:
-            raise ValueError(f"params lack block {name}")
-        try:
-            block = np.asarray(data[name], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"block {name} is not a numeric array: {exc}") from exc
-        if block.shape != shape:
-            raise ValueError(f"block {name} has shape {block.shape}, expected {shape}")
-        if not np.all(np.isfinite(block)):
-            raise ValueError(f"block {name} holds non-finite values")
-        arrays.append(block.ravel())
-    theta = np.concatenate(arrays)
-    return ModelParams(theta, *sizes)
+        raise ValueError(f"params must map layers and theta, got {type(data).__name__}")
+    text = data.get("theta")
+    if not isinstance(text, str):
+        raise ValueError("params lack a theta string, the base64 text of the parameter vector")
+    layers = data.get("layers")
+    if not (
+        isinstance(layers, list)
+        and len(layers) == 3
+        and all(type(n) is int and n > 0 for n in layers)
+    ):
+        raise ValueError("params layers must be three positive integers")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or text that is not ASCII
+        raise ValueError(f"params theta is not base64: {exc}") from exc
+    size, _ = _plan(*layers)
+    if len(raw) != 8 * size:
+        raise ValueError(f"params theta holds {len(raw)} bytes, layers {layers} need {8 * size}")
+    try:
+        return ModelParams(np.frombuffer(raw, dtype="<f8"), *layers)
+    except ValueError as exc:
+        raise ValueError(f"params theta: {exc}") from exc

@@ -1,6 +1,6 @@
-"""Smoke test of scripts/bench_cli_train.py: it times the train command
-in-process through wrappers around the functions ``cli`` calls, so
-renaming one of them fails here first."""
+"""Smoke test of scripts/bench_cli_train.py: it times the train and eval
+commands in-process through wrappers around the functions ``cli``
+calls, so renaming one of them fails here first."""
 
 import importlib.util
 from pathlib import Path
@@ -19,13 +19,22 @@ def load_script():
 
 def test_time_commands_on_the_pipeline_inputs(tmp_path):
     bench = load_script()
-    originals = {name: getattr(cli, name) for name in bench.WRAPPED}
+    bound = {**bench.WRAPPED, **bench.EVAL_WRAPPED}
+    originals = {name: getattr(cli, name) for name in bound}
     bench.prepare(tmp_path)
     result = bench.time_commands(tmp_path, repeats=1)
-    assert set(result["stage_s"]) == set(bench.STAGES)
-    assert all(result["stage_s"][stage] > 0.0 for stage in bench.STAGES if stage != "other")
-    assert abs(sum(result["stage_s"].values()) - result["commands_s"]) < 1e-9
+    for stages, stage_s, commands_s in (
+        (bench.STAGES, result["stage_s"], result["commands_s"]),
+        (bench.EVAL_STAGES, result["eval_stage_s"], result["eval_commands_s"]),
+    ):
+        assert set(stage_s) == set(stages)
+        assert all(stage_s[stage] > 0.0 for stage in stages if stage != "other")
+        assert abs(sum(stage_s.values()) - commands_s) < 1e-9
+    assert result["per_call_ms"] == {
+        "write_checkpoint": result["stage_s"]["checkpoint"] / 2 * 1e3,
+        "read_checkpoint": result["eval_stage_s"]["read_checkpoint"] / 2 * 1e3,
+    }
     for arm in bench.ARMS:
-        assert (tmp_path / f"{arm}.ckpt").stat().st_size > 0
-        assert (tmp_path / f"{arm}.log").stat().st_size > 0
-    assert {name: getattr(cli, name) for name in bench.WRAPPED} == originals
+        for artifact in (f"{arm}.ckpt", f"{arm}.log", f"{arm}-report.txt"):
+            assert (tmp_path / artifact).stat().st_size > 0
+    assert {name: getattr(cli, name) for name in bound} == originals

@@ -3,18 +3,20 @@
 Commands run in-process through cli.main so coverage tools see them and
 the suite stays fast; artifacts land in tmp_path."""
 
+import base64
 import dataclasses
 import filecmp
 import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from enzood import cli
 from enzood.harness import LAMBDA_GRID, MASK_GRID, read_checkpoint
 from enzood.io import read_dataset, write_dataset
-from enzood.model import predict
+from enzood.model import _blocks, predict
 from enzood.seqid import OodSplit, read_split_file, write_split_file
 
 SYNTH_CFG = "family_count=6\nmembers_per_family=10\nseed=3\n"
@@ -359,35 +361,66 @@ def test_exit_code_three_for_data_problems(tmp_path, capsys):
     assert err_lines[0].split("\t")[:3] == ["error", "3", "DatasetError"]
 
 
+@pytest.fixture(scope="module")
+def one_epoch_checkpoint(tmp_path_factory):
+    """(bench, splits file, checkpoint) of a one-epoch run on the 0.6
+    training half, shared by the checkpoint damage cases."""
+    root = tmp_path_factory.mktemp("one-epoch")
+    bench = make_bench(root)
+    run_cfg = write_cfg(root, "run.cfg", "epochs=1\n")
+    assert run_cli(["split", "--in", bench, "--out-dir", root / "s"]) == 0
+    ckpt = root / "m.ckpt"
+    assert run_cli(["train", "--train", root / "s" / "train-060.tsv",
+                    "--val", root / "s" / "test-060.tsv", "--config", run_cfg,
+                    "--checkpoint-out", ckpt]) == 0
+    return bench, root / "s" / "splits.tsv", ckpt
+
+
+def recoded(params, edit):
+    """params with theta decoded, edited by ``edit`` and encoded again."""
+    theta = np.frombuffer(base64.b64decode(params["theta"]), dtype="<f8")
+    return {**params, "theta": base64.b64encode(edit(theta).astype("<f8").tobytes()).decode()}
+
+
+def nested_lists(params):
+    """params in the retired checkpoint form: one nested list per block."""
+    theta = np.frombuffer(base64.b64decode(params["theta"]), dtype="<f8")
+    return {name: block.tolist() for name, block in _blocks(theta, *params["layers"]).items()}
+
+
 @pytest.mark.parametrize(
     "damage, named",
     [
-        (lambda params: {k: v for k, v in params.items() if k != "w_head"}, "w_head"),
+        (lambda params: {"layers": params["layers"]}, "theta"),
+        (lambda params: {**params, "theta": "!" + params["theta"][1:]}, "theta is not base64"),
+        (lambda params: recoded(params, lambda t: t[:-1]), "theta holds"),
+        (lambda params: recoded(params, lambda t: np.concatenate([t[:9], [np.nan], t[10:]])),
+         "theta: non-finite"),
+        (lambda params: {**params, "layers": [48, 16, "64"]}, "layers"),
+        (nested_lists, "theta"),
         (lambda params: list(params.values()), "list"),
     ],
-    ids=["missing-block", "params-list"],
+    ids=["theta-missing", "theta-not-base64", "theta-one-float-short", "theta-nan", "bad-layers",
+         "nested-lists", "params-list"],
 )
-def test_exit_code_three_for_malformed_checkpoint(tmp_path, capsys, damage, named):
-    bench = make_bench(tmp_path)
-    run_cfg = write_cfg(tmp_path, "run.cfg", "epochs=1\n")
-    assert run_cli(["split", "--in", bench, "--out-dir", tmp_path / "s"]) == 0
-    ckpt = tmp_path / "m.ckpt"
-    argv = ["train", "--train", tmp_path / "s" / "train-060.tsv",
-            "--val", tmp_path / "s" / "test-060.tsv", "--config", run_cfg,
-            "--checkpoint-out", ckpt]
-    assert run_cli(argv) == 0
-    data = json.loads(ckpt.read_text(encoding="utf-8"))
+def test_exit_code_three_for_malformed_checkpoint(
+    tmp_path, capsys, one_epoch_checkpoint, damage, named
+):
+    bench, splits, trained = one_epoch_checkpoint
+    data = json.loads(trained.read_text(encoding="utf-8"))
     data["params"] = damage(data["params"])
+    ckpt = tmp_path / "m.ckpt"
     ckpt.write_text(json.dumps(data), encoding="utf-8")
     capsys.readouterr()
     code = run_cli(
         ["eval", "--checkpoint", ckpt, "--data", bench,
-         "--splits", tmp_path / "s" / "splits.tsv", "--report-out", tmp_path / "r.txt"]
+         "--splits", splits, "--report-out", tmp_path / "r.txt"]
     )
     assert code == 3
     err_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error\t")]
     kind, message = err_lines[0].split("\t")[2:4]
-    assert kind == "DatasetError" and named in message
+    assert kind == "DatasetError" and named in message, message
+    assert not (tmp_path / "r.txt").exists()
 
 
 @pytest.mark.parametrize(
@@ -491,6 +524,52 @@ def test_train_reports_stage_times_on_stderr(tmp_path, capsys):
         assert "train-stages" not in captured.out
     for artifact in ("m.ckpt", "train.log"):
         assert "train-stages" not in (tmp_path / artifact).read_text(encoding="utf-8")
+
+
+def test_eval_reports_stage_times_on_stderr(tmp_path, capsys, one_epoch_checkpoint):
+    bench, splits, ckpt = one_epoch_checkpoint
+    report = tmp_path / "r.txt"
+    capsys.readouterr()
+    assert run_cli(["eval", "--checkpoint", ckpt, "--data", bench, "--splits", splits,
+                    "--report-out", report]) == 0
+    captured = capsys.readouterr()
+    lines = [line for line in captured.err.splitlines() if line.startswith("eval-stages: ")]
+    assert len(lines) == 1
+    match = re.fullmatch(
+        r"eval-stages: checkpoint [0-9.]+ s \((\d+) bytes\), read [0-9.]+ s, "
+        r"evaluate [0-9.]+ s, report [0-9.]+ s",
+        lines[0],
+    )
+    assert match, lines[0]
+    assert int(match.group(1)) == ckpt.stat().st_size
+    assert "eval-stages" not in captured.out
+    assert "eval-stages" not in report.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("val_slice", [slice(20, 24), slice(20, 21)], ids=["constant", "one"])
+def test_train_keeps_a_run_whose_validation_r2_is_undefined(tmp_path, val_slice):
+    """Constant validation targets, or a single validation record, leave
+    R2 undefined: the log holds NaN and the checkpoint null."""
+    records = read_dataset(make_bench(tmp_path))
+    write_dataset(records[:20], tmp_path / "train.tsv")
+    write_dataset([dataclasses.replace(r, value=1.0) for r in records[val_slice]],
+                  tmp_path / "val.tsv")
+    cfg = write_cfg(tmp_path, "run.cfg", "epochs=2\nseed=0\n")
+    ckpt = tmp_path / "m.ckpt"
+    assert run_cli(["train", "--train", tmp_path / "train.tsv", "--val", tmp_path / "val.tsv",
+                    "--config", cfg, "--checkpoint-out", ckpt,
+                    "--log-out", tmp_path / "train.log"]) == 0
+
+    def no_constants(name):
+        raise AssertionError(f"checkpoint holds {name}")
+
+    data = json.loads(ckpt.read_text(encoding="utf-8"), parse_constant=no_constants)
+    assert data["val"]["r2"] is None
+    assert data["val"]["n"] == val_slice.stop - val_slice.start
+    rows = [line.split("\t") for line in (tmp_path / "train.log").read_text().splitlines()
+            if line[0].isdigit()]
+    assert [row[5] for row in rows] == ["nan", "nan"]
+    read_checkpoint(ckpt)
 
 
 def test_split_reports_alignment_work_on_stderr(tmp_path, capsys):

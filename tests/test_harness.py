@@ -288,41 +288,6 @@ def test_checkpoint_bytes_equal_json_dump(tmp_path, sizes, extra):
         assert str(data["nested"]["b"]["tiny"]) == "5e-324"
 
 
-def test_checkpoint_is_written_a_row_at_a_time(tmp_path, monkeypatch):
-    """No write is longer than the text of the longest matrix row (or
-    vector block), so the document never exists as one string."""
-    params = init_params(np.random.default_rng(42), 48, 16, 64)
-    writes = []
-
-    class Recording:
-        def __init__(self, fh):
-            self.fh = fh
-
-        def write(self, text):
-            writes.append(len(text))
-            return self.fh.write(text)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-    monkeypatch.setattr(harness, "open", lambda *a, **k: Recording(open(*a, **k)), raising=False)
-    path = tmp_path / "model.ckpt"
-    write_checkpoint(path, params, QUICK, extra=EXTRAS)
-    rows = [
-        row
-        for block in params_to_jsonable(params).values()
-        if isinstance(block, list)
-        for row in (block if isinstance(block[0], list) else [block])
-    ]
-    longest = max(len(json.dumps(row, separators=(",", ":"))) for row in rows)
-    assert max(writes) <= longest
-    assert len(writes) > len(rows)
-    assert sum(writes) == path.stat().st_size
-
-
 def test_checkpoint_read_errors(tmp_path):
     with pytest.raises(DatasetError):
         read_checkpoint(tmp_path / "missing.ckpt")

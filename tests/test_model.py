@@ -1,4 +1,6 @@
+import base64
 import dataclasses
+import json
 from math import floor
 from types import SimpleNamespace
 
@@ -300,32 +302,63 @@ def test_params_compare_and_hash_by_identity():
 
 
 def test_params_jsonable_round_trip():
-    params = init_params(np.random.default_rng(11), 5, 4, 6)
+    """Bit for bit through JSON text, -0.0, the smallest subnormal, both
+    largest finite values and a 17-digit sum included."""
+    theta = init_params(np.random.default_rng(11), 5, 4, 6).theta.copy()
+    special = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1 + 0.2]
+    theta[: len(special)] = special
+    params = ModelParams(theta, 5, 4, 6)
     data = params_to_jsonable(params)
-    assert type(data["b_head"]) is float
-    again = params_from_jsonable(data)
-    assert np.array_equal(params.theta, again.theta)
+    assert data["layers"] == [5, 4, 6] and isinstance(data["theta"], str)
+    again = params_from_jsonable(json.loads(json.dumps(data)))
+    assert again.theta.tobytes() == params.theta.tobytes()
     assert (again.hidden_enzyme, again.hidden_substrate, again.embed_dim) == (5, 4, 6)
 
 
+def recoded(params: dict, edit) -> dict:
+    """params with theta decoded, edited by ``edit`` and encoded again."""
+    theta = np.frombuffer(base64.b64decode(params["theta"]), dtype="<f8")
+    return {**params, "theta": base64.b64encode(edit(theta).astype("<f8").tobytes()).decode()}
+
+
+def poked(value):
+    """An edit that sets the fourth parameter to ``value``."""
+    return lambda theta: np.concatenate([theta[:3], [value], theta[4:]])
+
+
+def nested_lists(params: dict) -> dict:
+    """params in the retired checkpoint form: one nested list per block."""
+    theta = np.frombuffer(base64.b64decode(params["theta"]), dtype="<f8")
+    return {name: block.tolist() for name, block in model._blocks(theta, *params["layers"]).items()}
+
+
 @pytest.mark.parametrize(
-    "block, damage",
+    "field, damage",
     [
-        ("w_enzyme", lambda v: [row[:-1] for row in v]),  # feature width 461, not 462
-        ("w_substrate", lambda v: [row + [0.0] for row in v]),  # feature width 24, not 23
-        ("b_fusion", lambda v: v + [0.0]),
-        ("w_head", lambda v: [float("nan")] + v[1:]),
-        ("b_head", lambda v: [v]),
-        ("w_fusion", None),  # missing
+        pytest.param("theta", lambda p: {"layers": p["layers"]}, id="theta-missing"),
+        pytest.param("theta", lambda p: {**p, "theta": 17}, id="theta-not-text"),
+        pytest.param("theta", lambda p: {**p, "theta": "*" + p["theta"][1:]},
+                     id="theta-not-base64"),
+        pytest.param("theta", lambda p: {**p, "theta": p["theta"][:-1]}, id="theta-bad-padding"),
+        pytest.param("theta", lambda p: {**p, "theta": "\u00e9" + p["theta"][1:]},
+                     id="theta-not-ascii"),
+        pytest.param("theta", lambda p: recoded(p, lambda t: t[:-1]), id="theta-one-float-short"),
+        pytest.param("theta", lambda p: recoded(p, lambda t: np.append(t, 0.0)),
+                     id="theta-one-float-long"),
+        pytest.param("theta", lambda p: recoded(p, poked(np.nan)), id="theta-nan"),
+        pytest.param("theta", lambda p: recoded(p, poked(-np.inf)), id="theta-inf"),
+        pytest.param("theta", lambda p: {**p, "layers": [5, 4, 7]}, id="layers-mismatch"),
+        pytest.param("layers", lambda p: {"theta": p["theta"]}, id="layers-missing"),
+        pytest.param("layers", lambda p: {**p, "layers": [5, 4]}, id="layers-two-sizes"),
+        pytest.param("layers", lambda p: {**p, "layers": [5, 4, 0]}, id="layers-zero"),
+        pytest.param("layers", lambda p: {**p, "layers": [5, 4, True]}, id="layers-bool"),
+        pytest.param("layers", lambda p: {**p, "layers": [5.0, 4, 6]}, id="layers-float"),
+        pytest.param("theta", nested_lists, id="nested-lists"),
     ],
 )
-def test_params_from_jsonable_names_the_bad_block(block, damage):
-    data = params_to_jsonable(init_params(np.random.default_rng(14), 5, 4, 6))
-    if damage is None:
-        del data[block]
-    else:
-        data[block] = damage(data[block])
-    with pytest.raises(ValueError, match=block):
+def test_params_from_jsonable_names_the_bad_field(field, damage):
+    data = damage(params_to_jsonable(init_params(np.random.default_rng(14), 5, 4, 6)))
+    with pytest.raises(ValueError, match=field):
         params_from_jsonable(data)
 
 
