@@ -8,9 +8,8 @@ untraced (wall time) and once traced, splitting ``model.train`` into:
 
 - encode: from entry to the first step (records to feature rows, init);
 - draw: the masking draws and the masked index arrays built from them
-  (``model._draw_epoch``, once per epoch; in older trees the per-record
-  ``augment.draw_masks``, or ``augment.augment_record`` minus the
-  rendering and parsing inside it);
+  (``model._draw_epoch``, once per epoch; in older trees the per-step
+  ``augment.draw_masks``);
 - render / parse: SMILES rendering and parsing inside the steps;
 - featurize: feature rows built inside the steps;
 - forward: ``model._forward_arrays`` (steps and per-epoch validation);
@@ -47,7 +46,6 @@ PHASES = ("encode", "draw", "render", "parse", "featurize", "forward", "backward
 CATEGORY = {
     "model._draw_epoch": "draw",
     "augment.draw_masks": "draw",
-    "augment.augment_record": "draw",
     "molgraph.enumerate_smiles": "render",
     "molgraph.parse_smiles": "parse",
     "model.featurize_enzyme": "featurize",
@@ -57,8 +55,7 @@ CATEGORY = {
     "model._forward_arrays": "forward",
     "model.gradients": "backward",
 }
-STEP_START = ("model._draw_epoch", "augment.draw_masks", "augment.augment_record",
-              "model.gradients")
+STEP_START = ("model._draw_epoch", "augment.draw_masks", "model.gradients")
 
 
 class PhaseTracer:

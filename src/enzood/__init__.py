@@ -15,12 +15,7 @@ get by with ``from enzood import ...``:
 - cli: command line front end over the whole pipeline
 """
 
-from .augment import (
-    augment_dataset,
-    augment_record,
-    mask_graph,
-    mask_sequence,
-)
+from .augment import augment_dataset
 from .errors import (
     ConfigError,
     DatasetError,
@@ -121,7 +116,6 @@ __all__ = [
     "ValenceError",
     "au_good",
     "augment_dataset",
-    "augment_record",
     "best_lambda_index",
     "build_ood_splits",
     "config_hash",
@@ -138,8 +132,6 @@ __all__ = [
     "load_config",
     "load_synth_config",
     "mae",
-    "mask_graph",
-    "mask_sequence",
     "mask_sweep",
     "max_identities",
     "nested_identity_split",

@@ -13,21 +13,22 @@ Bentley & Floyd, CACM 1987): the masks of many records, drawn from
 many generators, come from one call, with the values and the generator
 states that one ``choice`` call per draw would give.
 
-The settings come from ``io.RunConfig``: ``draw_masks``,
-``augment_record`` and ``augment_dataset`` read its ``p_s``, ``p_g``,
-``substrate_mode`` and ``seed`` fields.  This module does not import
-``io`` (``io`` imports it), so any object with those fields will do.
+There are two entry points, both batch-wide: ``draw_masks`` draws the
+masks of many records from many generators (training calls it once per
+epoch), and ``augment_dataset`` turns a whole data set into (raw,
+augmented) record pairs.  Their settings come from ``io.RunConfig``,
+whose ``p_s``, ``p_g``, ``substrate_mode`` and ``seed`` fields they
+read.  This module does not import ``io`` (``io`` imports it), so any
+object with those fields will do.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from math import floor
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError
 from .molgraph import MolGraph, enumerate_smiles
 
 if TYPE_CHECKING:
@@ -38,8 +39,6 @@ MASK_SYMBOL = "X"
 ALPHABET = AMINO_ACIDS + MASK_SYMBOL
 
 _ALPHABET_SET = frozenset(ALPHABET)
-
-MAX_MASK_RATIO = 0.3
 
 SUBSTRATE_MODES = ("enumeration", "graph_mask")
 
@@ -53,13 +52,6 @@ def validate_sequence(seq: str) -> None:
         raise ValueError(f"symbols outside the residue alphabet: {sorted(bad)}")
 
 
-def _check_ratio(name: str, value: float) -> None:
-    """Mask ratios above 0.3 hurt more than they help, so both are capped
-    there; NaN fails the range test too."""
-    if not 0.0 <= value <= MAX_MASK_RATIO:
-        raise ConfigError(f"{name} must be in [0, {MAX_MASK_RATIO}], got {value}")
-
-
 # numpy's Generator.choice without replacement: Floyd's algorithm and a
 # final shuffle, or a tail shuffle of arange(pop) once pop > 10000 and
 # count > pop // 50
@@ -69,8 +61,6 @@ _TAIL_CUTOFF = 50
 # in Python beats the array passes, whose cost is mostly fixed or per
 # step: the two break even near 400 on a 2-core x86-64 machine
 _ARRAY_MIN_DRAWS = 400
-# Up to this many requests, the counts are read and checked as Python ints
-_LIST_MAX_REQUESTS = 8
 
 
 def _ranks(lengths) -> np.ndarray:
@@ -112,17 +102,12 @@ def choice_many(rngs, pops, counts, per_rng=None) -> np.ndarray:
     the tail route needs memory that grows with pop.  Under
     _ARRAY_MIN_DRAWS values in all, the same bounds are drawn and the
     requests replayed one by one in Python instead, which is faster at
-    that size; up to _LIST_MAX_REQUESTS requests are also read and
-    checked as Python ints, so that route builds no array first."""
+    that size."""
     if len(pops) != len(counts):
         raise ValueError(f"{len(pops)} populations but {len(counts)} counts")
     per_rng = [len(pops)] if per_rng is None else per_rng
     if len(per_rng) != len(rngs) or sum(per_rng) != len(pops):
         raise ValueError("per_rng must give each generator's share of the requests")
-    if len(pops) <= _LIST_MAX_REQUESTS:  # bad counts fall through and raise below
-        few = [int(p) for p in pops], [int(k) for k in counts]
-        if all(0 <= k <= p for p, k in zip(*few)) and sum(few[1]) < _ARRAY_MIN_DRAWS:
-            return _replay_one_by_one(rngs, *few, per_rng)
     pops = np.asarray(pops, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
     if (counts < 0).any() or (counts > pops).any():
@@ -221,15 +206,6 @@ def _mask_counts(ratio: float, sizes, pool_sizes) -> np.ndarray:
     return np.minimum(np.floor(ratio * np.asarray(sizes)), pool_sizes).astype(np.int64)
 
 
-def _draw_positions(size: int, ratio: float, rng: np.random.Generator, pool: int | None = None):
-    """The masking draw: floor(ratio * size) indices into
-    range(pool) (pool defaults to size), clipped to the pool when it is
-    smaller, chosen uniformly without replacement.  A zero count draws
-    nothing from ``rng``."""
-    pool = size if pool is None else pool
-    return choice_many([rng], [pool], [min(floor(ratio * size), pool)])
-
-
 def unprotected_atoms(g: MolGraph) -> np.ndarray:
     """Indices of the atoms a substrate mask may mark, in atom order."""
     return np.flatnonzero(np.logical_not(g.protected))
@@ -279,27 +255,22 @@ def _atom_mask(atom_count: int, atoms) -> tuple[bool, ...]:
     return tuple(mask)
 
 
-def mask_sequence(seq: str, p_s: float, rng: np.random.Generator) -> str:
-    """Replace exactly floor(p_s * len) residues, chosen uniformly without
-    replacement, with the MASK symbol."""
-    _check_ratio("p_s", p_s)
-    validate_sequence(seq)
-    return _masked_text(seq, _draw_positions(len(seq), p_s, rng))
+def augment_dataset(records, cfg: RunConfig) -> list[tuple]:
+    """One (raw, augmented) record tuple per record, in input order; the
+    augmented twin carries an '#aug' id suffix so both halves can live
+    in one file.  The twin's enzyme is masked, and its substrate is
+    either the record's own SMILES with an atom mask (graph_mask) or a
+    re-rendered, isomorphic SMILES with no mask (enumeration).
 
-
-def mask_graph(g: MolGraph, p_g: float, rng: np.random.Generator) -> tuple[bool, ...]:
-    """Per-atom mask of floor(p_g * atom_count) atoms drawn uniformly from
-    the unprotected pool; clipped to the pool when it is smaller.  No
-    protected atom is ever marked."""
-    _check_ratio("p_g", p_g)
-    pool = unprotected_atoms(g)
-    return _atom_mask(len(g), pool[_draw_positions(len(g), p_g, rng, len(pool))])
-
-
-def _pseudo_fields(records, cfg: RunConfig, rngs) -> list[tuple]:
-    """(sequence, smiles, substrate_mask) of each record's pseudo
-    counterpart, record r drawing from rngs[r]: its masks first
-    (draw_masks), then, in enumeration mode, its rendering."""
+    Each record gets its own generator seeded from (cfg.seed, index), so
+    any subset reproduces identically.  A record draws its masks first,
+    the masks of all records in one draw_masks call, then, in
+    enumeration mode, its rendering.
+    """
+    records = list(records)
+    if not records:
+        raise ValueError("no records to augment")
+    rngs = [np.random.default_rng([cfg.seed, index]) for index in range(len(records))]
     pools = [unprotected_atoms(r.graph) for r in records]
     sites, site_counts, picks, pick_counts = draw_masks(
         [len(r.sequence) for r in records],
@@ -311,56 +282,18 @@ def _pseudo_fields(records, cfg: RunConfig, rngs) -> list[tuple]:
     )
     sites = np.split(sites, np.cumsum(site_counts)[:-1])
     picks = np.split(picks, np.cumsum(pick_counts)[:-1])
-    out = []
+    pairs = []
     for record, rng, pool, positions, atoms in zip(records, rngs, pools, sites, picks):
-        g = record.graph
-        sequence = _masked_text(record.sequence, positions)
         if cfg.substrate_mode == "enumeration":
-            out.append((sequence, enumerate_smiles(g, 1, rng)[0], None))
+            smiles, substrate_mask = enumerate_smiles(record.graph, 1, rng)[0], None
         else:
-            out.append((sequence, record.smiles, _atom_mask(len(g), pool[atoms])))
-    return out
-
-
-def augment_record(
-    record, cfg: RunConfig, rng: np.random.Generator
-) -> tuple[str, str, tuple[bool, ...] | None]:
-    """Pseudo counterpart of ``record`` as (sequence, smiles,
-    substrate_mask): the masked enzyme plus either a re-rendered
-    (isomorphic) SMILES with no mask, or the record's own SMILES with a
-    substrate atom mask.
-
-    Works on any record with sequence, smiles, and ``graph`` (the
-    parsed smiles) attributes.
-    """
-    return _pseudo_fields([record], cfg, [rng])[0]
-
-
-def augment_dataset(records, cfg: RunConfig) -> list[tuple]:
-    """One (raw, augmented) record tuple per record, in input order; the
-    augmented twin carries an '#aug' id suffix so both halves can live
-    in one file.
-
-    Each record gets its own generator seeded from (cfg.seed, index), so
-    any subset reproduces identically; the masks of all records are
-    drawn in one draw_masks call.
-    """
-    records = list(records)
-    if not records:
-        raise ValueError("no records to augment")
-    rngs = [np.random.default_rng([cfg.seed, index]) for index in range(len(records))]
-    return [
-        (
+            smiles, substrate_mask = record.smiles, _atom_mask(len(record.graph), pool[atoms])
+        twin = dataclasses.replace(
             record,
-            dataclasses.replace(
-                record,
-                id=record.id + "#aug",
-                sequence=sequence,
-                smiles=smiles,
-                substrate_mask=substrate_mask,
-            ),
+            id=record.id + "#aug",
+            sequence=_masked_text(record.sequence, positions),
+            smiles=smiles,
+            substrate_mask=substrate_mask,
         )
-        for record, (sequence, smiles, substrate_mask) in zip(
-            records, _pseudo_fields(records, cfg, rngs)
-        )
-    ]
+        pairs.append((record, twin))
+    return pairs

@@ -227,12 +227,22 @@ def _cmd_synth(args) -> int:
 def _cmd_augment(args) -> int:
     cfg = load_config(args.config)
     _emit_hash(cfg)
+    clock = time.perf_counter
+    stamps = [clock()]  # after each stage: read, augment, write
     records = read_dataset(args.in_path)
+    stamps.append(clock())
     pairs = augment_dataset(records, cfg)
-    flat = [record for pair in pairs for record in pair]
+    stamps.append(clock())
     out = _prepare(args.out)
-    write_dataset(flat, out)
+    write_dataset([record for pair in pairs for record in pair], out)
+    stamps.append(clock())
     _wrote(out)
+    read_s, augment_s, write_s = (b - a for a, b in zip(stamps, stamps[1:]))
+    with _info_to_stderr(__name__):
+        _LOG.info(
+            "augment-stages: read %.3f s, augment %.3f s (%d records), write %.3f s",
+            read_s, augment_s, len(records), write_s,
+        )
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DatasetError, DegenerateTargetsError
-from .io import RunConfig, config_hash, format_real, resolved_items
+from .io import RunConfig, config_hash, format_scalar, resolved_items
 from .metrics import METRIC_IDS, au_good, curve_from_risks, mae, r_squared
 from .model import (
     ModelParams,
@@ -239,14 +239,6 @@ def good_evaluation(records, splits, params: ModelParams, weights=None) -> dict:
 # Artifacts
 
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format_real(value)
-    return str(value)
-
-
 def provenance_lines(cfg: RunConfig) -> list[str]:
     lines = [f"seed: {cfg.seed}", f"config_hash: {config_hash(cfg)}"]
     lines.extend(f"config: {k}={v}" for k, v in resolved_items(cfg))
@@ -263,7 +255,7 @@ def write_report(path, kind: str, cfg: RunConfig, sections) -> None:
         lines.append(f"[{title}]")
         lines.append("\t".join(header))
         for row in rows:
-            lines.append("\t".join(_cell(v) for v in row))
+            lines.append("\t".join(format_scalar(v) for v in row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -322,6 +314,6 @@ def write_train_log(path, log, cfg: RunConfig) -> None:
     lines.extend(f"# {entry}" for entry in provenance_lines(cfg))
     lines.append("\t".join(LOG_COLUMNS))
     for entry in log:
-        lines.append("\t".join(_cell(entry[name]) for name in LOG_COLUMNS))
+        lines.append("\t".join(format_scalar(entry[name]) for name in LOG_COLUMNS))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

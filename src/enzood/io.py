@@ -17,7 +17,7 @@ import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .augment import SUBSTRATE_MODES, _check_ratio, validate_sequence
+from .augment import SUBSTRATE_MODES, validate_sequence
 from .errors import ConfigError, DatasetError, DuplicateIdError
 from .molgraph import MolGraph, parse_smiles
 
@@ -46,6 +46,16 @@ _REQUIRED = ("id", "sequence", "smiles", "value", "task")
 def format_real(x: float) -> str:
     """17 significant digits: enough to reconstruct the double exactly."""
     return f"{float(x):.17g}"
+
+
+def format_scalar(value) -> str:
+    """The text of one config value, report cell or log cell: true or
+    false for a bool, format_real for a float, str for anything else."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format_real(value)
+    return str(value)
 
 
 def _mask_to_text(mask) -> str:
@@ -307,6 +317,8 @@ def write_dataset(records, path) -> None:
 # ---------------------------------------------------------------------------
 # Run configuration
 
+MAX_MASK_RATIO = 0.3
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -314,7 +326,7 @@ class RunConfig:
 
     Defaults match the reference operating point (10% masking on both
     sides, lam=0.5, 64-dim embedding).  p_s and p_g are the enzyme and
-    substrate mask ratios, capped at 0.3 (augment.MAX_MASK_RATIO);
+    substrate mask ratios, capped at 0.3 (MAX_MASK_RATIO);
     substrate_mode picks between re-rendered SMILES text (enumeration)
     and atom masking (graph_mask).  lam weighs the consistency term (0
     disables it); normalize_cons applies it to L2-normalized embeddings
@@ -337,8 +349,10 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_ratio("p_s", self.p_s)
-        _check_ratio("p_g", self.p_g)
+        for name in ("p_s", "p_g", "lam", "learning_rate"):
+            check_real(name, getattr(self, name))
+        check_ratio("p_s", self.p_s)
+        check_ratio("p_g", self.p_g)
         if self.substrate_mode not in SUBSTRATE_MODES:
             raise ConfigError(
                 f"substrate_mode must be one of {SUBSTRATE_MODES}, got {self.substrate_mode!r}"
@@ -354,6 +368,21 @@ class RunConfig:
         for name in ("epochs", "batch_size", "hidden_enzyme", "hidden_substrate", "embed_dim"):
             check_integer(name, getattr(self, name), 1)
         check_integer("seed", self.seed, 0)
+
+
+def check_real(name: str, value) -> None:
+    """ConfigError naming ``name`` unless value is a real number (not a
+    bool): a bool would echo as true or false, which no real field
+    reads back."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+
+
+def check_ratio(name: str, value: float) -> None:
+    """Mask ratios above 0.3 hurt more than they help, so both are capped
+    there; NaN fails the range test too."""
+    if not 0.0 <= value <= MAX_MASK_RATIO:
+        raise ConfigError(f"{name} must be in [0, {MAX_MASK_RATIO}], got {value}")
 
 
 def check_integer(name: str, value, least: int) -> None:
@@ -459,17 +488,10 @@ def resolved_items(cfg) -> tuple[tuple[str, str], ...]:
 
     Works on any flat config dataclass, not just RunConfig.
     """
-    def scalar(v):
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, float):
-            return format_real(v)
-        return str(v)
-
     out = []
     for f in fields(cfg):
         v = getattr(cfg, f.name)
-        text = ",".join(scalar(item) for item in v) if isinstance(v, tuple) else scalar(v)
+        text = ",".join(map(format_scalar, v)) if isinstance(v, tuple) else format_scalar(v)
         out.append((f.name, text))
     return tuple(out)
 

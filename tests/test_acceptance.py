@@ -16,7 +16,7 @@ import numpy as np
 from _molgraph_py import canonical_smiles, is_isomorphic
 
 from enzood import cli
-from enzood.augment import AMINO_ACIDS, mask_graph
+from enzood.augment import AMINO_ACIDS, draw_masks, unprotected_atoms
 from enzood.harness import (
     LAMBDA_GRID,
     best_lambda_index,
@@ -231,11 +231,18 @@ def test_acceptance_4_augmentation_safety():
     violations = 0
     for gi, g in enumerate(graphs):
         protected = detect_protected(g)
+        pool = unprotected_atoms(g)
         for pi, p in enumerate(ratios):
-            rng = np.random.default_rng([404, gi, pi])
+            # 84 records of this graph, drawn the way training draws them
+            _, _, picks, pick_counts = draw_masks(
+                [1] * 84, [len(g)] * 84, [len(pool)] * 84, RunConfig(p_s=0.0, p_g=p),
+                [np.random.default_rng([404, gi, pi])], [84],
+            )
             expected = floor(p * len(g))
-            for _ in range(84):
-                mask = mask_graph(g, p, rng)
+            for chosen in np.split(picks, np.cumsum(pick_counts)[:-1]):
+                mask = [False] * len(g)
+                for atom in pool[chosen]:
+                    mask[atom] = True
                 trials += 1
                 if sum(mask) != expected:
                     violations += 1

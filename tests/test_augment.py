@@ -2,6 +2,7 @@ from math import floor
 
 import numpy as np
 import pytest
+from _augment_py import mask_graph, mask_sequence
 from _molgraph_py import is_isomorphic
 
 from enzood import augment
@@ -10,21 +11,43 @@ from enzood.augment import (
     AMINO_ACIDS,
     MASK_SYMBOL,
     augment_dataset,
-    augment_record,
     choice_many,
     draw_masks,
-    mask_graph,
-    mask_sequence,
     unprotected_atoms,
     validate_sequence,
 )
-from enzood.errors import ConfigError
 from enzood.io import EsiRecord, RunConfig
 from enzood.molgraph import detect_protected, enumerate_smiles, parse_smiles
 
 
 def random_enzyme(rng, length):
     return "".join(AMINO_ACIDS[int(i)] for i in rng.integers(0, 20, size=length))
+
+
+def twins(records, **settings):
+    """The augmented halves augment_dataset makes of records."""
+    return [aug for _, aug in augment_dataset(records, RunConfig(**settings))]
+
+
+def enzymes(sequences):
+    """Records of the given sequences on a one-atom substrate."""
+    return [EsiRecord(f"e{i}", seq, "C", 0.0) for i, seq in enumerate(sequences)]
+
+
+def atom_masks(graphs, p_g, rng):
+    """Each graph's substrate mask, all drawn in one draw_masks call on
+    rng with p_s = 0: pool indices mapped through unprotected_atoms."""
+    pools = [unprotected_atoms(g) for g in graphs]
+    _, _, picks, pick_counts = draw_masks(
+        np.ones(len(graphs), dtype=np.int64), [len(g) for g in graphs],
+        [len(pool) for pool in pools], RunConfig(p_s=0.0, p_g=p_g), [rng], [len(graphs)],
+    )
+    masks = []
+    for g, pool, chosen in zip(graphs, pools, np.split(picks, np.cumsum(pick_counts)[:-1])):
+        mask = np.zeros(len(g), dtype=bool)
+        mask[pool[chosen]] = True
+        masks.append(tuple(mask.tolist()))
+    return masks
 
 
 def test_alphabet():
@@ -39,58 +62,43 @@ def test_alphabet():
 
 def test_mask_sequence_counts():
     rng = np.random.default_rng(0)
-    seq20 = random_enzyme(rng, 20)
-    out = mask_sequence(seq20, 0.10, rng)
-    assert out.count(MASK_SYMBOL) == 2
-    seq9 = random_enzyme(rng, 9)
-    assert mask_sequence(seq9, 0.10, rng) == seq9
-    assert mask_sequence(seq20, 0.0, rng) == seq20
+    records = enzymes([random_enzyme(rng, 20), random_enzyme(rng, 9)])
+    seq20, seq9 = twins(records, p_s=0.10)
+    assert seq20.sequence.count(MASK_SYMBOL) == 2
+    assert seq9.sequence == records[1].sequence
+    assert twins(records[:1], p_s=0.0)[0].sequence == records[0].sequence
 
 
 def test_mask_sequence_count_law():
     rng = np.random.default_rng(1)
-    for _ in range(200):
-        length = int(rng.integers(1, 120))
-        seq = random_enzyme(rng, length)
+    for seed in range(20):
+        records = enzymes(random_enzyme(rng, int(rng.integers(1, 120))) for _ in range(10))
         p_s = float(rng.uniform(0, 0.3))
-        out = mask_sequence(seq, p_s, rng)
-        assert out.count(MASK_SYMBOL) == floor(p_s * length)
-        assert len(out) == length
-        # untouched positions keep their residue
-        assert all(a == b for a, b in zip(seq, out) if b != MASK_SYMBOL)
+        for record, aug in zip(records, twins(records, p_s=p_s, seed=seed)):
+            seq, out = record.sequence, aug.sequence
+            assert out.count(MASK_SYMBOL) == floor(p_s * len(seq))
+            assert len(out) == len(seq)
+            # untouched positions keep their residue
+            assert all(a == b for a, b in zip(seq, out) if b != MASK_SYMBOL)
 
 
 def test_mask_sequence_deterministic():
-    seq = "ACDEFGHIKLMNPQRSTVWY" * 3
-    a = mask_sequence(seq, 0.2, np.random.default_rng(99))
-    b = mask_sequence(seq, 0.2, np.random.default_rng(99))
-    assert a == b
-
-
-def test_mask_sequence_validates_ratio():
-    """The maskers share RunConfig's ratio check and its ConfigError."""
-    with pytest.raises(ConfigError, match="p_s"):
-        mask_sequence("ACD", 0.31, np.random.default_rng(0))
-    with pytest.raises(ConfigError, match="p_s"):
-        mask_sequence("ACD", -0.01, np.random.default_rng(0))
-    with pytest.raises(ConfigError, match="p_g"):
-        mask_graph(parse_smiles("CCO"), float("nan"), np.random.default_rng(0))
+    records = enzymes(["ACDEFGHIKLMNPQRSTVWY" * 3])
+    assert twins(records, p_s=0.2, seed=99) == twins(records, p_s=0.2, seed=99)
 
 
 def test_mask_graph_frozen_examples():
     rng = np.random.default_rng(0)
-    g = parse_smiles("C1CC1")
-    assert mask_graph(g, 0.3, rng) == (False, False, False)
-    g = parse_smiles("CCCCCCCCCC")
-    mask = mask_graph(g, 0.10, rng)
-    assert sum(mask) == 1
+    ring, chain = parse_smiles("C1CC1"), parse_smiles("CCCCCCCCCC")
+    assert atom_masks([ring], 0.3, rng) == [(False, False, False)]
+    assert [sum(mask) for mask in atom_masks([chain], 0.10, rng)] == [1]
 
 
 def test_mask_graph_clips_to_unprotected_pool():
     g = parse_smiles("C1CCCCC1C")
     # 7 atoms, only the exocyclic methyl is unprotected
     assert sum(1 for p in detect_protected(g) if not p) == 1
-    mask = mask_graph(g, 0.3, np.random.default_rng(0))
+    (mask,) = atom_masks([g], 0.3, np.random.default_rng(0))
     assert sum(mask) == 1
     assert mask[6]
 
@@ -98,14 +106,14 @@ def test_mask_graph_clips_to_unprotected_pool():
 def test_mask_graph_never_marks_protected(corpus_smiles):
     graphs = [parse_smiles(s) for s in corpus_smiles]
     rng = np.random.default_rng(5)
-    for _ in range(2000):
-        g = graphs[int(rng.integers(len(graphs)))]
+    for _ in range(20):
+        batch = [graphs[int(i)] for i in rng.integers(len(graphs), size=100)]
         p_g = float(rng.uniform(0, 0.3))
-        mask = mask_graph(g, p_g, rng)
-        assert not any(m and p for m, p in zip(mask, g.protected))
-        assert sum(mask) == min(
-            floor(p_g * len(g)), sum(1 for p in g.protected if not p)
-        )
+        for g, mask in zip(batch, atom_masks(batch, p_g, rng)):
+            assert not any(m and p for m, p in zip(mask, g.protected))
+            assert sum(mask) == min(
+                floor(p_g * len(g)), sum(1 for p in g.protected if not p)
+            )
 
 
 def test_esipair_mask_invariant():
@@ -120,20 +128,18 @@ def test_esipair_mask_invariant():
 
 def test_augment_record_graph_mask_mode():
     rec = EsiRecord("r1", "ACDEFGHIKLMNPQRSTVWY", "CCCCCCCCCC", 1.5)
-    cfg = RunConfig(p_s=0.10, p_g=0.10, substrate_mode="graph_mask")
-    sequence, smiles, mask = augment_record(rec, cfg, np.random.default_rng(4))
-    assert sequence.count(MASK_SYMBOL) == 2
-    assert smiles == rec.smiles
-    assert sum(mask) == 1
+    (aug,) = twins([rec], p_s=0.10, p_g=0.10, substrate_mode="graph_mask", seed=4)
+    assert aug.sequence.count(MASK_SYMBOL) == 2
+    assert aug.smiles == rec.smiles
+    assert sum(aug.substrate_mask) == 1
 
 
 def test_augment_record_enumeration_mode():
     rec = EsiRecord("r1", "ACDEFGHIKL", "CC(=O)OC", -1.5)
-    cfg = RunConfig(p_s=0.0, substrate_mode="enumeration")
-    sequence, smiles, mask = augment_record(rec, cfg, np.random.default_rng(3))
-    assert sequence == rec.sequence
-    assert mask is None
-    assert is_isomorphic(parse_smiles(smiles), rec.graph)
+    (aug,) = twins([rec], p_s=0.0, substrate_mode="enumeration", seed=3)
+    assert aug.sequence == rec.sequence
+    assert aug.substrate_mask is None
+    assert is_isomorphic(parse_smiles(aug.smiles), rec.graph)
 
 
 def test_draw_masks_enumeration_draws_no_atom():
@@ -282,28 +288,32 @@ def test_draw_masks_many_records_many_generators(replay):
     assert sites.tolist() == want_sites and picks.tolist() == want_picks
 
 
+def reference_twin(record, cfg, rng):
+    """(sequence, smiles, substrate_mask) of a record's twin, one
+    rng.choice per non-empty draw: the enzyme mask first, then the
+    substrate draw of the mode."""
+    sequence = mask_sequence(record.sequence, cfg.p_s, rng)
+    if cfg.substrate_mode == "graph_mask":
+        return sequence, record.smiles, mask_graph(record.graph, cfg.p_g, rng)
+    return sequence, enumerate_smiles(record.graph, 1, rng)[0], None
+
+
 def test_augment_record_modes():
     """Both modes draw the enzyme mask first, then the substrate draw of
-    their mode, from the one generator they are given."""
+    their mode, from the record's one generator."""
     rec = EsiRecord("r1", "ACDEFGHIKLMNPQRSTVWY", "CC(C)CCCCCO", 0.5)
     for mode in ("graph_mask", "enumeration"):
-        cfg = RunConfig(p_s=0.2, p_g=0.3, substrate_mode=mode)
-        rng = np.random.default_rng(5)
-        sequence = mask_sequence(rec.sequence, cfg.p_s, rng)
-        if mode == "graph_mask":
-            expected = (sequence, rec.smiles, mask_graph(rec.graph, cfg.p_g, rng))
-        else:
-            expected = (sequence, enumerate_smiles(rec.graph, 1, rng)[0], None)
-        assert augment_record(rec, cfg, np.random.default_rng(5)) == expected
+        cfg = RunConfig(p_s=0.2, p_g=0.3, substrate_mode=mode, seed=5)
+        ((_, aug),) = augment_dataset([rec], cfg)
+        expected = reference_twin(rec, cfg, np.random.default_rng([5, 0]))
+        assert (aug.sequence, aug.smiles, aug.substrate_mask) == expected
 
 
 def test_augment_record_deterministic():
     rec = EsiRecord("r1", "ACDEFGHIKLMNPQRSTVWY", "CC(C)CCO", 2.0)
     for mode in ("graph_mask", "enumeration"):
-        cfg = RunConfig(p_s=0.2, p_g=0.2, substrate_mode=mode)
-        a = augment_record(rec, cfg, np.random.default_rng(8))
-        b = augment_record(rec, cfg, np.random.default_rng(8))
-        assert a == b
+        settings = dict(p_s=0.2, p_g=0.2, substrate_mode=mode, seed=8)
+        assert twins([rec], **settings) == twins([rec], **settings)
 
 
 def test_augment_dataset_pairing_and_determinism():
@@ -325,8 +335,9 @@ def test_augment_dataset_pairing_and_determinism():
 
 @pytest.mark.parametrize("mode", ["graph_mask", "enumeration"])
 def test_augment_dataset_is_augment_record_per_record(mode):
-    """One draw for the whole set gives each record what augment_record
-    gives it with the (seed, index) generator, renderings included."""
+    """One draw for the whole set gives each record what one
+    rng.choice per draw on its (seed, index) generator gives it,
+    renderings included."""
     rng = np.random.default_rng(14)
     smiles = ("CC(C)CC(=O)OCC", "CCCCCCCCCCO", "C", "c1ccccc1CCCN")
     records = [
@@ -336,7 +347,7 @@ def test_augment_dataset_is_augment_record_per_record(mode):
     cfg = RunConfig(p_s=0.3, p_g=0.3, substrate_mode=mode, seed=5)
     got = [aug for _, aug in augment_dataset(records, cfg)]
     for index, (record, aug) in enumerate(zip(records, got)):
-        want = augment_record(record, cfg, np.random.default_rng([cfg.seed, index]))
+        want = reference_twin(record, cfg, np.random.default_rng([cfg.seed, index]))
         assert (aug.sequence, aug.smiles, aug.substrate_mask) == want
 
 

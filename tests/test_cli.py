@@ -546,6 +546,24 @@ def test_eval_reports_stage_times_on_stderr(tmp_path, capsys, one_epoch_checkpoi
     assert "eval-stages" not in report.read_text(encoding="utf-8")
 
 
+def test_augment_reports_stage_times_on_stderr(tmp_path, capsys):
+    bench = make_bench(tmp_path)
+    out = tmp_path / "aug.jsonl"
+    capsys.readouterr()
+    assert run_cli(["augment", "--in", bench, "--out", out]) == 0
+    captured = capsys.readouterr()
+    lines = [line for line in captured.err.splitlines() if line.startswith("augment-stages: ")]
+    assert len(lines) == 1
+    match = re.fullmatch(
+        r"augment-stages: read [0-9.]+ s, augment [0-9.]+ s \((\d+) records\), write [0-9.]+ s",
+        lines[0],
+    )
+    assert match, lines[0]
+    assert int(match.group(1)) == len(read_dataset(bench))
+    assert "augment-stages" not in captured.out
+    assert "augment-stages" not in out.read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("val_slice", [slice(20, 24), slice(20, 21)], ids=["constant", "one"])
 def test_train_keeps_a_run_whose_validation_r2_is_undefined(tmp_path, val_slice):
     """Constant validation targets, or a single validation record, leave

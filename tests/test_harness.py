@@ -112,12 +112,9 @@ def test_train_on_split_parses_no_smiles(bench, split, monkeypatch, mode):
                 for attr, value in list(vars(module).items()):
                     if value is real:
                         monkeypatch.setattr(module, attr, wrapped)
-    dataclasses.replace(bench[0], id="probe")
-    augment.augment_record(
-        bench[0], RunConfig(substrate_mode="enumeration"), np.random.default_rng(0)
-    )
-    # the patches reach record validation and the renderer's callers
-    assert calls == ["parse_smiles", "enumerate_smiles"]
+    augment.augment_dataset([bench[0]], RunConfig(substrate_mode="enumeration"))
+    # the patches reach the renderer's callers and record validation
+    assert calls == ["enumerate_smiles", "parse_smiles"]
     calls.clear()
     cfg = dataclasses.replace(QUICK, substrate_mode=mode, lam=0.5)
     train_on_split(bench, split, cfg)

@@ -316,20 +316,27 @@ def test_load_config(tmp_path):
 
 RUN_CONFIG_REJECTS = [
     ("p_s", 0.35),
+    ("p_s", 0.31),
     ("p_s", -0.01),
     ("p_s", float("nan")),
+    ("p_s", False),
     ("p_g", -0.1),
     ("p_g", 0.31),
+    ("p_g", float("nan")),
+    ("p_g", False),
     ("substrate_mode", "edges"),
     ("lam", -0.5),
     ("lam", float("nan")),
     ("lam", float("inf")),
+    ("lam", True),
+    ("lam", "0.5"),
     ("normalize_cons", "true"),
     ("normalize_cons", 1),
     ("learning_rate", 0.0),
     ("learning_rate", -0.02),
     ("learning_rate", float("inf")),
     ("learning_rate", float("nan")),
+    ("learning_rate", True),
     ("epochs", 0),
     ("epochs", 2.5),
     ("batch_size", 0),

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import _featurize_py as reference
+from _augment_py import mask_graph, mask_sequence
 from enzood import model
-from enzood.augment import ALPHABET, AMINO_ACIDS, mask_graph, mask_sequence
+from enzood.augment import ALPHABET, AMINO_ACIDS
 from enzood.errors import NonFiniteError
 from enzood.io import EsiRecord, RunConfig
 from enzood.model import (
