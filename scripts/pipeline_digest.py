@@ -5,7 +5,7 @@ Each command runs as ``python -m enzood`` in a fresh process with
 members_per_family=10, prototype_length=40, seed=0`` (60 records):
 
 - synth;
-- augment in graph_mask mode (JSONL) and in enumeration mode (TSV);
+- augment in graph_mask mode and in enumeration mode;
 - split at 0.4,0.6,0.8,0.99 (test fraction 0.3, seed 0), and the
   training half of 0.6 split again at 0.6 (seed 1);
 - train control (``lam=0``), treated (``lam=0.5``) and treated in
@@ -56,7 +56,7 @@ def commands(cfg: Path, out: Path) -> list[list]:
 
     return [
         ["synth", "--config", cfg / "synth.cfg", "--out", out / "bench.tsv"],
-        ["augment", "--in", out / "bench.tsv", "--out", out / "aug-gm.jsonl",
+        ["augment", "--in", out / "bench.tsv", "--out", out / "aug-gm.tsv",
          "--config", cfg / "treated.cfg"],
         ["augment", "--in", out / "bench.tsv", "--out", out / "aug-enum.tsv",
          "--config", cfg / "enumeration.cfg"],

@@ -445,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate the synthetic benchmark plus truth sidecar")
     p.add_argument("--config", default=None, help="key=value synthesis config file")
-    p.add_argument("--out", required=True, help="dataset output path (.tsv or .jsonl)")
+    p.add_argument("--out", required=True, help="dataset output path (.tsv)")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("augment", help="materialize raw plus augmented record pairs")

@@ -1,8 +1,7 @@
 """Dataset and configuration persistence shared by the whole pipeline.
 
-Two dataset formats: tab-delimited (human-inspectable corpora) and one
-JSON object per line (metadata-rich synthetic sets).  Reals always carry
-17 significant digits so write-then-read reproduces every double
+One dataset format: tab-delimited text with a fixed header.  Reals always
+carry 17 significant digits so write-then-read reproduces every double
 bit-exactly and repeated writes are byte-identical.  Run configuration
 is flat key=value text with strict key checking; every artifact embeds
 the seed and a hash of the resolved configuration.
@@ -11,7 +10,6 @@ the seed and a hash of the resolved configuration.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields
@@ -22,10 +20,6 @@ from .errors import ConfigError, DatasetError, DuplicateIdError
 from .molgraph import MolGraph, parse_smiles
 
 TASKS = ("kcat", "km")
-
-FORMAT_TSV = "tsv"
-FORMAT_JSONL = "jsonl"
-FORMATS = (FORMAT_TSV, FORMAT_JSONL)
 
 _COLUMNS = (
     "id",
@@ -49,10 +43,8 @@ def format_real(x: float) -> str:
 
 
 def format_scalar(value) -> str:
-    """The text of one config value, report cell or log cell: true or
-    false for a bool, format_real for a float, str for anything else."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
+    """The text of one config value, report cell or log cell: format_real
+    for a float, str for anything else."""
     if isinstance(value, float):
         return format_real(value)
     return str(value)
@@ -76,8 +68,8 @@ class EsiRecord:
     when present, marks masked substrate atoms from graph-mask
     augmentation so materialized pseudo records survive round trips.
     graph is the substrate parsed from smiles during validation; it is
-    derived, so it stays out of equality, hashing, repr and both file
-    formats.
+    derived, so it stays out of equality, hashing, repr and the file
+    format.
     """
 
     id: str
@@ -145,13 +137,9 @@ class EsiRecord:
 # Dataset files
 
 
-def _infer_format(path: Path) -> str:
-    suffix = path.suffix.lower().lstrip(".")
-    if suffix in FORMATS:
-        return suffix
-    raise ConfigError(
-        f"cannot infer dataset format from {path.name!r}; the suffix must be one of {FORMATS}"
-    )
+def _check_suffix(path: Path) -> None:
+    if path.suffix.lower() != ".tsv":
+        raise ConfigError(f"dataset file {path.name!r} must end in .tsv")
 
 
 def _build_record(raw: dict, origin: str, lineno: int) -> EsiRecord:
@@ -195,42 +183,14 @@ def _parse_tsv(lines, origin: str) -> list[tuple[int, EsiRecord]]:
     return records
 
 
-def _parse_jsonl(lines, origin: str) -> list[tuple[int, EsiRecord]]:
-    records = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"{origin}:{lineno}: invalid record line: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise DatasetError(f"{origin}:{lineno}: record line must be an object")
-        unknown = sorted(set(obj) - set(_COLUMNS))
-        if unknown:
-            raise DatasetError(f"{origin}:{lineno}: unknown fields {unknown}")
-        missing = [name for name in _REQUIRED if name not in obj]
-        if missing:
-            raise DatasetError(f"{origin}:{lineno}: missing required fields {missing}")
-        raw = dict(obj)
-        if "substrate_mask" in raw and raw["substrate_mask"] is not None:
-            try:
-                raw["substrate_mask"] = _mask_from_text(raw["substrate_mask"])
-            except (TypeError, ValueError) as exc:
-                raise DatasetError(f"{origin}:{lineno}: bad substrate_mask: {exc}") from exc
-        records.append((lineno, _build_record(raw, origin, lineno)))
-    return records
-
-
 def read_dataset(path) -> list[EsiRecord]:
-    """Load and eagerly validate every record; the file suffix names the
-    format.
+    """Load and eagerly validate every record of a .tsv file.
 
     Validation errors name the file and line; duplicate ids raise
     DuplicateIdError.
     """
     path = Path(path)
-    fmt = _infer_format(path)
+    _check_suffix(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -239,10 +199,7 @@ def read_dataset(path) -> list[EsiRecord]:
     if lines and lines[-1] == "":
         lines.pop()
     origin = str(path)
-    if fmt == FORMAT_TSV:
-        numbered = _parse_tsv(lines, origin)
-    else:
-        numbered = _parse_jsonl(lines, origin)
+    numbered = _parse_tsv(lines, origin)
     seen: dict[str, int] = {}
     for lineno, record in numbered:
         if record.id in seen:
@@ -270,46 +227,18 @@ def _record_to_tsv(r: EsiRecord) -> str:
     return "\t".join(cells)
 
 
-def _record_to_jsonl(r: EsiRecord) -> str:
-    parts = [
-        f'"id": {json.dumps(r.id)}',
-        f'"sequence": {json.dumps(r.sequence)}',
-        f'"smiles": {json.dumps(r.smiles)}',
-        f'"value": {format_real(r.value)}',
-        f'"task": {json.dumps(r.task)}',
-    ]
-    if r.organism is not None:
-        parts.append(f'"organism": {json.dumps(r.organism)}')
-    if r.substrate_name is not None:
-        parts.append(f'"substrate_name": {json.dumps(r.substrate_name)}')
-    if r.ph is not None:
-        parts.append(f'"ph": {format_real(r.ph)}')
-    if r.temperature is not None:
-        parts.append(f'"temperature": {format_real(r.temperature)}')
-    if r.substrate_mask is not None:
-        parts.append(f'"substrate_mask": {json.dumps(_mask_to_text(r.substrate_mask))}')
-    return "{" + ", ".join(parts) + "}"
-
-
 def write_dataset(records, path) -> None:
-    """Deterministic field order and formatting, in the format the file
-    suffix names; rewriting the same records yields a byte-identical
-    file."""
+    """Deterministic field order and formatting in a .tsv file; rewriting
+    the same records yields a byte-identical file."""
     path = Path(path)
-    fmt = _infer_format(path)
+    _check_suffix(path)
     records = list(records)
     seen = set()
     for record in records:
         if record.id in seen:
             raise DuplicateIdError(f"duplicate id {record.id!r} in records to write")
         seen.add(record.id)
-    if fmt == FORMAT_TSV:
-        body = [_HEADER] + [_record_to_tsv(r) for r in records]
-    else:
-        body = [_record_to_jsonl(r) for r in records]
-    text = "\n".join(body)
-    if body:
-        text += "\n"
+    text = "\n".join([_HEADER] + [_record_to_tsv(r) for r in records]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
@@ -329,8 +258,7 @@ class RunConfig:
     substrate mask ratios, capped at 0.3 (MAX_MASK_RATIO);
     substrate_mode picks between re-rendered SMILES text (enumeration)
     and atom masking (graph_mask).  lam weighs the consistency term (0
-    disables it); normalize_cons applies it to L2-normalized embeddings
-    instead of raw ones.  seed drives initialisation, batch order and
+    disables it).  seed drives initialisation, batch order and
     every augmentation draw.  Every range check lives here and raises
     ConfigError naming the field.
     """
@@ -339,7 +267,6 @@ class RunConfig:
     p_g: float = 0.10
     substrate_mode: str = "graph_mask"
     lam: float = 0.5
-    normalize_cons: bool = False
     learning_rate: float = 0.02
     epochs: int = 300
     batch_size: int = 16
@@ -359,8 +286,6 @@ class RunConfig:
             )
         if not (self.lam >= 0 and math.isfinite(self.lam)):
             raise ConfigError(f"lam must be finite and non-negative, got {self.lam}")
-        if not isinstance(self.normalize_cons, bool):
-            raise ConfigError(f"normalize_cons must be true or false, got {self.normalize_cons!r}")
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
             raise ConfigError(
                 f"learning_rate must be finite and positive, got {self.learning_rate}"
@@ -372,7 +297,7 @@ class RunConfig:
 
 def check_real(name: str, value) -> None:
     """ConfigError naming ``name`` unless value is a real number (not a
-    bool): a bool would echo as true or false, which no real field
+    bool): a bool would echo as True or False, which no real field
     reads back."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
@@ -395,14 +320,6 @@ def check_integer(name: str, value, least: int) -> None:
 _CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
-def parse_bool(text: str) -> bool:
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise ValueError(f"expected true or false, got {text!r}")
-
-
 def parse_int(text: str) -> int:
     return int(text, 10)
 
@@ -419,7 +336,6 @@ _CONFIG_PARSERS = {
     "p_g": parse_real,
     "substrate_mode": str,
     "lam": parse_real,
-    "normalize_cons": parse_bool,
     "learning_rate": parse_real,
     "epochs": parse_int,
     "batch_size": parse_int,

@@ -262,10 +262,7 @@ class ModelParams:
 
 
 def init_params(
-    rng: np.random.Generator,
-    hidden_enzyme: int = 48,
-    hidden_substrate: int = 16,
-    embed_dim: int = 64,
+    rng: np.random.Generator, hidden_enzyme: int, hidden_substrate: int, embed_dim: int
 ) -> ModelParams:
     """Gaussian init scaled by 1/sqrt(fan_in); biases start at zero."""
     blocks = {
@@ -348,33 +345,6 @@ def loss_total(base: float, cons: float, lam: float) -> float:
 # Gradients
 
 
-def _normalize_rows(z, eps=1e-12):
-    norms = np.maximum(np.linalg.norm(z, axis=1, keepdims=True), eps)
-    return z / norms, norms
-
-
-def _cons_embedding_grads(z_raw, z_aug, batch, normalize):
-    """Gradient of mean ||u_raw - u_aug||^2 w.r.t. both raw embeddings,
-    where u is the embedding itself or its L2-normalized form."""
-    if not normalize:
-        diff = (2.0 / batch) * (z_raw - z_aug)
-        return diff, -diff
-    u_raw, n_raw = _normalize_rows(z_raw)
-    u_aug, n_aug = _normalize_rows(z_aug)
-    g_u = (2.0 / batch) * (u_raw - u_aug)
-    g_raw = (g_u - u_raw * np.sum(u_raw * g_u, axis=1, keepdims=True)) / n_raw
-    g_aug = (-g_u - u_aug * np.sum(u_aug * (-g_u), axis=1, keepdims=True)) / n_aug
-    return g_raw, g_aug
-
-
-def _cons_value(z_raw, z_aug, normalize):
-    if not normalize:
-        return loss_cons(z_raw, z_aug)
-    u_raw, _ = _normalize_rows(z_raw)
-    u_aug, _ = _normalize_rows(z_aug)
-    return loss_cons(u_raw, u_aug)
-
-
 def gradients(
     params: ModelParams,
     x_enzyme_raw,
@@ -383,7 +353,6 @@ def gradients(
     x_substrate_aug,
     targets,
     lam: float,
-    normalize_cons: bool = False,
     *,
     _out: np.ndarray | None = None,
 ):
@@ -424,13 +393,10 @@ def gradients(
         xe_aug, xs_aug, he_aug, hs_aug, h_aug, z_aug, _ = _forward_arrays(
             params, x_enzyme_aug, x_substrate_aug
         )
-        cons = _cons_value(z_raw, z_aug, normalize_cons)
-        gz_cons_raw, gz_cons_aug = _cons_embedding_grads(
-            z_raw, z_aug, batch, normalize_cons
-        )
+        cons = loss_cons(z_raw, z_aug)
+        gz_cons_raw = (2.0 / batch) * (z_raw - z_aug)
     else:
         cons = 0.0
-        gz_cons_raw = gz_cons_aug = None
 
     def back_pass(g_z, z, h, h_e, h_s, x_e, x_s):
         dpre_f = g_z * (1.0 - z * z)
@@ -446,11 +412,11 @@ def gradients(
         grads["b_substrate"] += dpre_s.sum(axis=0)
 
     g_z_raw = np.outer(g_pred, params.w_head)
-    if gz_cons_raw is not None:
+    if lam > 0:
         g_z_raw = g_z_raw + lam * gz_cons_raw
     back_pass(g_z_raw, z_raw, h_raw, he_raw, hs_raw, xe_raw, xs_raw)
-    if gz_cons_aug is not None:
-        back_pass(lam * gz_cons_aug, z_aug, h_aug, he_aug, hs_aug, xe_aug, xs_aug)
+    if lam > 0:
+        back_pass(lam * -gz_cons_raw, z_aug, h_aug, he_aug, hs_aug, xe_aug, xs_aug)
 
     if not np.all(np.isfinite(flat)):
         name = next(name for name, g in grads.items() if not np.all(np.isfinite(g)))
@@ -537,9 +503,9 @@ def train(train_records, val_records, cfg: RunConfig):
 
     params = init_params(
         np.random.default_rng([cfg.seed, 0xA11]),
-        hidden_enzyme=cfg.hidden_enzyme,
-        hidden_substrate=cfg.hidden_substrate,
-        embed_dim=cfg.embed_dim,
+        cfg.hidden_enzyme,
+        cfg.hidden_substrate,
+        cfg.embed_dim,
     )
     sizes = (params.hidden_enzyme, params.hidden_substrate, params.embed_dim)
     velocity = np.zeros(params.theta.shape)
@@ -586,7 +552,6 @@ def train(train_records, val_records, cfg: RunConfig):
                     xa_s,
                     y[idx],
                     cfg.lam,
-                    normalize_cons=cfg.normalize_cons,
                     _out=grad,
                 )
             except NonFiniteError as exc:

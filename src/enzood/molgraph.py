@@ -383,19 +383,13 @@ def parse_smiles(text: str) -> MolGraph:
                 )
             finished.append(atom)
         else:
-            target = None
-            for cand in _DEFAULT_VALENCES[atom.element]:
-                if cand >= rounded:
-                    target = cand
-                    break
-            if target is None:
+            implicit = _implied_h(atom, rounded)
+            if implicit is None:
                 raise ValenceError(
                     f"atom {idx} ({atom.element}) bond-order sum {rounded} exceeds "
                     f"valence {MAX_VALENCE[atom.element]}"
                 )
-            finished.append(
-                Atom(atom.element, atom.formal_charge, atom.aromatic, target - rounded)
-            )
+            finished.append(Atom(atom.element, atom.formal_charge, atom.aromatic, implicit))
     return MolGraph(finished, bonds)
 
 

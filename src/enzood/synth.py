@@ -24,6 +24,7 @@ from .errors import ConfigError
 from .io import (
     EsiRecord,
     check_integer,
+    check_real,
     parse_config_pairs,
     parse_int,
     parse_real,
@@ -90,17 +91,21 @@ class SynthConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "scaffolds", tuple(self.scaffolds))
-        if self.family_count < 1 or self.members_per_family < 1:
-            raise ConfigError("family_count and members_per_family must be positive")
-        if self.prototype_length < 2:
-            raise ConfigError("prototype_length must be at least 2")
+        for name, least in (
+            ("family_count", 1),
+            ("prototype_length", 2),
+            ("members_per_family", 1),
+            ("seed", 0),
+        ):
+            check_integer(name, getattr(self, name), least)
+        for name in ("mutation_rate", "sigma", "rho"):
+            check_real(name, getattr(self, name))
         if not 0.0 <= self.mutation_rate <= 0.5:
             raise ConfigError(f"mutation_rate must be in [0, 0.5], got {self.mutation_rate}")
         if not (self.sigma >= 0 and math.isfinite(self.sigma)):
             raise ConfigError(f"sigma must be finite and non-negative, got {self.sigma}")
         if not 0.0 <= self.rho <= 1.0:
             raise ConfigError(f"rho must be in [0, 1], got {self.rho}")
-        check_integer("seed", self.seed, 0)
         if not self.scaffolds:
             raise ConfigError("scaffold set must be non-empty")
         for k, text in enumerate(self.scaffolds):

@@ -116,7 +116,7 @@ def test_acceptance_1_gradient_oracle():
         rng = np.random.default_rng([101, draw])
         lam = lams[draw % len(lams)]
         params, (x_e, x_s, xa_e, xa_s, y) = _random_gradient_case(rng)
-        analytic, _, _ = gradients(params, x_e, x_s, xa_e, xa_s, y, lam, normalize_cons=False)
+        analytic, _, _ = gradients(params, x_e, x_s, xa_e, xa_s, y, lam)
         numeric = _fd_gradient(params, (x_e, x_s, xa_e, xa_s, y, lam))
         worst = max(worst, _max_rel_error(analytic, numeric))
     elapsed = time.perf_counter() - start

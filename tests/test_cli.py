@@ -6,6 +6,7 @@ the suite stays fast; artifacts land in tmp_path."""
 import base64
 import dataclasses
 import filecmp
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -423,14 +424,29 @@ def test_exit_code_three_for_malformed_checkpoint(
     assert not (tmp_path / "r.txt").exists()
 
 
+# RunConfig's fields while it still had normalize_cons, in declaration order
+OLD_CONFIG_KEYS = ("p_s", "p_g", "substrate_mode", "lam", "normalize_cons", "learning_rate",
+                   "epochs", "batch_size", "hidden_enzyme", "hidden_substrate", "embed_dim",
+                   "seed")
+
+
+def old_echo(data):
+    """The echo and hash a checkpoint of the same run had before
+    normalize_cons was removed."""
+    data["config"]["normalize_cons"] = "false"
+    text = "".join(f"{key}={data['config'][key]}\n" for key in OLD_CONFIG_KEYS)
+    data["config_hash"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize(
     "damage",
     [
         lambda data: data["config"].update(seed="-1"),
         lambda data: data["config"].update(lam="0.25"),
         lambda data: data.pop("config_hash"),
+        old_echo,
     ],
-    ids=["negative-seed", "edited-lam", "no-hash"],
+    ids=["negative-seed", "edited-lam", "no-hash", "old-echo"],
 )
 def test_exit_code_three_for_damaged_config_echo(tmp_path, capsys, damage):
     """The echo must rebuild a valid config whose hash is the stored
@@ -548,7 +564,7 @@ def test_eval_reports_stage_times_on_stderr(tmp_path, capsys, one_epoch_checkpoi
 
 def test_augment_reports_stage_times_on_stderr(tmp_path, capsys):
     bench = make_bench(tmp_path)
-    out = tmp_path / "aug.jsonl"
+    out = tmp_path / "aug.tsv"
     capsys.readouterr()
     assert run_cli(["augment", "--in", bench, "--out", out]) == 0
     captured = capsys.readouterr()

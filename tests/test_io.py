@@ -8,7 +8,6 @@ from _molgraph_py import canonical_smiles
 from enzood.augment import augment_dataset
 from enzood.errors import ConfigError, DatasetError, DuplicateIdError
 from enzood.io import (
-    FORMATS,
     EsiRecord,
     RunConfig,
     config_hash,
@@ -99,9 +98,8 @@ def sample_records():
     ]
 
 
-@pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
-def test_round_trip_bit_exact(tmp_path, fmt):
-    path = tmp_path / f"data.{fmt}"
+def test_round_trip_bit_exact(tmp_path):
+    path = tmp_path / "data.tsv"
     records = sample_records()
     write_dataset(records, path)
     again = read_dataset(path)
@@ -110,10 +108,9 @@ def test_round_trip_bit_exact(tmp_path, fmt):
         assert math.isclose(a.value, b.value, rel_tol=0, abs_tol=0)
 
 
-@pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
-def test_rewrite_byte_identical(tmp_path, fmt):
-    p1 = tmp_path / f"a.{fmt}"
-    p2 = tmp_path / f"b.{fmt}"
+def test_rewrite_byte_identical(tmp_path):
+    p1 = tmp_path / "a.tsv"
+    p2 = tmp_path / "b.tsv"
     write_dataset(sample_records(), p1)
     write_dataset(sample_records(), p2)
     assert p1.read_bytes() == p2.read_bytes()
@@ -122,11 +119,10 @@ def test_rewrite_byte_identical(tmp_path, fmt):
 def test_awkward_reals_survive(tmp_path):
     values = [0.1, 1 / 3, math.pi, 1e-300, -1e300, 7.0]
     records = [make_record(i, value=v) for i, v in enumerate(values)]
-    for fmt in ("tsv", "jsonl"):
-        path = tmp_path / f"x.{fmt}"
-        write_dataset(records, path)
-        for rec, v in zip(read_dataset(path), values):
-            assert rec.value == v
+    path = tmp_path / "x.tsv"
+    write_dataset(records, path)
+    for rec, v in zip(read_dataset(path), values):
+        assert rec.value == v
 
 
 def test_empty_roundtrips(tmp_path):
@@ -134,19 +130,16 @@ def test_empty_roundtrips(tmp_path):
     write_dataset([], tsv)
     assert read_dataset(tsv) == []
     assert tsv.read_text() == HEADER + "\n"
-    jsonl = tmp_path / "empty.jsonl"
-    write_dataset([], jsonl)
-    assert read_dataset(jsonl) == []
 
 
 def test_format_inference_and_override(tmp_path):
-    """The file suffix is the only way to name a format."""
+    """.tsv, in any case, is the only dataset suffix."""
     records = sample_records()[:2]
-    path = tmp_path / "data.jsonl"
+    path = tmp_path / "data.TSV"
     write_dataset(records, path)
-    assert path.read_text(encoding="utf-8").startswith("{")
+    assert path.read_text(encoding="utf-8").startswith(HEADER + "\n")
     assert read_dataset(path) == records
-    for name in ("data.txt", "data.csv"):
+    for name in ("data.txt", "data.csv", "data.jsonl"):
         with pytest.raises(ConfigError):
             write_dataset(records, tmp_path / name)
         (tmp_path / name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
@@ -198,28 +191,6 @@ def test_tsv_errors_name_the_line(tmp_path):
         read_dataset(path)
 
 
-def test_jsonl_errors_name_the_line(tmp_path):
-    path = tmp_path / "d.jsonl"
-    lines = [
-        '{"id": "r1", "sequence": "ACDE", "smiles": "CCO", "value": 1.5, "task": "kcat"}',
-        '{"id": "r2", "sequence": "ACDE", "smiles": "CCO", "value": 1.5, "task": "kcat", "color": "red"}',
-    ]
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DatasetError) as excinfo:
-        read_dataset(path)
-    assert ":2:" in str(excinfo.value) and "color" in str(excinfo.value)
-
-    path.write_text('{"id": "r1"}\n')
-    with pytest.raises(DatasetError) as excinfo:
-        read_dataset(path)
-    assert "missing required" in str(excinfo.value)
-
-    path.write_text("not json\n")
-    with pytest.raises(DatasetError) as excinfo:
-        read_dataset(path)
-    assert ":1:" in str(excinfo.value)
-
-
 def test_read_missing_file(tmp_path):
     with pytest.raises(DatasetError):
         read_dataset(tmp_path / "nope.tsv")
@@ -234,14 +205,13 @@ def test_augmented_records_round_trip(tmp_path):
     ((_, aug),) = augment_dataset([base], RunConfig(p_s=0.2, p_g=0.2, seed=1))
     assert aug.id == "rec7#aug"
     assert aug.substrate_mask is not None
-    for fmt in FORMATS:
-        path = tmp_path / f"aug.{fmt}"
-        write_dataset([base, aug], path)
-        back = read_dataset(path)
-        assert back == [base, aug]
-        assert back[1].substrate_mask == aug.substrate_mask
-        assert canonical_smiles(back[1].graph) == canonical_smiles(aug.graph)
-        assert "graph" not in path.read_text()
+    path = tmp_path / "aug.tsv"
+    write_dataset([base, aug], path)
+    back = read_dataset(path)
+    assert back == [base, aug]
+    assert back[1].substrate_mask == aug.substrate_mask
+    assert canonical_smiles(back[1].graph) == canonical_smiles(aug.graph)
+    assert "graph" not in path.read_text()
     # the parsed graph is derived state: out of ==, hash and repr
     twin = make_record(7)
     assert twin.graph is not base.graph
@@ -273,12 +243,10 @@ def test_config_overrides_and_comments():
     lam = 5.0
     epochs = 10
 
-    normalize_cons = true
     substrate_mode = enumeration
     """
     cfg = parse_config_text(text)
     assert cfg.lam == 5.0 and cfg.epochs == 10
-    assert cfg.normalize_cons is True
     assert cfg.substrate_mode == "enumeration"
     assert cfg.p_s == 0.10  # untouched default
 
@@ -293,7 +261,7 @@ def test_config_rejections():
     with pytest.raises(ConfigError):
         parse_config_text("epochs = 2.5\n")
     with pytest.raises(ConfigError):
-        parse_config_text("normalize_cons = True\n")
+        parse_config_text("normalize_cons = false\n")
     with pytest.raises(ConfigError):
         parse_config_text("lam\n")
     with pytest.raises(ConfigError):
@@ -330,8 +298,6 @@ RUN_CONFIG_REJECTS = [
     ("lam", float("inf")),
     ("lam", True),
     ("lam", "0.5"),
-    ("normalize_cons", "true"),
-    ("normalize_cons", 1),
     ("learning_rate", 0.0),
     ("learning_rate", -0.02),
     ("learning_rate", float("inf")),
@@ -378,7 +344,7 @@ def test_resolved_items_order_and_format():
     assert keys[:4] == ["p_s", "p_g", "substrate_mode", "lam"]
     values = dict(items)
     assert values["p_s"] == format_real(0.10)
-    assert values["normalize_cons"] == "false"
+    assert values["substrate_mode"] == "graph_mask"
     assert values["epochs"] == "300"
 
 

@@ -50,19 +50,13 @@ def forward(params, record):
     return z[0], float(preds[0])
 
 
-def batch_losses(params, x_e, x_s, xa_e, xa_s, targets, lam, normalize=False):
+def batch_losses(params, x_e, x_s, xa_e, xa_s, targets, lam):
     """(base, cons, total) of one batch from forward passes alone."""
-
-    def unit_rows(z):
-        return z / np.maximum(np.linalg.norm(z, axis=1, keepdims=True), 1e-12)
-
     z_raw, preds = forward_batch(params, x_e, x_s)
     base = loss_base(preds, targets)
     cons = 0.0
     if lam > 0:
         z_aug, _ = forward_batch(params, xa_e, xa_s)
-        if normalize:
-            z_raw, z_aug = unit_rows(z_raw), unit_rows(z_aug)
         cons = loss_cons(z_raw, z_aug)
     return base, cons, loss_total(base, cons, lam)
 
@@ -451,14 +445,13 @@ def random_batch(rng, batch, he=5, hs=4, d=6):
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 5.0])
-@pytest.mark.parametrize("normalize", [False, True])
-def test_gradients_match_finite_differences(lam, normalize):
-    rng = np.random.default_rng(int(lam * 10) + (1000 if normalize else 0) + 3)
+def test_gradients_match_finite_differences(lam):
+    rng = np.random.default_rng(int(lam * 10) + 3)
     params, (x_e, x_s, xa_e, xa_s, y) = random_batch(rng, batch=3)
-    grads, base, cons = gradients(params, x_e, x_s, xa_e, xa_s, y, lam, normalize_cons=normalize)
-    numeric = fd_gradient(params, (x_e, x_s, xa_e, xa_s, y, lam, normalize))
+    grads, base, cons = gradients(params, x_e, x_s, xa_e, xa_s, y, lam)
+    numeric = fd_gradient(params, (x_e, x_s, xa_e, xa_s, y, lam))
     assert max_rel_error(grads, numeric) < 1e-4
-    b2, c2, _ = batch_losses(params, x_e, x_s, xa_e, xa_s, y, lam, normalize)
+    b2, c2, _ = batch_losses(params, x_e, x_s, xa_e, xa_s, y, lam)
     assert base == b2 and cons == c2
 
 
@@ -485,17 +478,16 @@ def test_gradients_name_the_non_finite_block():
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5])
-@pytest.mark.parametrize("normalize", [False, True])
-def test_gradients_into_a_buffer_match_the_public_call(lam, normalize):
-    rng = np.random.default_rng(int(lam * 10) + (100 if normalize else 0) + 24)
+def test_gradients_into_a_buffer_match_the_public_call(lam):
+    rng = np.random.default_rng(int(lam * 10) + 24)
     params, args = random_batch(rng, batch=4)
-    fresh, base, cons = gradients(params, *args, lam, normalize_cons=normalize)
+    fresh, base, cons = gradients(params, *args, lam)
     buffer = np.full(params.theta.shape, np.nan)  # stale contents are zeroed first
-    into, base2, cons2 = gradients(params, *args, lam, normalize_cons=normalize, _out=buffer)
+    into, base2, cons2 = gradients(params, *args, lam, _out=buffer)
     assert into is buffer and fresh is not buffer
     assert fresh.tobytes() == into.tobytes()
     assert (base, cons) == (base2, cons2)
-    again, *_ = gradients(params, *args, lam, normalize_cons=normalize, _out=buffer)
+    again, *_ = gradients(params, *args, lam, _out=buffer)
     assert fresh.tobytes() == again.tobytes()
 
 

@@ -49,11 +49,21 @@ def test_config_defaults():
         {"sigma": float("nan")},
         {"sigma": float("inf")},
         {"seed": -1},
+        {"rho": True},
+        {"sigma": False},
+        {"mutation_rate": "0.1"},
+        {"family_count": True},
+        {"family_count": 2.5},
+        {"members_per_family": 1.0},
+        {"prototype_length": "80"},
+        {"seed": False},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as excinfo:
         SynthConfig(**kwargs)
+    (field,) = kwargs
+    assert field.removesuffix("s") in str(excinfo.value)
 
 
 def test_parse_synth_config_text():
