@@ -16,7 +16,10 @@ members_per_family=10, prototype_length=40, seed=0`` (60 records):
 Every run config sets ``p_s=0.1``, ``seed=0`` and ``--epochs``.  The
 output is one ``sha256  relpath`` line per file the commands wrote,
 sorted by path, so two trees that print the same lines wrote the same
-bytes.  Usage::
+bytes.  Then come the shapes of the commands' stderr lines: each
+distinct line with every run of digits replaced by ``#``, sorted, so two
+trees that print the same shapes print stderr lines of the same wording.
+Usage::
 
     python3 scripts/pipeline_digest.py                         # this tree
     python3 scripts/pipeline_digest.py --tree OLD_CHECKOUT --epochs 20
@@ -27,6 +30,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -79,7 +83,8 @@ def commands(cfg: Path, out: Path) -> list[list]:
 
 
 def run_pipeline(tree: Path, work: Path, epochs: int) -> list[str]:
-    """Run every command against ``tree`` in ``work``; the digest lines of ``work/out``."""
+    """Run every command against ``tree`` in ``work``; the digest lines
+    of ``work/out``, then the stderr shapes."""
     cfg, out = work / "config", work / "out"
     cfg.mkdir(parents=True)
     out.mkdir()
@@ -87,13 +92,16 @@ def run_pipeline(tree: Path, work: Path, epochs: int) -> list[str]:
     for name, text in CONFIGS.items():
         (cfg / f"{name}.cfg").write_text(f"{text}epochs={epochs}\n", encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    shapes = set()
     for argv in commands(cfg, out):
         done = subprocess.run([sys.executable, "-m", "enzood", *map(str, argv)],
                               env=env, cwd=work, capture_output=True, text=True)
         if done.returncode != 0:
             raise SystemExit(f"{argv[0]} exited {done.returncode}: {done.stderr.strip()}")
-    return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out).as_posix()}"
-            for path in sorted(out.rglob("*")) if path.is_file()]
+        shapes.update(re.sub(r"[0-9]+", "#", line) for line in done.stderr.splitlines())
+    digests = [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out).as_posix()}"
+               for path in sorted(out.rglob("*")) if path.is_file()]
+    return digests + sorted(shapes)
 
 
 def main(argv=None) -> int:

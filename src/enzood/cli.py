@@ -7,8 +7,10 @@ Conventions shared by every command:
 - long flags only; the subcommand is the sole positional argument
 - the resolved configuration hash is printed to stdout
 - artifacts produced with the same flags are byte-identical across
-  reruns, so wall time is reported on stderr and never written into
-  an artifact
+  reruns, so timings go to stderr only: ``main`` gives each command a
+  stage clock and prints its ``<command>-stages:`` line (``split``
+  times no stages) and then ``wall-time-seconds:``; the ``align:`` and
+  ``train:`` lines are the INFO records of ``seqid`` and ``model``
 - failures exit through one tab-separated stderr line,
   ``error<TAB>code<TAB>kind<TAB>message``, with code 2 for
   configuration problems, 3 for data problems, and 4 for numeric
@@ -58,8 +60,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-_LOG = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +116,20 @@ def _info_to_stderr(module: str):
     finally:
         log.removeHandler(handler)
         log.setLevel(level)
+
+
+class _StageClock:
+    """Wall time of one command, whole and stage by stage.  Each stage
+    runs from the previous lap (or the start) to its own lap."""
+
+    def __init__(self):
+        self.start = self._last = time.perf_counter()
+        self.stages: list[str] = []
+
+    def lap(self, stage: str, note: str = "") -> None:
+        now = time.perf_counter()
+        self.stages.append(f"{stage} {now - self._last:.3f} s{note}")
+        self._last = now
 
 
 def _real_flag(text: str, flag: str, low: float, high: float) -> float:
@@ -176,32 +190,17 @@ def _config_from_checkpoint(meta: dict, origin) -> "object":
     return cfg
 
 
-def _resolve_nested_split_flags(args) -> tuple[float, float, float, int]:
-    return (
-        _real_flag(args.identity_threshold, "--identity-threshold", 0.0, 1.0),
-        _real_flag(args.test_fraction, "--test-fraction", 0.0, 0.5),
-        _real_flag(args.val_fraction, "--val-fraction", 0.0, 0.5),
-        _int_flag(args.split_seed, "--split-seed"),
-    )
-
-
-def _split_section(split) -> tuple:
-    return (
-        "split",
-        ("threshold", "n_train", "n_val", "n_test"),
-        [
-            (
-                split.threshold,
-                len(split.train_ids),
-                len(split.val_ids),
-                len(split.test_ids),
-            )
-        ],
-    )
+def _section(title: str, columns: tuple, rows) -> tuple:
+    """A write_report section from rows given as tuples in column order;
+    the harness's own row dicts go to write_report as they are."""
+    return title, columns, [dict(zip(columns, row)) for row in rows]
 
 
 # ---------------------------------------------------------------------------
 # Commands
+#
+# Each takes the parsed flags and the command's stage clock, and lets
+# failures propagate to main.
 
 
 @dataclass(frozen=True)
@@ -213,40 +212,32 @@ class _SplitSettings:
     seed: int
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args, clock: _StageClock) -> None:
     cfg = load_synth_config(args.config)
     _emit_hash(cfg)
     records, truth = generate(cfg)
+    clock.lap("generate")
     out = _prepare(args.out)
     sidecar = write_benchmark(records, truth, out)
+    clock.lap("write")
     _wrote(out)
     _wrote(sidecar)
-    return EXIT_OK
 
 
-def _cmd_augment(args) -> int:
+def _cmd_augment(args, clock: _StageClock) -> None:
     cfg = load_config(args.config)
     _emit_hash(cfg)
-    clock = time.perf_counter
-    stamps = [clock()]  # after each stage: read, augment, write
     records = read_dataset(args.in_path)
-    stamps.append(clock())
+    clock.lap("read")
     pairs = augment_dataset(records, cfg)
-    stamps.append(clock())
+    clock.lap("augment", f" ({len(records)} records)")
     out = _prepare(args.out)
     write_dataset([record for pair in pairs for record in pair], out)
-    stamps.append(clock())
+    clock.lap("write")
     _wrote(out)
-    read_s, augment_s, write_s = (b - a for a, b in zip(stamps, stamps[1:]))
-    with _info_to_stderr(__name__):
-        _LOG.info(
-            "augment-stages: read %.3f s, augment %.3f s (%d records), write %.3f s",
-            read_s, augment_s, len(records), write_s,
-        )
-    return EXIT_OK
 
 
-def _cmd_split(args) -> int:
+def _cmd_split(args, clock: _StageClock) -> None:
     settings = _SplitSettings(
         thresholds=_parse_thresholds(args.thresholds),
         test_fraction=_real_flag(args.test_fraction, "--test-fraction", 0.0, 0.5),
@@ -273,24 +264,21 @@ def _cmd_split(args) -> int:
             path = out_dir / f"{half}-{tag}{extension}"
             write_dataset([by_id[i] for i in ids], path)
             _wrote(path)
-    return EXIT_OK
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args, clock: _StageClock) -> None:
     cfg = load_config(args.config)
     _emit_hash(cfg)
-    clock = time.perf_counter
-    stamps = [clock()]  # after each stage: read, train, evaluate, checkpoint
     train_records = read_dataset(args.train)
     val_records = read_dataset(args.val)
-    stamps.append(clock())
+    clock.lap("read")
     with _info_to_stderr(train.__module__):
         params, log = train(train_records, val_records, cfg)
-    stamps.append(clock())
+    clock.lap("train")
     # training logs an undefined validation R2 as NaN and finishes; the
     # checkpoint keeps the run with an R2 of null
     val_scores = evaluate_params(params, val_records, require_r2=False)
-    stamps.append(clock())
+    clock.lap("evaluate")
     checkpoint_path = _prepare(args.checkpoint_out)
     write_checkpoint(
         checkpoint_path,
@@ -298,137 +286,100 @@ def _cmd_train(args) -> int:
         cfg,
         extra={"best_epoch": int(log[-1]["best_epoch"]), "val": val_scores},
     )
-    stamps.append(clock())
+    clock.lap("checkpoint", f" ({checkpoint_path.stat().st_size} bytes)")
     _wrote(checkpoint_path)
-    log_time = "skipped"
     if args.log_out:
-        start = clock()
         log_path = _prepare(args.log_out)
         write_train_log(log_path, log, cfg)
-        log_time = f"{clock() - start:.3f} s"
+        clock.lap("log")
         _wrote(log_path)
-    read_s, train_s, evaluate_s, checkpoint_s = (b - a for a, b in zip(stamps, stamps[1:]))
-    with _info_to_stderr(__name__):
-        _LOG.info(
-            "train-stages: read %.3f s, train %.3f s, evaluate %.3f s, "
-            "checkpoint %.3f s (%d bytes), log %s",
-            read_s, train_s, evaluate_s, checkpoint_s, checkpoint_path.stat().st_size, log_time,
-        )
-    return EXIT_OK
+    else:
+        clock.stages.append("log skipped")
 
 
-def _cmd_eval(args) -> int:
-    clock = time.perf_counter
-    stamps = [clock()]  # after each stage: checkpoint, read, evaluate, report
+def _cmd_eval(args, clock: _StageClock) -> None:
     params, meta = read_checkpoint(args.checkpoint)
     cfg = _config_from_checkpoint(meta, args.checkpoint)
-    stamps.append(clock())
+    clock.lap("checkpoint", f" ({Path(args.checkpoint).stat().st_size} bytes)")
     _emit_hash(cfg)
     records = read_dataset(args.data)
     splits = read_split_file(args.splits)
     if not splits:
         raise DatasetError(f"split file {args.splits} holds no splits")
-    stamps.append(clock())
+    clock.lap("read")
     result = good_evaluation(records, splits, params)
-    stamps.append(clock())
-    per_rows = [
-        (row["threshold"], row["n_train"], row["n_test"], row["r2"], row["mae"], row["mse"])
-        for row in result["per_threshold"]
-    ]
-    curve_rows = []
-    for metric in METRIC_IDS:
-        curve = result["curves"][metric]
-        curve_rows.extend(
-            (metric, threshold, risk, weight)
-            for threshold, risk, weight in zip(curve.thresholds, curve.risks, curve.weights)
-        )
-    au_rows = [(metric, result["au_good"][metric]) for metric in METRIC_IDS]
+    clock.lap("evaluate")
+    curves = result["curves"]
     report_path = _prepare(args.report_out)
     write_report(
         report_path,
         "eval",
         cfg,
         [
-            ("per_threshold", ("threshold", "n_train", "n_test", "r2", "mae", "mse"), per_rows),
-            ("good_curve", ("metric", "threshold", "risk", "weight"), curve_rows),
-            ("au_good", ("metric", "au_good"), au_rows),
-        ],
-    )
-    stamps.append(clock())
-    _wrote(report_path)
-    checkpoint_s, read_s, evaluate_s, report_s = (b - a for a, b in zip(stamps, stamps[1:]))
-    with _info_to_stderr(__name__):
-        _LOG.info(
-            "eval-stages: checkpoint %.3f s (%d bytes), read %.3f s, evaluate %.3f s, "
-            "report %.3f s",
-            checkpoint_s, Path(args.checkpoint).stat().st_size, read_s, evaluate_s, report_s,
-        )
-    return EXIT_OK
-
-
-def _cmd_ablate_mask(args) -> int:
-    cfg = load_config(args.config)
-    threshold, test_fraction, val_fraction, seed = _resolve_nested_split_flags(args)
-    _emit_hash(cfg)
-    records = read_dataset(args.in_path)
-    split = nested_identity_split(records, threshold, test_fraction, val_fraction, seed)
-    rows = mask_sweep(records, split, cfg)
-    report_path = _prepare(args.report_out)
-    write_report(
-        report_path,
-        "ablate-mask",
-        cfg,
-        [
-            _split_section(split),
             (
-                "mask_sweep",
-                ("side", "ratio", "val_mse", "val_r2", "val_mae"),
-                [
-                    (row["side"], row["ratio"], row["val_mse"], row["val_r2"], row["val_mae"])
-                    for row in rows
-                ],
+                "per_threshold",
+                ("threshold", "n_train", "n_test", "r2", "mae", "mse"),
+                result["per_threshold"],
             ),
-        ],
-    )
-    _wrote(report_path)
-    return EXIT_OK
-
-
-def _cmd_ablate_lambda(args) -> int:
-    cfg = load_config(args.config)
-    threshold, test_fraction, val_fraction, seed = _resolve_nested_split_flags(args)
-    _emit_hash(cfg)
-    records = read_dataset(args.in_path)
-    split = nested_identity_split(records, threshold, test_fraction, val_fraction, seed)
-    rows = lambda_sweep(records, split, cfg)
-    best = best_lambda_index(rows)
-    report_path = _prepare(args.report_out)
-    write_report(
-        report_path,
-        "ablate-lambda",
-        cfg,
-        [
-            _split_section(split),
-            (
-                "lambda_sweep",
-                ("lam", "val_mse", "val_r2", "val_mae", "test_r2", "test_mae"),
+            _section(
+                "good_curve",
+                ("metric", "threshold", "risk", "weight"),
                 [
-                    (
-                        row["lam"],
-                        row["val_mse"],
-                        row["val_r2"],
-                        row["val_mae"],
-                        row["test_r2"],
-                        row["test_mae"],
+                    (metric, *point)
+                    for metric in METRIC_IDS
+                    for point in zip(
+                        curves[metric].thresholds, curves[metric].risks, curves[metric].weights
                     )
-                    for row in rows
                 ],
             ),
-            ("selection", ("best_index", "best_lam"), [(best, LAMBDA_GRID[best])]),
+            _section(
+                "au_good",
+                ("metric", "au_good"),
+                [(metric, result["au_good"][metric]) for metric in METRIC_IDS],
+            ),
         ],
     )
+    clock.lap("report")
     _wrote(report_path)
-    return EXIT_OK
+
+
+def _cmd_ablate(args, clock: _StageClock) -> None:
+    """ablate-mask and ablate-lambda: one nested identity split, then a
+    sweep of the mask ratios or of the consistency weight on it."""
+    cfg = load_config(args.config)
+    threshold, test_fraction, val_fraction, seed = (
+        _real_flag(args.identity_threshold, "--identity-threshold", 0.0, 1.0),
+        _real_flag(args.test_fraction, "--test-fraction", 0.0, 0.5),
+        _real_flag(args.val_fraction, "--val-fraction", 0.0, 0.5),
+        _int_flag(args.split_seed, "--split-seed"),
+    )
+    _emit_hash(cfg)
+    records = read_dataset(args.in_path)
+    clock.lap("read")
+    split = nested_identity_split(records, threshold, test_fraction, val_fraction, seed)
+    clock.lap("split")
+    sections = [
+        _section(
+            "split",
+            ("threshold", "n_train", "n_val", "n_test"),
+            [(split.threshold, len(split.train_ids), len(split.val_ids), len(split.test_ids))],
+        )
+    ]
+    if args.command == "ablate-mask":
+        rows = mask_sweep(records, split, cfg)
+        sections.append(("mask_sweep", ("side", "ratio", "val_mse", "val_r2", "val_mae"), rows))
+    else:
+        rows = lambda_sweep(records, split, cfg)
+        best = best_lambda_index(rows)
+        sections += [
+            ("lambda_sweep", ("lam", "val_mse", "val_r2", "val_mae", "test_r2", "test_mae"), rows),
+            _section("selection", ("best_index", "best_lam"), [(best, LAMBDA_GRID[best])]),
+        ]
+    clock.lap("sweep")
+    report_path = _prepare(args.report_out)
+    write_report(report_path, args.command, cfg, sections)
+    clock.lap("report")
+    _wrote(report_path)
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report-out", required=True, help="report output path")
     p.set_defaults(func=_cmd_eval)
 
-    for name, help_text, func in (
-        ("ablate-mask", "sweep enzyme and substrate mask ratios", _cmd_ablate_mask),
-        ("ablate-lambda", "sweep the consistency weight", _cmd_ablate_lambda),
+    for name, help_text in (
+        ("ablate-mask", "sweep enzyme and substrate mask ratios"),
+        ("ablate-lambda", "sweep the consistency weight"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--in", dest="in_path", required=True, help="input dataset")
@@ -501,20 +452,22 @@ def build_parser() -> argparse.ArgumentParser:
             help="validation fraction of the remaining pool (default 0.3)",
         )
         p.add_argument("--split-seed", default="0", help="split seed (default 0)")
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_ablate)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    start = time.perf_counter()
+    clock = _StageClock()
     try:
-        code = args.func(args)
+        args.func(args, clock)
     except (EnzoodError, OSError, ValueError) as exc:
         return _fail(exc)
-    print(f"wall-time-seconds: {time.perf_counter() - start:.3f}", file=sys.stderr)
-    return code
+    if clock.stages:
+        print(f"{args.command}-stages: {', '.join(clock.stages)}", file=sys.stderr)
+    print(f"wall-time-seconds: {time.perf_counter() - clock.start:.3f}", file=sys.stderr)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

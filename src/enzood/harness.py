@@ -247,15 +247,17 @@ def provenance_lines(cfg: RunConfig) -> list[str]:
 
 def write_report(path, kind: str, cfg: RunConfig, sections) -> None:
     """Deterministic report: provenance comments then [section] blocks of
-    tab-separated rows.  sections is an iterable of
-    (title, header tuple, row tuples)."""
+    tab-separated rows.  sections is an iterable of (title, columns,
+    rows): the header is the column names, and each row is a dict (such
+    as the rows of mask_sweep, lambda_sweep and good_evaluation) read by
+    those names."""
     lines = [f"# report: {kind}"]
     lines.extend(f"# {entry}" for entry in provenance_lines(cfg))
-    for title, header, rows in sections:
+    for title, columns, rows in sections:
         lines.append(f"[{title}]")
-        lines.append("\t".join(header))
+        lines.append("\t".join(columns))
         for row in rows:
-            lines.append("\t".join(format_scalar(v) for v in row))
+            lines.append("\t".join(format_scalar(row[name]) for name in columns))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

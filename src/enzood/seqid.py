@@ -239,7 +239,10 @@ class OodSplit:
     test_ids: tuple[str, ...]
 
     def __post_init__(self):
-        overlap = set(self.train_ids) & set(self.test_ids)
+        train, test = set(self.train_ids), set(self.test_ids)
+        if len(train) != len(self.train_ids) or len(test) != len(self.test_ids):
+            raise ValueError("an id is repeated within one half")
+        overlap = train & test
         if overlap:
             raise ValueError(f"ids in both halves: {sorted(overlap)[:3]}")
 
@@ -318,7 +321,8 @@ def _ood_splits(records, thresholds, test_fraction, seed, known=None):
         worst = matrix[np.ix_(in_test, ~in_test)].max(initial=0.0)
         if worst > thr:
             raise RuntimeError(f"split construction bug: cross identity {worst} above {thr}")
-        splits.append(OodSplit(threshold=thr, train_ids=train_ids, test_ids=test_ids))
+        # a numpy scalar would reach split files as np.float64(...)
+        splits.append(OodSplit(threshold=float(thr), train_ids=train_ids, test_ids=test_ids))
     return splits, (uniq, matrix)
 
 
@@ -354,8 +358,10 @@ def write_split_file(path, splits, header_lines=()) -> None:
 
 
 def read_split_file(path) -> list[OodSplit]:
-    groups: dict[float, tuple[list[str], list[str]]] = {}
-    order: list[float] = []
+    """The splits of a file written by write_split_file, in the order
+    their thresholds first appear.  A malformed line, or one repeating
+    an id at its threshold, raises ValueError naming path and line."""
+    halves: dict[float, dict[str, str]] = {}  # threshold -> record id -> half
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -367,13 +373,19 @@ def read_split_file(path) -> list[OodSplit]:
             except (IndexError, ValueError):
                 thr = math.nan
             # NaN fails the range test too
-            if len(parts) != 3 or parts[1] not in ("train", "test") or not 0.0 < thr <= 1.0:
+            if (
+                len(parts) != 3
+                or parts[1] not in ("train", "test")
+                or not 0.0 < thr <= 1.0
+                or parts[0] in halves.get(thr, ())
+            ):
                 raise ValueError(f"{path}:{lineno}: malformed split line {line!r}")
-            if thr not in groups:
-                groups[thr] = ([], [])
-                order.append(thr)
-            groups[thr][0 if parts[1] == "train" else 1].append(parts[0])
+            halves.setdefault(thr, {})[parts[0]] = parts[1]
     return [
-        OodSplit(threshold=thr, train_ids=tuple(groups[thr][0]), test_ids=tuple(groups[thr][1]))
-        for thr in order
+        OodSplit(
+            threshold=thr,
+            train_ids=tuple(i for i, half in ids.items() if half == "train"),
+            test_ids=tuple(i for i, half in ids.items() if half == "test"),
+        )
+        for thr, ids in halves.items()
     ]

@@ -377,6 +377,23 @@ def one_epoch_checkpoint(tmp_path_factory):
     return bench, root / "s" / "splits.tsv", ckpt
 
 
+def test_eval_rejects_a_split_file_repeating_a_test_id(tmp_path, capsys, one_epoch_checkpoint):
+    """Scoring a repeated test id twice would skew n_test and every risk."""
+    bench, splits, ckpt = one_epoch_checkpoint
+    text = splits.read_text(encoding="utf-8")
+    test_line = next(line for line in text.splitlines() if "\ttest\t" in line)
+    repeated = tmp_path / "splits.tsv"
+    repeated.write_text(f"{text}{test_line}\n", encoding="utf-8")
+    capsys.readouterr()
+    code = run_cli(["eval", "--checkpoint", ckpt, "--data", bench, "--splits", repeated,
+                    "--report-out", tmp_path / "r.txt"])
+    assert code == 3
+    err_lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error\t")]
+    assert err_lines[0].split("\t")[2] == "ValueError"
+    assert f"splits.tsv:{len(text.splitlines()) + 1}: malformed split line" in err_lines[0]
+    assert not (tmp_path / "r.txt").exists()
+
+
 def recoded(params, edit):
     """params with theta decoded, edited by ``edit`` and encoded again."""
     theta = np.frombuffer(base64.b64decode(params["theta"]), dtype="<f8")
@@ -578,6 +595,49 @@ def test_augment_reports_stage_times_on_stderr(tmp_path, capsys):
     assert int(match.group(1)) == len(read_dataset(bench))
     assert "augment-stages" not in captured.out
     assert "augment-stages" not in out.read_text(encoding="utf-8")
+
+
+# stage names of each command's stage line, in order
+STAGES = {
+    "synth": ["generate", "write"],
+    "augment": ["read", "augment", "write"],
+    "train": ["read", "train", "evaluate", "checkpoint", "log"],
+    "eval": ["checkpoint", "read", "evaluate", "report"],
+    "ablate-mask": ["read", "split", "sweep", "report"],
+    "ablate-lambda": ["read", "split", "sweep", "report"],
+}
+
+
+@pytest.mark.parametrize("command", list(STAGES))
+def test_one_stage_line_on_stderr_only(tmp_path, capsys, one_epoch_checkpoint, command):
+    bench, splits, ckpt = one_epoch_checkpoint
+    cfg = write_cfg(tmp_path, "run.cfg", "epochs=2\n")
+    out = tmp_path / "out"
+    argv = {
+        "synth": ["--out", out / "bench.tsv"],
+        "augment": ["--in", bench, "--out", out / "aug.tsv", "--config", cfg],
+        "train": ["--train", bench, "--val", bench, "--config", cfg,
+                  "--checkpoint-out", out / "m.ckpt", "--log-out", out / "train.log"],
+        "eval": ["--checkpoint", ckpt, "--data", bench, "--splits", splits,
+                 "--report-out", out / "r.txt"],
+        "ablate-mask": ["--in", bench, "--config", cfg, "--report-out", out / "r.txt"],
+        "ablate-lambda": ["--in", bench, "--config", cfg, "--report-out", out / "r.txt"],
+    }[command]
+    capsys.readouterr()
+    assert run_cli([command, *argv]) == 0
+    captured = capsys.readouterr()
+    lines = [line for line in captured.err.splitlines() if "-stages: " in line]
+    assert len(lines) == 1
+    prefix = f"{command}-stages: "
+    assert lines[0].startswith(prefix), lines[0]
+    stages = lines[0][len(prefix):].split(", ")
+    assert [stage.split(" ")[0] for stage in stages] == STAGES[command]
+    assert all(re.match(r"\w+ [0-9]+\.[0-9]{3} s", stage) for stage in stages), lines[0]
+    assert "-stages" not in captured.out
+    artifacts = [path for path in out.rglob("*") if path.is_file()]
+    assert artifacts
+    for path in artifacts:
+        assert b"-stages" not in path.read_bytes(), path
 
 
 @pytest.mark.parametrize("val_slice", [slice(20, 24), slice(20, 21)], ids=["constant", "one"])

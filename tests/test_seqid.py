@@ -455,6 +455,12 @@ def test_ood_split_rejects_overlap():
         OodSplit(0.5, ("a", "b"), ("b",))
 
 
+@pytest.mark.parametrize("train, test", [(("a", "a"), ("b",)), (("a",), ("b", "b"))])
+def test_ood_split_rejects_an_id_repeated_within_a_half(train, test):
+    with pytest.raises(ValueError, match="repeated within one half"):
+        OodSplit(0.5, train, test)
+
+
 def test_split_file_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     records, _ = family_records(rng)
@@ -468,10 +474,35 @@ def test_split_file_round_trip(tmp_path):
     assert path.read_bytes() == first
 
 
+def test_split_file_round_trip_from_numpy_thresholds(tmp_path):
+    rng = np.random.default_rng(2)
+    records, _ = family_records(rng)
+    splits = build_ood_splits(records, np.array([0.6]), test_fraction=0.3, seed=11)
+    assert type(splits[0].threshold) is float
+    path = tmp_path / "splits.tsv"
+    write_split_file(path, splits)
+    assert read_split_file(path) == splits
+    written = path.read_bytes()
+    write_split_file(path, build_ood_splits(records, [0.6], test_fraction=0.3, seed=11))
+    assert path.read_bytes() == written
+
+
 def test_split_file_rejects_malformed(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("r1\tvalidation\t0.4\n")
     with pytest.raises(ValueError):
+        read_split_file(path)
+
+
+@pytest.mark.parametrize(
+    "repeat", ["r2\ttest\t0.4", "r1\ttrain\t0.4", "r2\ttrain\t0.40"],
+    ids=["test-twice", "train-twice", "both-halves"],
+)
+def test_split_file_rejects_an_id_repeated_at_one_threshold(tmp_path, repeat):
+    """A repeated test id would be scored twice by eval."""
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"# columns\nr1\ttrain\t0.4\nr2\ttest\t0.4\nr2\ttest\t0.6\n{repeat}\n")
+    with pytest.raises(ValueError, match=r"bad\.tsv:5: malformed split line"):
         read_split_file(path)
 
 
