@@ -1,4 +1,4 @@
-"""Time the alignment kernel, ``seqid.align_stats_many``, on three matrices.
+"""Time the alignment kernel, ``seqid.align_stats_many``, on four matrices.
 
 Each corpus is the all-pairs identity matrix (upper triangle, one batch
 call) over the distinct sequences of a synthetic set:
@@ -9,7 +9,11 @@ call) over the distinct sequences of a synthetic set:
 - pipeline: the set of ``perfbench``'s ``pipeline`` workload (6 families
   of 10, prototypes of 40 residues; 60 sequences, 1,770 pairs);
 - bench300: the default 300-record benchmark (44,850 pairs), the matrix
-  behind acceptance 6 and the ``ood_split`` fixture.
+  behind acceptance 6 and the ``ood_split`` fixture;
+- long: two length groups at real enzyme lengths, 450 and 600 residues
+  (3 families of 4 each, 5% point mutations; 24 sequences, 276 pairs).
+  Chunks holding a 600-residue sequence pass the kernel's 511-residue
+  limit for 32-bit keys, so this matrix times its 64-bit path.
 
 A corpus is aligned repeatedly until half a second has passed (at least
 once); the median call gives its time and its DP cells per second.
@@ -42,15 +46,19 @@ def corpora() -> dict:
         records = [r for cfg in configs for r in synth.generate(cfg)[0]]
         return list(dict.fromkeys(r.sequence for r in records))
 
-    return {
-        "split": sequences(*(
+    def two_lengths(*lengths):
+        return sequences(*(
             synth.SynthConfig(family_count=3, members_per_family=4, prototype_length=length,
                               mutation_rate=0.05, seed=k)
-            for k, length in enumerate((48, 64))
-        )),
+            for k, length in enumerate(lengths)
+        ))
+
+    return {
+        "split": two_lengths(48, 64),
         "pipeline": sequences(synth.SynthConfig(family_count=6, members_per_family=10,
                                                 prototype_length=40, seed=0)),
         "bench300": sequences(synth.SynthConfig()),
+        "long": two_lengths(450, 600),
     }
 
 

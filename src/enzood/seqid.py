@@ -36,7 +36,10 @@ def align_stats_many(as_, bs) -> np.ndarray:
 
     Tie-break during traceback: diagonal, then up (gap in ``b``), then
     left (gap in ``a``).  Pairs are aligned in chunks of similar length.
-    Each call logs its pair and cell counts and its time at INFO level.
+    Each call logs at INFO level its pair count, its DP cells (the sum
+    of len a * len b), its time, and the cells the kernel computed:
+    each chunk pads every pair to the chunk's longest ``b`` plus column
+    0, and runs each pair's own rows only.
     """
     start = time.perf_counter()
     as_, bs = list(as_), list(bs)
@@ -55,17 +58,20 @@ def align_stats_many(as_, bs) -> np.ndarray:
     la, lb = lengths[ia], lengths[ib]
     order = np.lexsort((lb, la))
     out = np.empty((len(as_), 3), dtype=np.int64)
+    computed = 0
     for lo in range(0, len(order), ALIGN_CHUNK):
         chunk = order[lo : lo + ALIGN_CHUNK]
         a = _codes(buf, starts[ia[chunk]], la[chunk])
         b = _codes(buf, starts[ib[chunk]], lb[chunk])
         out[chunk] = _align_chunk(a, b, la[chunk], lb[chunk])
+        computed += int(la[chunk].sum()) * b.shape[1]
     _LOG.info(
-        "align: %s backend, %d pairs, %d DP cells in %.3f s",
+        "align: %s backend, %d pairs, %d DP cells in %.3f s, %d cells computed",
         alignment_backend(),
         len(as_),
         int(np.dot(la, lb)),
         time.perf_counter() - start,
+        computed,
     )
     return out
 
@@ -81,22 +87,26 @@ def _codes(buf, starts, lengths) -> np.ndarray:
 
 def _align_chunk(a, b, la, lb) -> np.ndarray:
     """One DP row at a time over every pair of the chunk; ``a`` and ``b``
-    are as made by ``_codes``, row ``i`` reads residue ``i`` of ``a``.
+    are as made by ``_codes``, row ``i`` reads residue ``i`` of ``a``,
+    and ``la`` ascends (``align_stats_many`` lexsorts the pairs by
+    ``(la, lb)`` before it cuts them into chunks).
 
-    Each cell is one int64 key.  From the top bit down it holds a score
-    field, the column, a prefer-diagonal bit and the match count; the
-    column and match fields are ``bits`` wide, enough for the chunk's
-    longest sequence.  Comparing keys compares scores, then columns,
-    then diagonal before up, so one ``maximum`` picks a move and carries
-    its matches along.
+    Each cell is one integer key.  From the top bit down it holds a
+    score field, the column, a prefer-diagonal bit and the match count;
+    the column and match fields are ``bits`` wide, enough for the
+    chunk's longest sequence.  Keys are int32 when every field fits in
+    31 bits (sequences of up to 511 residues) and int64 otherwise; the
+    arithmetic is the same.  Comparing keys compares scores, then
+    columns, then diagonal before up, so one ``maximum`` picks a move
+    and carries its matches along.
 
     - After row ``i - 1`` the key at column ``j`` is that of the up
       move into row ``i``: score field = cell score - 1 + j, column j.
     - The diagonal move into column ``j + 1`` is the key at ``j`` plus
-      a constant (two in the score field, one column, the
-      prefer-diagonal bit), plus one score and one match on a match.
-      ``maximum`` of the two takes up only when it scores strictly
-      higher.
+      ``miss`` (two in the score field, one column, the prefer-diagonal
+      bit), plus one score and one match on a match: the row's matches
+      are compared into ``step`` and scaled in place.  ``maximum`` of
+      the two takes up only when it scores strictly higher.
     - The left-gap chain makes cell ``j`` the best of ``c[k] - (j - k)``
       over ``k <= j``, the prefix max of ``c[k] + k``, which the score
       field already holds: one ``maximum.accumulate``.  Ties go to the
@@ -104,12 +114,15 @@ def _align_chunk(a, b, la, lb) -> np.ndarray:
     - Clearing the column and prefer-diagonal fields and adding
       ``restore`` (column ``j``, score - 1) gives the next row's keys.
 
-    Every pass runs over whole contiguous arrays: the diagonal read from
-    column ``j - 1`` is the flat array shifted by one, so column 0 reads
-    the previous pair's last column and is then overwritten.  The length
-    follows from score and matches, because score = matches - gaps and
-    a + b residues = 2 * diagonal + gaps.  Padding is never read: row
-    ``i`` and column ``j`` depend only on earlier ones, and each pair's
+    A pair is finished after row ``la``; because ``la`` ascends, the
+    pairs still running after row ``i`` are a suffix of the chunk, and
+    every pass runs on that suffix only.  Each pass covers one whole
+    contiguous array: the diagonal read from column ``j - 1`` is the
+    flat array shifted by one, so column 0 reads the previous pair's
+    last column and is then overwritten.  The length follows from
+    score and matches, because score = matches - gaps and a + b
+    residues = 2 * diagonal + gaps.  Padding is never read: row ``i``
+    and column ``j`` depend only on earlier ones, and each pair's
     result is taken at its own cell.
     """
     n, cols = b.shape
@@ -119,32 +132,42 @@ def _align_chunk(a, b, la, lb) -> np.ndarray:
     k_shift = bits + 1
     s_shift = k_shift + bits
     # scores stay within +-(2 * longest + 1) in every key
-    if s_shift + (2 * longest + 1).bit_length() > 63:
+    width = s_shift + (2 * longest + 1).bit_length()
+    if width > 63:
         raise ValueError(f"a {longest}-residue sequence does not fit 64-bit alignment keys")
-    j = np.arange(cols, dtype=np.int64)
+    dtype = np.int32 if width <= 31 else np.int64
+    j = np.arange(cols, dtype=dtype)
     restore = np.broadcast_to((j << k_shift) - (1 << s_shift), (n, cols)).copy()
     keys = restore.copy()  # row 0: score -j, no matches
     cand = np.empty_like(keys)
-    flat_keys, flat_cand = keys.ravel(), cand.ravel()
+    step = np.empty_like(keys)
     clear = ~((2 * pref - 1) << bits)  # drops the column and preference fields
     miss = (2 << s_shift) + (1 << k_shift) + pref
-    hit = miss + (1 << s_shift) + 1
+    match = (1 << s_shift) + 1  # what a hit adds to ``miss``
     low = pref - 1
     out = np.empty((n, 3), dtype=np.int64)
-    for i in range(1, a.shape[1]):
-        step = np.where(a[:, i : i + 1] == b, hit, miss).ravel()
-        np.add(flat_keys[:-1], step[1:], out=flat_cand[1:])
-        np.maximum(cand, keys, out=cand)
-        cand[:, 0] = -i << s_shift
-        np.maximum.accumulate(cand, axis=1, out=keys)
-        done = np.flatnonzero(la == i)
-        if done.size:
-            end = lb[done]
-            best = keys[done, end]
-            out[done, 0] = (best >> s_shift) - end
-            out[done, 1] = best & low
-        np.bitwise_and(keys, clear, out=keys)
-        np.add(keys, restore, out=keys)
+    # stops[i - 1]: one past the last pair that finishes by row i
+    stops = np.searchsorted(la, np.arange(1, a.shape[1]), side="right").tolist()
+    first = 0
+    for i, stop in enumerate(stops, start=1):
+        run_keys, run_cand, run_step = keys[first:], cand[first:], step[first:]
+        flat_keys, flat_cand, flat_step = run_keys.ravel(), run_cand.ravel(), run_step.ravel()
+        np.equal(a[first:, i : i + 1], b[first:], out=run_step)
+        np.multiply(run_step, match, out=run_step)
+        np.add(flat_keys[:-1], flat_step[1:], out=flat_cand[1:])
+        np.add(run_cand, miss, out=run_cand)
+        np.maximum(run_cand, run_keys, out=run_cand)
+        run_cand[:, 0] = -i << s_shift
+        np.maximum.accumulate(run_cand, axis=1, out=run_keys)
+        if stop > first:
+            end = lb[first:stop]
+            best = keys[np.arange(first, stop), end]
+            out[first:stop, 0] = (best >> s_shift) - end
+            out[first:stop, 1] = best & low
+            first = stop
+            run_keys = keys[first:]
+        np.bitwise_and(run_keys, clear, out=run_keys)
+        np.add(run_keys, restore[first:], out=run_keys)
     out[:, 2] = (la + lb - out[:, 0] + out[:, 1]) // 2
     return out
 

@@ -18,7 +18,7 @@ from enzood import cli
 from enzood.harness import LAMBDA_GRID, MASK_GRID, read_checkpoint
 from enzood.io import read_dataset, write_dataset
 from enzood.model import _blocks, predict
-from enzood.seqid import OodSplit, read_split_file, write_split_file
+from enzood.seqid import ALIGN_CHUNK, OodSplit, read_split_file, write_split_file
 
 SYNTH_CFG = "family_count=6\nmembers_per_family=10\nseed=3\n"
 RUN_CFG = "epochs=40\nseed=1\n"
@@ -671,6 +671,11 @@ def test_split_reports_alignment_work_on_stderr(tmp_path, capsys):
     seqs = list(dict.fromkeys(r.sequence for r in read_dataset(bench)))
     pairs = len(seqs) * (len(seqs) - 1) // 2
     cells = sum(len(a) * len(b) for k, a in enumerate(seqs) for b in seqs[k + 1 :])
+    # the kernel's chunks of pairs sorted by length: each pair's rows,
+    # padded to the chunk's longest b plus column 0
+    sizes = sorted((len(a), len(b)) for k, a in enumerate(seqs) for b in seqs[k + 1 :])
+    chunks = [sizes[k : k + ALIGN_CHUNK] for k in range(0, len(sizes), ALIGN_CHUNK)]
+    computed = sum(sum(la for la, _ in c) * (max(lb for _, lb in c) + 1) for c in chunks)
     argv = ["split", "--in", bench, "--out-dir", tmp_path / "splits"]
     capsys.readouterr()
     assert run_cli(argv) == 0
@@ -678,7 +683,9 @@ def test_split_reports_alignment_work_on_stderr(tmp_path, capsys):
     lines = [line for line in captured.err.splitlines() if line.startswith("align: ")]
     assert len(lines) == 1
     assert re.fullmatch(
-        rf"align: numpy backend, {pairs} pairs, {cells} DP cells in [0-9.]+ s", lines[0]
+        rf"align: numpy backend, {pairs} pairs, {cells} DP cells in [0-9.]+ s, "
+        rf"{computed} cells computed",
+        lines[0],
     ), lines[0]
     assert "align: " not in captured.out
     for path in (tmp_path / "splits").iterdir():

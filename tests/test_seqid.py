@@ -174,6 +174,52 @@ def test_align_stats_many_frozen_ties(a, b, expected):
     assert tuple(align_stats_many([a, "ACGT"], [b, "TGCA"])[0]) == expected
 
 
+@pytest.mark.parametrize("longest", [511, 512])
+def test_align_stats_many_at_the_key_width_limit(longest):
+    # 511 residues is the longest chunk with int32 keys, 512 the shortest
+    # with int64 ones; the pairs push the score field to both extremes
+    rng = np.random.default_rng(longest)
+    top = "".join(AA[int(c)] for c in rng.integers(0, 20, longest))
+    mutant = "".join(AA[(AA.index(c) + 1) % 20] if rng.random() < 0.1 else c for c in top)
+    pairs = [(top, top), ("A", "C" * longest), ("C" * longest, "A"), (top, mutant)]
+    pairs += [(random_seq(rng, 60, AA), random_seq(rng, 60, AA)) for _ in range(20)]
+    assert len(pairs) < seqid.ALIGN_CHUNK
+    assert_matches_reference(pairs)
+
+
+def nw_scores(a: str, b: str) -> list[list[int]]:
+    """Full score matrix of the global alignment (match=+1, gap=-1)."""
+    h = [[-(i + j) if i == 0 or j == 0 else 0 for j in range(len(b) + 1)] for i in range(len(a) + 1)]
+    for i in range(1, len(a) + 1):
+        for j in range(1, len(b) + 1):
+            h[i][j] = max(h[i - 1][j - 1] + (a[i - 1] == b[j - 1]), h[i - 1][j] - 1, h[i][j - 1] - 1)
+    return h
+
+
+def test_align_stats_many_pairs_finishing_at_different_rows(caplog):
+    # one chunk whose pairs finish at rows 1 to 300: each row runs only
+    # the pairs not yet finished
+    rng = np.random.default_rng(33)
+
+    def exact(size):
+        return "".join(AA[int(c)] for c in rng.integers(0, 20, size))
+
+    prefix = exact(20)
+    tie = (prefix + "ACA", prefix + "CAC")
+    h = nw_scores(*tie)
+    m, n = len(tie[0]), len(tie[1])
+    assert h[m][n] == h[m - 1][n - 1] == h[m - 1][n] - 1 == h[m][n - 1] - 1
+    pairs = [tie] + [("W", random_seq(rng, 300, AA)) for _ in range(8)]
+    pairs += [(exact(size), random_seq(rng, 120, AA)) for size in (7, 23, 23, 64, 65, 120)]
+    long_a = exact(298)
+    pairs += [(long_a, long_a[5:] + "KLM"), (long_a + "GG", long_a), (long_a[:290], "W")]
+    assert len(pairs) < seqid.ALIGN_CHUNK
+    with caplog.at_level("INFO", logger="enzood.seqid"):
+        assert_matches_reference(pairs)
+    computed = sum(len(a) for a, _ in pairs) * (max(len(b) for _, b in pairs) + 1)
+    assert caplog.messages[-1].endswith(f", {computed} cells computed")
+
+
 def test_align_stats_many_rejects_keys_wider_than_64_bits():
     # the longest sequence whose fields fit, and the first that does not
     longest = 2**20 - 1
