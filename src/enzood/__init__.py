@@ -10,7 +10,7 @@ get by with ``from enzood import ...``:
 - model: two-branch regressor with consistency-regularized training
 - metrics: regression scores plus threshold-curve aggregation
 - synth: synthetic benchmark generator with a ground-truth sidecar
-- io: dataset records, serialization, and run configuration
+- io: dataset records, serialization, and the run and synth config grammar
 - harness: experiment drivers (sweeps, comparisons, reports)
 - cli: command line front end over the whole pipeline
 """
@@ -86,7 +86,6 @@ from .seqid import (
 from .synth import (
     SynthConfig,
     generate,
-    load_synth_config,
     read_truth,
     write_benchmark,
 )
@@ -130,7 +129,6 @@ __all__ = [
     "init_params",
     "lambda_sweep",
     "load_config",
-    "load_synth_config",
     "mae",
     "mask_sweep",
     "max_identities",

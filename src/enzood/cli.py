@@ -9,8 +9,9 @@ Conventions shared by every command:
 - artifacts produced with the same flags are byte-identical across
   reruns, so timings go to stderr only: ``main`` gives each command a
   stage clock and prints its ``<command>-stages:`` line (``split``
-  times no stages) and then ``wall-time-seconds:``; the ``align:`` and
-  ``train:`` lines are the INFO records of ``seqid`` and ``model``
+  times no stages) and then ``wall-time-seconds:``; while a command
+  runs, ``main`` prints the package's INFO records, the ``align:`` and
+  ``train:`` lines of ``seqid`` and ``model``
 - failures exit through one tab-separated stderr line,
   ``error<TAB>code<TAB>kind<TAB>message``, with code 2 for
   configuration problems, 3 for data problems, and 4 for numeric
@@ -20,7 +21,6 @@ Conventions shared by every command:
 from __future__ import annotations
 
 import argparse
-import contextlib
 import logging
 import sys
 import time
@@ -54,7 +54,7 @@ from .io import (
 from .metrics import METRIC_IDS
 from .model import train
 from .seqid import build_ood_splits, read_split_file, write_split_file
-from .synth import generate, load_synth_config, write_benchmark
+from .synth import SynthConfig, generate, write_benchmark
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -100,22 +100,6 @@ def _prepare(path) -> Path:
 
 def _wrote(path) -> None:
     print(f"wrote: {path}")
-
-
-@contextlib.contextmanager
-def _info_to_stderr(module: str):
-    """Print the INFO lines that ``module`` logs (its timings) to stderr
-    while the block runs, keeping them out of every artifact."""
-    log = logging.getLogger(module)
-    handler = logging.StreamHandler()
-    level = log.level
-    log.addHandler(handler)
-    log.setLevel(logging.INFO)
-    try:
-        yield
-    finally:
-        log.removeHandler(handler)
-        log.setLevel(level)
 
 
 class _StageClock:
@@ -213,7 +197,7 @@ class _SplitSettings:
 
 
 def _cmd_synth(args, clock: _StageClock) -> None:
-    cfg = load_synth_config(args.config)
+    cfg = load_config(args.config, SynthConfig)
     _emit_hash(cfg)
     records, truth = generate(cfg)
     clock.lap("generate")
@@ -245,10 +229,7 @@ def _cmd_split(args, clock: _StageClock) -> None:
     )
     _emit_hash(settings)
     records = read_dataset(args.in_path)
-    with _info_to_stderr(build_ood_splits.__module__):
-        splits = build_ood_splits(
-            records, settings.thresholds, settings.test_fraction, settings.seed
-        )
+    splits = build_ood_splits(records, settings.thresholds, settings.test_fraction, settings.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     header = [f"seed: {settings.seed}", f"config_hash: {config_hash(settings)}"]
@@ -272,8 +253,7 @@ def _cmd_train(args, clock: _StageClock) -> None:
     train_records = read_dataset(args.train)
     val_records = read_dataset(args.val)
     clock.lap("read")
-    with _info_to_stderr(train.__module__):
-        params, log = train(train_records, val_records, cfg)
+    params, log = train(train_records, val_records, cfg)
     clock.lap("train")
     # training logs an undefined validation R2 as NaN and finishes; the
     # checkpoint keeps the run with an R2 of null
@@ -460,10 +440,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     clock = _StageClock()
+    log = logging.getLogger(__package__)
+    handler, level = logging.StreamHandler(), log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
     try:
         args.func(args, clock)
     except (EnzoodError, OSError, ValueError) as exc:
         return _fail(exc)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
     if clock.stages:
         print(f"{args.command}-stages: {', '.join(clock.stages)}", file=sys.stderr)
     print(f"wall-time-seconds: {time.perf_counter() - clock.start:.3f}", file=sys.stderr)

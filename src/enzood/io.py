@@ -2,9 +2,10 @@
 
 One dataset format: tab-delimited text with a fixed header.  Reals always
 carry 17 significant digits so write-then-read reproduces every double
-bit-exactly and repeated writes are byte-identical.  Run configuration
-is flat key=value text with strict key checking; every artifact embeds
-the seed and a hash of the resolved configuration.
+bit-exactly and repeated writes are byte-identical.  Run and synthesis
+configurations are flat key=value text with strict key checking, read
+by one grammar; every artifact embeds the seed and a hash of the
+resolved configuration.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
+import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -317,9 +319,6 @@ def check_integer(name: str, value, least: int) -> None:
         raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
-_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
-
-
 def parse_int(text: str) -> int:
     return int(text, 10)
 
@@ -331,71 +330,64 @@ def parse_real(text: str) -> float:
     return value
 
 
-_CONFIG_PARSERS = {
-    "p_s": parse_real,
-    "p_g": parse_real,
-    "substrate_mode": str,
-    "lam": parse_real,
-    "learning_rate": parse_real,
-    "epochs": parse_int,
-    "batch_size": parse_int,
-    "hidden_enzyme": parse_int,
-    "hidden_substrate": parse_int,
-    "embed_dim": parse_int,
-    "seed": parse_int,
-}
-
-assert set(_CONFIG_PARSERS) == set(_CONFIG_KEYS)
+def _parse_list(text: str) -> tuple[str, ...]:
+    items = tuple(part.strip() for part in text.split(",") if part.strip())
+    if not items:
+        raise ValueError("expected a comma-separated list")
+    return items
 
 
-def iter_config_pairs(text: str, origin: str = "<config>"):
-    """Yield (lineno, key, value) from flat key=value lines; '#' starts a
-    comment and blank lines are skipped."""
+_PARSERS = {float: parse_real, int: parse_int, str: str, tuple: _parse_list}
+
+# '#' opens a comment at the start of a line or after whitespace, so the
+# triple bond of a SMILES value such as CC#N stays part of the value
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
+def parse_config_text(text: str, origin: str = "<config>", kind=RunConfig):
+    """A ``kind`` (RunConfig or SynthConfig) from flat key=value lines.
+
+    Blank lines are skipped and a '#' at the start of a line or after
+    whitespace starts a comment.  Each value is read by the type of its
+    field's default: a float by parse_real, an int by parse_int, a str
+    as it stands and a tuple as a comma-separated list.  Unknown keys are
+    all reported at once; a duplicate key or a bad value names its line.
+    An empty document resolves to all defaults.
+    """
+    defaults = {f.name: f.default for f in fields(kind)}
+    overrides: dict = {}
+    unknown: list[str] = []
     for lineno, line in enumerate(text.split("\n"), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        stripped = _COMMENT.split(line, maxsplit=1)[0].strip()
+        if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"{origin}:{lineno}: expected key=value, got {stripped!r}")
-        key, _, value = stripped.partition("=")
-        yield lineno, key.strip(), value.strip()
-
-
-def parse_config_pairs(text: str, parsers: dict, origin: str) -> dict:
-    """Typed overrides from key=value text; unknown keys are all reported
-    at once, duplicates and bad literals name their line."""
-    overrides: dict = {}
-    unknown: list[str] = []
-    for lineno, key, value in iter_config_pairs(text, origin):
-        if key not in parsers:
+        key, _, value = (part.strip() for part in stripped.partition("="))
+        if key not in defaults:
             unknown.append(key)
             continue
         if key in overrides:
             raise ConfigError(f"{origin}:{lineno}: duplicate key {key}")
         try:
-            overrides[key] = parsers[key](value)
+            overrides[key] = _PARSERS[type(defaults[key])](value)
         except ValueError as exc:
             raise ConfigError(f"{origin}:{lineno}: bad value for {key}: {exc}") from exc
     if unknown:
         raise ConfigError(f"{origin}: unknown configuration keys: {', '.join(sorted(unknown))}")
-    return overrides
+    return kind(**overrides)
 
 
-def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
-    """Flat key=value lines; an empty document resolves to all defaults."""
-    return RunConfig(**parse_config_pairs(text, _CONFIG_PARSERS, origin))
-
-
-def load_config(path=None) -> RunConfig:
-    """Read a config file; None means all defaults."""
+def load_config(path=None, kind=RunConfig):
+    """Read a ``kind`` config file; None means all defaults."""
     if path is None:
-        return RunConfig()
+        return kind()
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config_text(text, origin=str(path))
+    return parse_config_text(text, str(path), kind)
 
 
 def resolved_items(cfg) -> tuple[tuple[str, str], ...]:

@@ -21,15 +21,7 @@ import numpy as np
 
 from .augment import ALPHABET, AMINO_ACIDS, choice_many
 from .errors import ConfigError
-from .io import (
-    EsiRecord,
-    check_integer,
-    check_real,
-    parse_config_pairs,
-    parse_int,
-    parse_real,
-    write_dataset,
-)
+from .io import EsiRecord, check_integer, check_real, parse_config_text, write_dataset
 from .model import featurize_enzyme, featurize_substrate
 from .molgraph import Atom, Bond, BOND_SINGLE, MolGraph, parse_smiles, write_smiles
 
@@ -115,40 +107,10 @@ class SynthConfig:
                 raise ConfigError(f"scaffold {k} ({text!r}) does not parse: {exc}") from exc
 
 
-def _parse_scaffolds(text: str) -> tuple[str, ...]:
-    items = tuple(part.strip() for part in text.split(",") if part.strip())
-    if not items:
-        raise ValueError("expected a comma-separated SMILES list")
-    return items
-
-
-_SYNTH_PARSERS = {
-    "family_count": parse_int,
-    "prototype_length": parse_int,
-    "mutation_rate": parse_real,
-    "members_per_family": parse_int,
-    "scaffolds": _parse_scaffolds,
-    "sigma": parse_real,
-    "rho": parse_real,
-    "seed": parse_int,
-}
-
-
 def parse_synth_config_text(text: str, origin: str = "<synth-config>") -> SynthConfig:
-    """Same key=value grammar as the run configuration; scaffolds is a
-    comma-separated SMILES list."""
-    return SynthConfig(**parse_config_pairs(text, _SYNTH_PARSERS, origin))
-
-
-def load_synth_config(path=None) -> SynthConfig:
-    if path is None:
-        return SynthConfig()
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_synth_config_text(text, origin=str(path))
+    """The run configuration's key=value grammar, read into a SynthConfig;
+    scaffolds is a comma-separated SMILES list."""
+    return parse_config_text(text, origin, SynthConfig)
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +218,10 @@ def generate(cfg: SynthConfig) -> tuple[list[EsiRecord], dict]:
         )
         for f in range(cfg.family_count)
     ]
-    if _PROTOTYPE_DIVERGENCE > 0.0:
-        prototypes = [
-            _mutate(p, _PROTOTYPE_DIVERGENCE, np.random.default_rng([cfg.seed, 0xFE, f]))
-            for f, p in enumerate(prototypes)
-        ]
+    prototypes = [
+        _mutate(p, _PROTOTYPE_DIVERGENCE, np.random.default_rng([cfg.seed, 0xFE, f]))
+        for f, p in enumerate(prototypes)
+    ]
 
     # the enzyme half of the true signal reads 2-mer bins that sit inside
     # blocks and hence appear in every family; their counts vary through

@@ -692,3 +692,32 @@ def test_split_reports_alignment_work_on_stderr(tmp_path, capsys):
         assert "DP cells" not in path.read_text(encoding="utf-8")
     assert run_cli(argv) == 0  # the handler is removed again: still one line
     assert len([l for l in capsys.readouterr().err.splitlines() if l.startswith("align: ")]) == 1
+
+
+@pytest.mark.parametrize(
+    "command, settings, runs",
+    [
+        # enumeration mode: the six substrate rows reuse the enzyme row at
+        # the base p_s, so the twelve rows take one run per enzyme ratio
+        ("ablate-mask", "substrate_mode=enumeration\n", len(MASK_GRID)),
+        ("ablate-lambda", "", len(LAMBDA_GRID)),
+    ],
+    ids=["ablate-mask", "ablate-lambda"],
+)
+def test_ablation_reports_alignment_and_training_work_on_stderr(
+    tmp_path, capsys, command, settings, runs
+):
+    """One align: line for the nested split and one train: line per
+    distinct training run, on stderr only."""
+    bench = make_bench(tmp_path)
+    cfg = write_cfg(tmp_path, "run.cfg", "epochs=2\n" + settings)
+    capsys.readouterr()
+    assert run_cli([command, "--in", bench, "--config", cfg, "--report-out",
+                    tmp_path / "r.txt"]) == 0
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len([line for line in err if line.startswith("align: ")]) == 1
+    assert len([line for line in err if line.startswith("train: ")]) == runs
+    assert "align: " not in captured.out and "train: " not in captured.out
+    text = (tmp_path / "r.txt").read_text(encoding="utf-8")
+    assert "DP cells" not in text and "drawing" not in text

@@ -19,6 +19,7 @@ from enzood.io import (
     write_dataset,
 )
 from enzood.molgraph import parse_smiles
+from enzood.synth import SynthConfig
 
 HEADER = "id\tsequence\tsmiles\tvalue\ttask\torganism\tsubstrate_name\tph\ttemperature\tsubstrate_mask"
 
@@ -249,6 +250,36 @@ def test_config_overrides_and_comments():
     assert cfg.lam == 5.0 and cfg.epochs == 10
     assert cfg.substrate_mode == "enumeration"
     assert cfg.p_s == 0.10  # untouched default
+
+
+def test_config_comment_starts_at_line_start_or_after_whitespace():
+    cfg = parse_config_text("lam = 5.0   # consistency weight\nepochs=10\t# short\n")
+    assert cfg.lam == 5.0 and cfg.epochs == 10
+    # the triple bond of CC#N has no whitespace before its '#'
+    synth = parse_config_text("scaffolds = CC#N, CCO   # two scaffolds\n", kind=SynthConfig)
+    assert synth.scaffolds == ("CC#N", "CCO")
+    with pytest.raises(ConfigError, match="expected a comma-separated list"):
+        parse_config_text("scaffolds = , # none\n", kind=SynthConfig)
+
+
+# every field away from its default; "CC#N" keeps a '#' inside a value
+NON_DEFAULT = [
+    RunConfig(p_s=0.05, p_g=0.3, substrate_mode="enumeration", lam=1 / 3, learning_rate=0.007,
+              epochs=12, batch_size=5, hidden_enzyme=7, hidden_substrate=3, embed_dim=9, seed=4),
+    SynthConfig(family_count=3, prototype_length=21, mutation_rate=0.15, members_per_family=4,
+                scaffolds=("CC#N", "c1ccccc1O"), sigma=0.2, rho=2 / 3, seed=5),
+]
+
+
+@pytest.mark.parametrize("cfg", NON_DEFAULT, ids=lambda cfg: type(cfg).__name__)
+def test_config_round_trips_through_its_echo(cfg):
+    """The resolved key=value lines, as a checkpoint echoes them, parse
+    back to the same object: each field's parser reads what it wrote."""
+    kind = type(cfg)
+    default = kind()
+    assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in dataclasses.fields(kind))
+    text = "\n".join(f"{key}={value}" for key, value in resolved_items(cfg))
+    assert parse_config_text(text, kind=kind) == cfg
 
 
 def test_config_rejections():

@@ -13,7 +13,6 @@ from enzood.synth import (
     DEFAULT_SCAFFOLDS,
     SynthConfig,
     generate,
-    load_synth_config,
     parse_synth_config_text,
     read_truth,
     sidecar_path,
@@ -82,12 +81,12 @@ def test_parse_synth_config_text():
 
 
 def test_load_synth_config(tmp_path):
-    assert load_synth_config(None) == SynthConfig()
+    assert io.load_config(None, SynthConfig) == SynthConfig()
     path = tmp_path / "synth.cfg"
     path.write_text("rho = 0.25\n")
-    assert load_synth_config(path).rho == 0.25
+    assert io.load_config(path, SynthConfig).rho == 0.25
     with pytest.raises(ConfigError):
-        load_synth_config(tmp_path / "absent.cfg")
+        io.load_config(tmp_path / "absent.cfg", SynthConfig)
 
 
 def test_generate_counts_ids_metadata():
