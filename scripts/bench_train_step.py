@@ -11,11 +11,15 @@ untraced (wall time) and once traced, splitting ``model.train`` into:
   (``model._draw_epoch``, once per epoch; in older trees the per-step
   ``augment.draw_masks``);
 - render / parse: SMILES rendering and parsing inside the steps;
-- featurize: feature rows built inside the steps;
-- forward: ``model._forward_arrays`` (steps and per-epoch validation);
-- backward: ``model.gradients`` minus the forward passes inside it;
-- other: the rest of ``model.train`` (batch indexing, the parameter
-  update, the per-epoch log; in older trees the masked index arrays).
+- featurize: feature rows built and scaled inside the steps
+  (``model._scaled``; in older trees the forward pass scales);
+- forward: ``model._forward_arrays`` (one pass over the stacked raw and
+  augmented rows per step, and per-epoch validation; in older trees one
+  pass per row set);
+- backward: ``model.gradients`` minus the forward pass inside it;
+- other: the rest of ``model.train`` (batch indexing and stacking, the
+  parameter update, the per-epoch snapshot and log; in older trees the
+  masked index arrays).
 
 Functions a source tree lacks are skipped, so the same script times an
 older tree.  Usage::
@@ -52,6 +56,7 @@ CATEGORY = {
     "model.featurize_substrate": "featurize",
     "model._enzyme_rows": "featurize",
     "model._substrate_rows": "featurize",
+    "model._scaled": "featurize",
     "model._forward_arrays": "forward",
     "model.gradients": "backward",
 }

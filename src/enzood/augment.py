@@ -57,9 +57,12 @@ def validate_sequence(seq: str) -> None:
 # count > pop // 50
 _TAIL_MIN_POP = 10_000
 _TAIL_CUTOFF = 50
-# Below this many drawn values in all, replaying the requests one by one
-# in Python beats the array passes, whose cost is mostly fixed or per
-# step: the two break even near 400 on a 2-core x86-64 machine
+# Below this many drawn values in all, the requests are replayed one by
+# one in Python instead of in array passes, whose cost is mostly fixed or
+# per step.  Both routes give the same draws, so the switch moves time,
+# never results.  On a 2-core x86-64 machine the Python replay still won
+# at 537 draws (488 against 583 us) and lost at 1,287 (1,152 against
+# 757 us): the break-even lies between those two counts, above this one.
 _ARRAY_MIN_DRAWS = 400
 
 

@@ -10,12 +10,15 @@ linear head emits the log10 kinetic prediction.
 Training minimizes prediction MSE on the records plus lam times the mean
 squared embedding distance between each record and its augmented
 counterpart; the augmented samples feed only the consistency term.
-Training reads its settings from an ``io.RunConfig`` (the model does
-not import ``io``; any object with the same fields will do).  Records
-are any objects with sequence, graph (the parsed substrate),
-substrate_mask, and value attributes, as io.EsiRecord has.  All
-gradients are hand-derived and checked against finite differences in
-the test suite.
+Each step stacks the batch's raw rows and, with lam > 0, its augmented
+rows on a leading axis and runs one forward and one backward pass over
+the stack (gradients), then updates one working parameter vector in
+place; each epoch validates a read-only ModelParams copy.  Training
+reads its settings from an ``io.RunConfig`` (the model does not import
+``io``; any object with the same fields will do).  Records are any
+objects with sequence, graph (the parsed substrate), substrate_mask,
+and value attributes, as io.EsiRecord has.  All gradients are
+hand-derived and checked against finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -55,7 +58,8 @@ MOMENTUM = 0.9
 
 _LOG = logging.getLogger(__name__)
 
-# Fixed input scalings applied inside the forward pass.  K-mer fractions
+# Fixed input scalings applied to feature rows (_scaled) before the first
+# layers; training scales its rows once, at encode time.  K-mer fractions
 # are tiny (~1/sequence length) while the raw atom-count descriptor runs
 # to double digits; rescaling both toward unit magnitude keeps the two
 # branches inside tanh's responsive range under 1/sqrt(fan_in) init.
@@ -218,12 +222,14 @@ def _plan(hidden_enzyme: int, hidden_substrate: int, embed_dim: int) -> tuple:
 
 
 def _blocks(theta: np.ndarray, hidden_enzyme: int, hidden_substrate: int, embed_dim: int) -> dict:
-    """Named row-major views into a parameter vector of these layer sizes;
-    b_head is the shape-() view of the last entry."""
+    """Named row-major views into a parameter vector of these layer sizes,
+    or into each vector of a stack (..., size); b_head is the view of the
+    last entry, of shape () for one vector."""
     size, plan = _plan(hidden_enzyme, hidden_substrate, embed_dim)
-    if theta.shape != (size,):
+    if theta.shape[-1:] != (size,):
         raise ValueError(f"parameter vector has shape {theta.shape}, the layout needs ({size},)")
-    return {name: theta[part].reshape(shape) for name, part, shape in plan}
+    lead = theta.shape[:-1]
+    return {name: theta[..., part].reshape(lead + shape) for name, part, shape in plan}
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,25 +290,35 @@ _SUBSTRATE_INPUT_SCALE = np.ones(SUBSTRATE_FEATURES)
 _SUBSTRATE_INPUT_SCALE[SUBSTRATE_FEATURES - 1] = ATOM_COUNT_SCALE
 
 
+def _scaled(x_enzyme: np.ndarray, x_substrate: np.ndarray, out=(None, None)):
+    """Feature rows as the first layers see them, written into the two
+    arrays of ``out`` when it names them."""
+    return (
+        np.multiply(x_enzyme, ENZYME_INPUT_SCALE, out=out[0]),
+        np.multiply(x_substrate, _SUBSTRATE_INPUT_SCALE, out=out[1]),
+    )
+
+
 @np.errstate(over="ignore", invalid="ignore")  # non-finite results raise NonFiniteError
-def _forward_arrays(params: ModelParams, x_enzyme: np.ndarray, x_substrate: np.ndarray):
-    """Batched forward pass over scaled inputs; returns the scaled inputs
-    and every activation needed by backprop."""
-    xe = np.atleast_2d(x_enzyme) * ENZYME_INPUT_SCALE
-    xs = np.atleast_2d(x_substrate) * _SUBSTRATE_INPUT_SCALE
-    h_e = np.tanh(xe @ params.w_enzyme.T + params.b_enzyme)
-    h_s = np.tanh(xs @ params.w_substrate.T + params.b_substrate)
-    h = np.concatenate([h_e, h_s], axis=1)
-    z = np.tanh(h @ params.w_fusion.T + params.b_fusion)
-    preds = z @ params.w_head + params.b_head
-    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(preds))):
+def _forward_arrays(w: dict, xe: np.ndarray, xs: np.ndarray):
+    """Forward pass over scaled rows, (B, F) or a stack of row sets
+    (K, B, F), with ``w`` the named blocks of a parameter vector; returns
+    every activation backprop needs: (h, z, preds), with h the two
+    branches' activations side by side."""
+    h_e = np.tanh(xe @ w["w_enzyme"].T + w["b_enzyme"])
+    h_s = np.tanh(xs @ w["w_substrate"].T + w["b_substrate"])
+    h = np.concatenate([h_e, h_s], axis=-1)
+    z = np.tanh(h @ w["w_fusion"].T + w["b_fusion"])
+    preds = z @ w["w_head"] + w["b_head"]
+    if not (np.isfinite(z).all() and np.isfinite(preds).all()):
         raise NonFiniteError("non-finite activation in forward pass")
-    return xe, xs, h_e, h_s, h, z, preds
+    return h, z, preds
 
 
 def forward_batch(params: ModelParams, x_enzyme, x_substrate):
     """(embeddings, predictions) for stacked feature rows."""
-    *_, z, preds = _forward_arrays(params, x_enzyme, x_substrate)
+    w = _blocks(params.theta, params.hidden_enzyme, params.hidden_substrate, params.embed_dim)
+    *_, z, preds = _forward_arrays(w, *_scaled(np.atleast_2d(x_enzyme), np.atleast_2d(x_substrate)))
     return z, preds
 
 
@@ -331,8 +347,8 @@ def loss_cons(f, f_aug) -> float:
     b = np.asarray(f_aug, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"embedding shape mismatch: {a.shape} vs {b.shape}")
-    d2 = np.sum((a - b) ** 2, axis=-1)
-    return float(np.mean(d2))
+    d2 = ((a - b) ** 2).sum(axis=-1)
+    return float(d2.sum() / d2.size)  # the mean, without np.mean's dispatch
 
 
 def loss_total(base: float, cons: float, lam: float) -> float:
@@ -345,27 +361,22 @@ def loss_total(base: float, cons: float, lam: float) -> float:
 # Gradients
 
 
-def gradients(
-    params: ModelParams,
-    x_enzyme_raw,
-    x_substrate_raw,
-    x_enzyme_aug,
-    x_substrate_aug,
-    targets,
-    lam: float,
-    *,
-    _out: np.ndarray | None = None,
-):
-    """Analytical gradient of loss_total over one batch.
+def gradients(theta: np.ndarray, layers, x_enzyme, x_substrate, targets, lam: float):
+    """Analytical gradient of loss_total over one batch: one forward and
+    one backward pass over a stack of row sets.
 
-    The prediction loss sees only raw-pair outputs; augmented pairs reach
-    the parameters exclusively through the consistency term, so with
-    lam=0 their contents cannot affect the update and may be None.
+    ``theta`` is a parameter vector laid out for ``layers`` (hidden_enzyme,
+    hidden_substrate, embed_dim): a ModelParams' theta, or the vector
+    train updates in place.  ``x_enzyme`` and ``x_substrate`` hold scaled
+    feature rows (_scaled) stacked on a leading axis: the raw rows at [0]
+    and, with lam > 0, the augmented rows at [1].  The prediction loss
+    sees only the raw outputs; augmented rows reach the parameters only
+    through the consistency term, so with lam = 0 only [0] is read.  Each
+    block's gradient adds the raw rows' share first and the augmented
+    rows' second.
 
-    Returns (gradient, base_loss, cons_loss); the gradient is a vector
-    laid out like params.theta.  ``_out``, train's own vector of that
-    layout, is zeroed, accumulated into and returned in place of a fresh
-    one.
+    Returns (gradient, base_loss, cons_loss); the gradient is a fresh
+    vector laid out like theta.
     """
     if lam < 0:
         raise ValueError(f"lambda must be non-negative, got {lam}")
@@ -373,53 +384,49 @@ def gradients(
     batch = y.shape[0]
     if batch == 0:
         raise ValueError("empty batch")
+    k = 2 if lam > 0 else 1
+    if len(x_enzyme) < k or len(x_substrate) < k:
+        raise ValueError(f"lambda {lam} needs {k} stacked row sets")
+    xe, xs = x_enzyme[:k], x_substrate[:k]
 
-    xe_raw, xs_raw, he_raw, hs_raw, h_raw, z_raw, preds = _forward_arrays(
-        params, x_enzyme_raw, x_substrate_raw
-    )
-    base = float(np.mean((preds - y) ** 2))
-
-    g_pred = (2.0 / batch) * (preds - y)
-    if _out is None:
-        flat = np.zeros(params.theta.shape)
-    else:
-        flat = _out
-        flat.fill(0.0)
-    grads = _blocks(flat, params.hidden_enzyme, params.hidden_substrate, params.embed_dim)
-    grads["w_head"] += z_raw.T @ g_pred
-    grads["b_head"] += np.sum(g_pred)
-
+    w = _blocks(theta, *layers)
+    h, z, preds = _forward_arrays(w, xe, xs)
+    err = preds[0] - y
+    base = float((err * err).sum() / batch)  # loss_base's mean, bit for bit
+    g_pred = (2.0 / batch) * err
+    g_z = np.empty(z.shape)
+    np.multiply(g_pred[:, None], w["w_head"], out=g_z[0])
+    cons = 0.0
     if lam > 0:
-        xe_aug, xs_aug, he_aug, hs_aug, h_aug, z_aug, _ = _forward_arrays(
-            params, x_enzyme_aug, x_substrate_aug
-        )
-        cons = loss_cons(z_raw, z_aug)
-        gz_cons_raw = (2.0 / batch) * (z_raw - z_aug)
-    else:
-        cons = 0.0
+        cons = loss_cons(z[0], z[1])
+        g_cons = lam * ((2.0 / batch) * (z[0] - z[1]))
+        g_z[0] += g_cons
+        np.negative(g_cons, out=g_z[1])
 
-    def back_pass(g_z, z, h, h_e, h_s, x_e, x_s):
-        dpre_f = g_z * (1.0 - z * z)
-        grads["w_fusion"] += dpre_f.T @ h
-        grads["b_fusion"] += dpre_f.sum(axis=0)
-        g_h = dpre_f @ params.w_fusion
-        he_dim = h_e.shape[1]
-        dpre_e = g_h[:, :he_dim] * (1.0 - h_e * h_e)
-        dpre_s = g_h[:, he_dim:] * (1.0 - h_s * h_s)
-        grads["w_enzyme"] += dpre_e.T @ x_e
-        grads["b_enzyme"] += dpre_e.sum(axis=0)
-        grads["w_substrate"] += dpre_s.T @ x_s
-        grads["b_substrate"] += dpre_s.sum(axis=0)
+    shares = np.empty((k, theta.size))  # each row set's gradient, laid out like theta
+    g = _blocks(shares, *layers)
+    np.matmul(z[0].T, g_pred, out=g["w_head"][0])
+    g["b_head"][0] = g_pred.sum()
+    g["w_head"][1:] = g["b_head"][1:] = 0.0  # augmented rows reach only the embedding
+    dpre_f = g_z * (1.0 - z * z)
+    np.matmul(dpre_f.swapaxes(1, 2), h, out=g["w_fusion"])
+    dpre_f.sum(axis=1, out=g["b_fusion"])
+    dpre_h = (dpre_f @ w["w_fusion"]) * (1.0 - h * h)
+    dpre_e, dpre_s = dpre_h[..., : layers[0]], dpre_h[..., layers[0] :]
+    np.matmul(dpre_e.swapaxes(1, 2), xe, out=g["w_enzyme"])
+    dpre_e.sum(axis=1, out=g["b_enzyme"])
+    np.matmul(dpre_s.swapaxes(1, 2), xs, out=g["w_substrate"])
+    dpre_s.sum(axis=1, out=g["b_substrate"])
 
-    g_z_raw = np.outer(g_pred, params.w_head)
-    if lam > 0:
-        g_z_raw = g_z_raw + lam * gz_cons_raw
-    back_pass(g_z_raw, z_raw, h_raw, he_raw, hs_raw, xe_raw, xs_raw)
-    if lam > 0:
-        back_pass(lam * -gz_cons_raw, z_aug, h_aug, he_aug, hs_aug, xe_aug, xs_aug)
-
-    if not np.all(np.isfinite(flat)):
-        name = next(name for name, g in grads.items() if not np.all(np.isfinite(g)))
+    # each share is a product or a sum, which starts from +0.0 and so is
+    # never -0.0: adding the augmented share to the raw one gives the bits
+    # of adding both, raw first, to a zeroed vector
+    flat = shares[0]
+    for share in shares[1:]:
+        flat += share
+    if not np.isfinite(flat).all():
+        grads = _blocks(flat, *layers)
+        name = next(name for name, block in grads.items() if not np.isfinite(block).all())
         raise NonFiniteError(f"non-finite gradient in {name}")
     return flat, base, cons
 
@@ -466,23 +473,28 @@ def train(train_records, val_records, cfg: RunConfig):
     """Momentum SGD with per-step augmentation.
 
     ``cfg`` is an ``io.RunConfig``; the momentum is the fixed constant
-    MOMENTUM.  Every record is encoded once as index arrays.  With
-    lam > 0 each epoch draws fresh masks for every step's records at
-    once (_draw_epoch): step s's records draw in batch order from a
-    generator seeded by (seed, epoch, s) (augment.draw_masks), and each
-    step builds its augmented rows from its slice of the masked index
-    arrays.  The substrate featurizer is invariant under graph
-    isomorphism, so in enumeration mode a re-rendered substrate would
-    featurize as the unmasked graph: its atom draw is empty and nothing
-    is rendered, which makes the run the graph_mask run at p_g = 0.
-    With lam = 0 the consistency term is off and nothing is drawn.  Each
-    step computes the combined loss and updates the parameter vector.
-    Returns (params of the best validation-MSE epoch, per-epoch log).
-    On a non-finite loss or gradient the run raises NonFiniteError
-    carrying the best finite checkpoint and the log so far in its
-    ``checkpoint`` and ``log`` attributes.  Logs the encoding time, the
-    per-epoch wall time and the time spent drawing and masking at INFO
-    level.
+    MOMENTUM.  Every record is encoded once as index arrays, and the
+    feature rows of the training and validation records are built and
+    scaled once.  With lam > 0 each epoch draws fresh masks for every
+    step's records at once (_draw_epoch): step s's records draw in batch
+    order from a generator seeded by (seed, epoch, s)
+    (augment.draw_masks), and each step builds its augmented rows from
+    its slice of the masked index arrays.  The substrate featurizer is
+    invariant under graph isomorphism, so in enumeration mode a
+    re-rendered substrate would featurize as the unmasked graph: its atom
+    draw is empty and nothing is rendered, which makes the run the
+    graph_mask run at p_g = 0.  With lam = 0 the consistency term is off
+    and nothing is drawn.  Each step stacks its raw rows and, with
+    lam > 0, its augmented rows, computes the combined loss and its
+    gradient in one stacked pass (gradients), and updates one working
+    parameter vector and one velocity vector in place.  After each epoch a read-only ModelParams
+    copy of the working vector is validated and kept if it is the best
+    so far.  Returns (params of the best validation-MSE epoch, per-epoch
+    log).  On a non-finite loss, gradient or parameter the run raises
+    NonFiniteError carrying the best finite checkpoint and the log so far
+    in its ``checkpoint`` and ``log`` attributes.  Logs the encoding
+    time, the per-epoch wall time, the time spent drawing and masking and
+    the time spent in steps (forward, backward and update) at INFO level.
     """
     train_records = list(train_records)
     val_records = list(val_records)
@@ -494,8 +506,10 @@ def train(train_records, val_records, cfg: RunConfig):
     encode_start = time.perf_counter()
     residues, bins, hidden, counts = _encode(train_records)
     x_e, x_s = _enzyme_rows(*residues), _substrate_rows(counts, *hidden)
-    y = np.array([r.value for r in train_records], dtype=float)
     xv_e, xv_s = _featurize(val_records)
+    _scaled(x_e, x_s, out=(x_e, x_s))  # in place, with no second copy of the rows
+    _scaled(xv_e, xv_s, out=(xv_e, xv_s))
+    y = np.array([r.value for r in train_records], dtype=float)
     yv = np.array([r.value for r in val_records], dtype=float)
     atom_counts = np.array([len(b) for b in bins])
     pools = _flat([b[unprotected_atoms(r.graph)] for b, r in zip(bins, train_records)])
@@ -508,8 +522,8 @@ def train(train_records, val_records, cfg: RunConfig):
         cfg.embed_dim,
     )
     sizes = (params.hidden_enzyme, params.hidden_substrate, params.embed_dim)
-    velocity = np.zeros(params.theta.shape)
-    grad = np.empty(params.theta.shape)  # each step's gradient, accumulated in place
+    theta = params.theta.copy()  # the working vector; snapshots handed out are copies
+    velocity = np.zeros(theta.shape)
 
     n = len(train_records)
     best_params = params
@@ -527,6 +541,7 @@ def train(train_records, val_records, cfg: RunConfig):
 
     epochs_start = time.perf_counter()
     draw_s = 0.0
+    step_s = 0.0
     for epoch in range(cfg.epochs):
         order = np.random.default_rng([cfg.seed, epoch, 0xD5]).permutation(n)
         if cfg.lam > 0:
@@ -538,39 +553,41 @@ def train(train_records, val_records, cfg: RunConfig):
         steps = 0
         for step, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
-            xa_e = xa_s = None
             if cfg.lam > 0:
                 codes, lengths, atoms, per_row = augmented[step]
-                xa_e = _enzyme_rows(codes, lengths)
-                xa_s = _substrate_rows(counts[idx], atoms, per_row)
-            try:
-                grad, base, cons = gradients(
-                    params,
-                    x_e[idx],
-                    x_s[idx],
-                    xa_e,
-                    xa_s,
-                    y[idx],
-                    cfg.lam,
-                    _out=grad,
+                xe = np.empty((2, len(idx), ENZYME_FEATURES))
+                xs = np.empty((2, len(idx), SUBSTRATE_FEATURES))
+                xe[0], xs[0] = x_e[idx], x_s[idx]
+                _scaled(
+                    _enzyme_rows(codes, lengths),
+                    _substrate_rows(counts[idx], atoms, per_row),
+                    out=(xe[1], xs[1]),
                 )
+            else:
+                xe, xs = x_e[idx][None], x_s[idx][None]
+            step_start = time.perf_counter()
+            try:
+                grad, base, cons = gradients(theta, sizes, xe, xs, y[idx], cfg.lam)
             except NonFiniteError as exc:
                 abort(str(exc))
             total = loss_total(base, cons, cfg.lam)
             if not np.isfinite(total):
                 abort(f"non-finite training loss at epoch {epoch} step {step}")
             np.multiply(velocity, MOMENTUM, out=velocity)
-            velocity -= cfg.learning_rate * grad
-            try:
-                # a fresh vector: params already handed out stay unchanged
-                params = ModelParams(params.theta + velocity, *sizes)
-            except ValueError:
+            velocity -= np.multiply(grad, cfg.learning_rate, out=grad)
+            # a gradient held into the next step would make the allocator
+            # grow and trim the heap, with page faults, every step
+            del grad
+            theta += velocity
+            if not np.isfinite(theta).all():
                 abort(f"non-finite parameters at epoch {epoch} step {step}")
+            step_s += time.perf_counter() - step_start
             epoch_base += base
             epoch_cons += cons
             steps += 1
 
-        _, val_preds = forward_batch(params, xv_e, xv_s)
+        params = ModelParams(theta.copy(), *sizes)
+        *_, val_preds = _forward_arrays(_blocks(params.theta, *sizes), xv_e, xv_s)
         val_mse = loss_base(val_preds, yv)
         if not np.isfinite(val_mse):
             abort(f"non-finite validation loss at epoch {epoch}")
@@ -597,13 +614,14 @@ def train(train_records, val_records, cfg: RunConfig):
         entry["best_epoch"] = best_epoch
     _LOG.info(
         "train: encoded %d train + %d val records in %.3f s; %d epochs, %.4f s per epoch, "
-        "%.3f s drawing and masking",
+        "%.3f s drawing and masking, %.3f s in steps",
         len(train_records),
         len(val_records),
         encode_s,
         cfg.epochs,
         (time.perf_counter() - epochs_start) / cfg.epochs,
         draw_s,
+        step_s,
     )
     return best_params, log
 

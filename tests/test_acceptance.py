@@ -69,6 +69,13 @@ def _random_gradient_case(rng, batch=3):
     return params, (x_e, x_s, xa_e, xa_s, y)
 
 
+def _scaled_stack(x_e, x_s, xa_e, xa_s):
+    """The raw and augmented rows stacked and scaled, as gradients takes them."""
+    xs = np.stack((x_s, xa_s))
+    xs[..., -1] *= ATOM_COUNT_SCALE
+    return np.stack((x_e, xa_e)) * ENZYME_INPUT_SCALE, xs
+
+
 def _total_loss(p, x_e, x_s, xa_e, xa_s, y, lam):
     """Mean squared error plus lam times the mean squared embedding
     distance, written out from the model description: scaled inputs, two
@@ -116,7 +123,8 @@ def test_acceptance_1_gradient_oracle():
         rng = np.random.default_rng([101, draw])
         lam = lams[draw % len(lams)]
         params, (x_e, x_s, xa_e, xa_s, y) = _random_gradient_case(rng)
-        analytic, _, _ = gradients(params, x_e, x_s, xa_e, xa_s, y, lam)
+        xe, xs = _scaled_stack(x_e, x_s, xa_e, xa_s)
+        analytic, _, _ = gradients(params.theta, (5, 4, 6), xe, xs, y, lam)
         numeric = _fd_gradient(params, (x_e, x_s, xa_e, xa_s, y, lam))
         worst = max(worst, _max_rel_error(analytic, numeric))
     elapsed = time.perf_counter() - start

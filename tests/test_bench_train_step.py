@@ -43,7 +43,12 @@ def test_traced_train_on_split_phases():
     assert list(phases) == list(bench.PHASES)
     assert sum(phases.values()) == pytest.approx(result["train_s"], rel=1e-9)
     assert phases["draw"] > 0.0 and phases["featurize"] > 0.0
+    assert phases["forward"] > 0.0 and phases["backward"] > 0.0
     assert phases["other"] >= 0.0
     # one draw per epoch, covering every step
     assert result["calls"]["model._draw_epoch"] == cfg.epochs
     assert result["calls"]["augment.draw_masks"] == cfg.epochs
+    # one stacked forward pass per step, and one per epoch to validate
+    steps = cfg.epochs * -(-len(split.train_ids) // cfg.batch_size)
+    assert result["calls"]["model.gradients"] == steps
+    assert result["calls"]["model._forward_arrays"] == steps + cfg.epochs

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import _featurize_py as reference
+import _train_py
 from _augment_py import mask_graph, mask_sequence
 from enzood import model
 from enzood.augment import ALPHABET, AMINO_ACIDS
@@ -444,26 +445,55 @@ def random_batch(rng, batch, he=5, hs=4, d=6):
     return params, (x_e, x_s, xa_e, xa_s, y)
 
 
+def layers(params):
+    return params.hidden_enzyme, params.hidden_substrate, params.embed_dim
+
+
+def stacked_gradients(params, x_e, x_s, xa_e, xa_s, y, lam):
+    """gradients over the (raw, augmented) stack of the scaled rows."""
+    xe, xs = model._scaled(np.stack((x_e, xa_e)), np.stack((x_s, xa_s)))
+    return gradients(params.theta, layers(params), xe, xs, y, lam)
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.5, 5.0])
 def test_gradients_match_finite_differences(lam):
     rng = np.random.default_rng(int(lam * 10) + 3)
     params, (x_e, x_s, xa_e, xa_s, y) = random_batch(rng, batch=3)
-    grads, base, cons = gradients(params, x_e, x_s, xa_e, xa_s, y, lam)
+    grads, base, cons = stacked_gradients(params, x_e, x_s, xa_e, xa_s, y, lam)
     numeric = fd_gradient(params, (x_e, x_s, xa_e, xa_s, y, lam))
     assert max_rel_error(grads, numeric) < 1e-4
     b2, c2, _ = batch_losses(params, x_e, x_s, xa_e, xa_s, y, lam)
     assert base == b2 and cons == c2
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.5, 50.0])
+@pytest.mark.parametrize("batch", [1, 7, 16])
+def test_gradients_match_the_two_pass_reference(lam, batch):
+    """One stacked pass gives the gradient and losses of two passes, bit
+    for bit, at the default layer sizes."""
+    rng = np.random.default_rng([26, batch, int(lam)])
+    params, args = random_batch(rng, batch, 48, 16, 64)
+    want = _train_py.gradients(params, *args, lam)
+    got = stacked_gradients(params, *args, lam)
+    assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
+
+
 def test_gradients_lambda_zero_ignores_augmented():
     rng = np.random.default_rng(21)
     params, (x_e, x_s, xa_e, xa_s, y) = random_batch(rng, batch=4)
-    g1, *_ = gradients(params, x_e, x_s, xa_e, xa_s, y, 0.0)
+    g1, *_ = stacked_gradients(params, x_e, x_s, xa_e, xa_s, y, 0.0)
     garbage_e = np.full_like(xa_e, 1234.5)
     garbage_s = np.full_like(xa_s, -77.0)
-    g2, *_ = gradients(params, x_e, x_s, garbage_e, garbage_s, y, 0.0)
-    g3, *_ = gradients(params, x_e, x_s, None, None, y, 0.0)
+    g2, *_ = stacked_gradients(params, x_e, x_s, garbage_e, garbage_s, y, 0.0)
+    g3, *_ = gradients(params.theta, layers(params), *model._scaled(x_e[None], x_s[None]), y, 0.0)
     assert np.array_equal(g1, g2) and np.array_equal(g1, g3)
+
+
+def test_gradients_need_the_augmented_rows_when_lambda_is_positive():
+    rng = np.random.default_rng(25)
+    params, (x_e, x_s, *_, y) = random_batch(rng, batch=2)
+    with pytest.raises(ValueError, match="needs 2 stacked row sets"):
+        gradients(params.theta, layers(params), *model._scaled(x_e[None], x_s[None]), y, 0.5)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -474,28 +504,14 @@ def test_gradients_name_the_non_finite_block():
     # gradient, overflows while every other block stays finite
     huge = np.full(3, 1e308)
     with pytest.raises(NonFiniteError, match="non-finite gradient in b_head"):
-        gradients(params, x_e, x_s, xa_e, xa_s, huge, 0.0)
-
-
-@pytest.mark.parametrize("lam", [0.0, 0.5])
-def test_gradients_into_a_buffer_match_the_public_call(lam):
-    rng = np.random.default_rng(int(lam * 10) + 24)
-    params, args = random_batch(rng, batch=4)
-    fresh, base, cons = gradients(params, *args, lam)
-    buffer = np.full(params.theta.shape, np.nan)  # stale contents are zeroed first
-    into, base2, cons2 = gradients(params, *args, lam, _out=buffer)
-    assert into is buffer and fresh is not buffer
-    assert fresh.tobytes() == into.tobytes()
-    assert (base, cons) == (base2, cons2)
-    again, *_ = gradients(params, *args, lam, _out=buffer)
-    assert fresh.tobytes() == again.tobytes()
+        stacked_gradients(params, x_e, x_s, xa_e, xa_s, huge, 0.0)
 
 
 def test_gradients_reject_negative_lambda():
     rng = np.random.default_rng(22)
     params, args = random_batch(rng, batch=2)
     with pytest.raises(ValueError):
-        gradients(params, *args, -1.0)
+        stacked_gradients(params, *args, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -586,17 +602,18 @@ def test_train_lambda_zero_draws_no_augmentation(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["graph_mask", "enumeration"])
 def test_train_features_the_augmented_records(monkeypatch, mode):
-    """Each step's augmented rows are the features of the step's batch
-    records masked by draws from the (seed, epoch, step) generator in
-    batch order: residues, then (graph_mask) atoms.  Enumeration draws
-    residues alone, and its substrate rows are the raw ones, which every
-    re-rendering of the graph featurizes to."""
+    """Each step's augmented rows, the second row set of its gradients
+    stack, are the scaled features of the step's batch records masked by
+    draws from the (seed, epoch, step) generator in batch order:
+    residues, then (graph_mask) atoms.  Enumeration draws residues alone,
+    and its substrate rows are the raw ones, which every re-rendering of
+    the graph featurizes to."""
     seen = []
     real = model.gradients
 
-    def spy(params, x_e, x_s, xa_e, xa_s, *args, **kwargs):
-        seen.append((xa_e, xa_s))
-        return real(params, x_e, x_s, xa_e, xa_s, *args, **kwargs)
+    def spy(theta, sizes, xe, xs, *args):
+        seen.append((xe[1], xs[1]))
+        return real(theta, sizes, xe, xs, *args)
 
     monkeypatch.setattr(model, "gradients", spy)
     rng = np.random.default_rng(38)
@@ -616,7 +633,7 @@ def test_train_features_the_augmented_records(monkeypatch, mode):
                 rows_e.append(featurize_enzyme(mask_sequence(r.sequence, 0.2, step_rng)))
                 mask = None if mode == "enumeration" else mask_graph(r.graph, 0.3, step_rng)
                 rows_s.append(featurize_substrate(r.graph, mask))
-            expected.append((np.stack(rows_e), np.stack(rows_s)))
+            expected.append(model._scaled(np.stack(rows_e), np.stack(rows_s)))
     assert len(seen) == len(expected) == 4
     for (xa_e, xa_s), (want_e, want_s) in zip(seen, expected):
         assert np.array_equal(xa_e, want_e) and np.array_equal(xa_s, want_s)
@@ -630,9 +647,9 @@ def test_train_masks_are_consecutive_choice_draws(monkeypatch):
     seen = []
     real = model.gradients
 
-    def spy(params, x_e, x_s, xa_e, xa_s, *args, **kwargs):
-        seen.append((xa_e, xa_s))
-        return real(params, x_e, x_s, xa_e, xa_s, *args, **kwargs)
+    def spy(theta, sizes, xe, xs, *args):
+        seen.append((xe[1], xs[1]))
+        return real(theta, sizes, xe, xs, *args)
 
     monkeypatch.setattr(model, "gradients", spy)
     rng = np.random.default_rng(40)
@@ -668,7 +685,7 @@ def test_train_masks_are_consecutive_choice_draws(monkeypatch):
                                                    min(floor(0.3 * len(r.graph)), len(pool)))}
                 mask = [i in hidden for i in range(len(r.graph))]
                 rows_s.append(featurize_substrate(r.graph, mask))
-            expected.append((np.stack(rows_e), np.stack(rows_s)))
+            expected.append(model._scaled(np.stack(rows_e), np.stack(rows_s)))
     assert len(seen) == len(expected) == 8
     assert [len(e) for e, _ in expected[:4]] == [6, 6, 6, 5]
     for (xa_e, xa_s), (want_e, want_s) in zip(seen, expected):
@@ -693,14 +710,19 @@ def test_train_enumeration_is_the_graph_mask_run_at_p_g_zero():
 
 
 def test_train_never_changes_params_it_handed_out(monkeypatch):
-    seen = []
-    real = model.gradients
+    """Train updates one working vector in place and hands out read-only
+    copies: the initial params, then one snapshot per epoch.  Each keeps
+    its weights through every later step, and the best params and the
+    checkpoint of a NonFiniteError are among them."""
+    built = []
+    real = model.ModelParams
 
-    def spy(params, *args, **kwargs):
-        seen.append((params, params.theta.copy()))
-        return real(params, *args, **kwargs)
+    def recording(*args):
+        params = real(*args)
+        built.append((params, params.theta.tobytes()))
+        return params
 
-    monkeypatch.setattr(model, "gradients", spy)
+    monkeypatch.setattr(model, "ModelParams", recording)
     rng = np.random.default_rng(37)
     pairs = linear_dataset(rng, 40, noise=0.3)
     cfg = RunConfig(
@@ -709,9 +731,19 @@ def test_train_never_changes_params_it_handed_out(monkeypatch):
     )
     best, log = train(pairs[:30], pairs[30:], cfg)
     assert log[0]["best_epoch"] < len(log) - 1  # steps ran after the returned params
-    assert any(params is best for params, _ in seen)
-    for params, snapshot in seen:
-        assert np.array_equal(params.theta, snapshot)
+    assert len(built) == 1 + cfg.epochs
+    assert any(params is best for params, _ in built)
+    for params, weights in built:
+        assert params.theta.tobytes() == weights and not params.theta.flags.writeable
+
+    built.clear()
+    with pytest.raises(NonFiniteError) as excinfo:  # logs 9 epochs, then diverges
+        train(pairs[:30], pairs[30:], dataclasses.replace(cfg, learning_rate=1e3))
+    err = excinfo.value
+    assert len(err.log) == 10 and "aborted" in err.log[-1]
+    assert any(params is err.checkpoint for params, _ in built[1:])  # an epoch's snapshot
+    for params, weights in built:
+        assert params.theta.tobytes() == weights
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -749,6 +781,61 @@ def test_train_aborts_on_non_finite_parameters_with_the_initial_checkpoint():
     initial = init_params(np.random.default_rng([cfg.seed, 0xA11]), 4, 3, 4)
     assert np.array_equal(err.checkpoint.theta, initial.theta)
     assert err.log == [{"aborted": str(err), "epoch": 0}]
+
+
+def run_outcome(train_fn, train_records, val_records, cfg):
+    """What a run hands back, as bytes and text: the returned weights and
+    log, or a NonFiniteError's message, log and checkpoint weights."""
+    try:
+        params, log = train_fn(train_records, val_records, cfg)
+    except NonFiniteError as err:
+        return "aborted", str(err), repr(err.log), err.checkpoint.theta.tobytes()
+    return "trained", params.theta.tobytes(), repr(log)
+
+
+def bench_case(n_train=40, **settings):
+    """n_train records of the 300-record benchmark, 12 more to validate,
+    3 epochs at the default layer sizes."""
+    cfg = RunConfig(epochs=3, **settings)
+    return lambda bench: (bench[:n_train], bench[n_train : n_train + 12], cfg)
+
+
+def divergence_case(data_seed, value_scale, **settings):
+    """The setting of one of the two divergence tests above."""
+
+    def case(_):
+        pairs = linear_dataset(np.random.default_rng(data_seed), 24)
+        pairs = [dataclasses.replace(r, value=r.value * value_scale) for r in pairs]
+        cfg = RunConfig(batch_size=8, hidden_enzyme=4, hidden_substrate=3, embed_dim=4, **settings)
+        return pairs[:16], pairs[16:], cfg
+
+    return case
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(bench_case(lam=0.0), id="lam-0"),
+        pytest.param(bench_case(lam=0.5), id="lam-0.5"),
+        pytest.param(bench_case(lam=50.0), id="lam-50"),
+        pytest.param(bench_case(lam=0.5, substrate_mode="enumeration"), id="enumeration"),
+        pytest.param(bench_case(n_train=33, lam=0.5), id="final-batch-of-one"),
+        pytest.param(bench_case(lam=0.5, batch_size=64), id="batch-larger-than-n"),
+        pytest.param(divergence_case(33, 1.0, learning_rate=1e155, epochs=4, seed=2),
+                     id="diverging", marks=pytest.mark.filterwarnings("ignore:overflow")),
+        pytest.param(divergence_case(34, 1e6, learning_rate=1e306, epochs=3, seed=5),
+                     id="non-finite-parameters"),
+    ],
+)
+def test_train_matches_the_two_pass_reference(case, bench300):
+    """One stacked pass per step, updated in place, gives the weights,
+    log and NonFiniteError of the reference that runs the raw and the
+    augmented rows through two passes and builds fresh params each
+    step, bit for bit."""
+    train_records, val_records, cfg = case(bench300)
+    assert run_outcome(train, train_records, val_records, cfg) == run_outcome(
+        _train_py.train, train_records, val_records, cfg
+    )
 
 
 def test_train_rejects_empty_sets():
