@@ -12,14 +12,15 @@ untraced (wall time) and once traced, splitting ``model.train`` into:
   ``augment.draw_masks``);
 - render / parse: SMILES rendering and parsing inside the steps;
 - featurize: feature rows built and scaled inside the steps
-  (``model._scaled``; in older trees the forward pass scales);
+  (``model._enzyme_rows``, ``model._substrate_rows`` and
+  ``model._scaled``; in older trees the forward pass scales);
 - forward: ``model._forward_arrays`` (one pass over the stacked raw and
   augmented rows per step, and per-epoch validation; in older trees one
   pass per row set);
 - backward: ``model.gradients`` minus the forward pass inside it;
 - other: the rest of ``model.train`` (batch indexing and stacking, the
-  parameter update, the per-epoch snapshot and log; in older trees the
-  masked index arrays).
+  parameter update, the snapshot of each new best epoch and the log; in
+  older trees the masked index arrays).
 
 Functions a source tree lacks are skipped, so the same script times an
 older tree.  Usage::
@@ -52,8 +53,6 @@ CATEGORY = {
     "augment.draw_masks": "draw",
     "molgraph.enumerate_smiles": "render",
     "molgraph.parse_smiles": "parse",
-    "model.featurize_enzyme": "featurize",
-    "model.featurize_substrate": "featurize",
     "model._enzyme_rows": "featurize",
     "model._substrate_rows": "featurize",
     "model._scaled": "featurize",

@@ -62,8 +62,6 @@ from .metrics import (
 )
 from .model import (
     ModelParams,
-    featurize_enzyme,
-    featurize_substrate,
     init_params,
     predict,
     train,
@@ -121,8 +119,6 @@ __all__ = [
     "curve_from_risks",
     "enumerate_smiles",
     "evaluate_params",
-    "featurize_enzyme",
-    "featurize_substrate",
     "generate",
     "global_identity",
     "good_evaluation",

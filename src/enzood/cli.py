@@ -30,7 +30,6 @@ from pathlib import Path
 from .augment import augment_dataset
 from .errors import ConfigError, DatasetError, EnzoodError, NonFiniteError
 from .harness import (
-    LAMBDA_GRID,
     best_lambda_index,
     evaluate_params,
     good_evaluation,
@@ -353,7 +352,7 @@ def _cmd_ablate(args, clock: _StageClock) -> None:
         best = best_lambda_index(rows)
         sections += [
             ("lambda_sweep", ("lam", "val_mse", "val_r2", "val_mae", "test_r2", "test_mae"), rows),
-            _section("selection", ("best_index", "best_lam"), [(best, LAMBDA_GRID[best])]),
+            _section("selection", ("best_index", "best_lam"), [(best, rows[best]["lam"])]),
         ]
     clock.lap("sweep")
     report_path = _prepare(args.report_out)

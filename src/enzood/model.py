@@ -3,7 +3,9 @@
 Enzymes become length-normalized 1-mer/2-mer count vectors (462 entries,
 MASK is a first-class symbol); substrates become a 23-entry descriptor
 (element bins with a dedicated MASKED bin, bond orders, ring count,
-degree histogram, charge sum, atom total).  Both branches pass through a
+degree histogram, charge sum, atom total).  Records are featurized a
+batch at a time, one row each (_featurize): training, predict and
+synth.generate share that one entry point.  Both branches pass through a
 tanh affine layer, are concatenated, fused into a d-dim embedding, and a
 linear head emits the log10 kinetic prediction.
 
@@ -13,7 +15,8 @@ counterpart; the augmented samples feed only the consistency term.
 Each step stacks the batch's raw rows and, with lam > 0, its augmented
 rows on a leading axis and runs one forward and one backward pass over
 the stack (gradients), then updates one working parameter vector in
-place; each epoch validates a read-only ModelParams copy.  Training
+place; each epoch validates that vector, and a read-only ModelParams
+snapshot of it is taken only when the epoch is the best so far.  Training
 reads its settings from an ``io.RunConfig`` (the model does not import
 ``io``; any object with the same fields will do).  Records are any
 objects with sequence, graph (the parsed substrate), substrate_mask,
@@ -131,10 +134,11 @@ def _enzyme_rows(codes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     twos = ones[:-1] * k + codes[1:]
     twos[np.cumsum(lengths)[:-1] - 1] = b * k * k  # pairs across two sequences: a spare bin
     out = np.empty((b, ENZYME_FEATURES))
-    out[:, :k] = np.bincount(ones, minlength=b * k).reshape(b, k) / lengths[:, None]
-    out[:, k:] = (
-        np.bincount(twos, minlength=b * k * k + 1)[:-1].reshape(b, k * k)
-        / np.maximum(lengths - 1, 1)[:, None]
+    np.divide(np.bincount(ones, minlength=b * k).reshape(b, k), lengths[:, None], out=out[:, :k])
+    np.divide(
+        np.bincount(twos, minlength=b * k * k + 1)[:-1].reshape(b, k * k),
+        np.maximum(lengths - 1, 1)[:, None],
+        out=out[:, k:],
     )
     return out
 
@@ -153,23 +157,6 @@ def _substrate_rows(counts: np.ndarray, hidden: np.ndarray, per_row) -> np.ndarr
         out[:, _MASKED_BIN] += moved.sum(axis=1)
     out[:, :-1] /= out[:, -1:]
     return out
-
-
-def featurize_enzyme(seq: str) -> np.ndarray:
-    """Length-normalized 1-mer (21) and 2-mer (441) counts."""
-    codes = _residue_codes(seq)
-    return _enzyme_rows(codes, np.array([len(codes)]))[0]
-
-
-def featurize_substrate(g: MolGraph, mask=None) -> np.ndarray:
-    """Descriptor vector; masked atoms count only in the MASKED bin.
-
-    Bonds, degrees, ring membership, and charge are read from the intact
-    graph, so masking hides identity, not topology.
-    """
-    bins, counts = _atom_counts(g)
-    hidden = _masked_bins(bins, mask)
-    return _substrate_rows(counts[None], hidden, [len(hidden)])[0]
 
 
 def _encode(records):
@@ -193,28 +180,25 @@ def _featurize(records) -> tuple[np.ndarray, np.ndarray]:
 # Parameters
 
 
-def _shapes(hidden_enzyme: int, hidden_substrate: int, embed_dim: int) -> dict:
-    """Block name -> shape, in the order the blocks sit in the vector."""
-    he, hs, d = hidden_enzyme, hidden_substrate, embed_dim
-    return {
-        "w_enzyme": (he, ENZYME_FEATURES),
-        "b_enzyme": (he,),
-        "w_substrate": (hs, SUBSTRATE_FEATURES),
-        "b_substrate": (hs,),
-        "w_fusion": (d, he + hs),
-        "b_fusion": (d,),
-        "w_head": (d,),
-        "b_head": (),
-    }
-
-
 @functools.lru_cache(maxsize=16)
 def _plan(hidden_enzyme: int, hidden_substrate: int, embed_dim: int) -> tuple:
-    """(vector length, ((name, slice, shape), ...)) of the layout for
-    these layer sizes, worked out once per size."""
+    """(vector length, ((name, slice, shape), ...)): the blocks of the
+    parameter vector for these layer sizes, in the order they sit in it,
+    worked out once per size."""
+    he, hs, d = hidden_enzyme, hidden_substrate, embed_dim
+    shapes = (
+        ("w_enzyme", (he, ENZYME_FEATURES)),
+        ("b_enzyme", (he,)),
+        ("w_substrate", (hs, SUBSTRATE_FEATURES)),
+        ("b_substrate", (hs,)),
+        ("w_fusion", (d, he + hs)),
+        ("b_fusion", (d,)),
+        ("w_head", (d,)),
+        ("b_head", ()),
+    )
     plan = []
     offset = 0
-    for name, shape in _shapes(hidden_enzyme, hidden_substrate, embed_dim).items():
+    for name, shape in shapes:
         end = offset + math.prod(shape)
         plan.append((name, slice(offset, end), shape))
         offset = end
@@ -270,15 +254,13 @@ class ModelParams:
 def init_params(
     rng: np.random.Generator, hidden_enzyme: int, hidden_substrate: int, embed_dim: int
 ) -> ModelParams:
-    """Gaussian init scaled by 1/sqrt(fan_in); biases start at zero."""
-    blocks = {
-        name: np.zeros(shape)
-        for name, shape in _shapes(hidden_enzyme, hidden_substrate, embed_dim).items()
-    }
-    for name in ("w_enzyme", "w_substrate", "w_fusion", "w_head"):
-        shape = blocks[name].shape
-        blocks[name] = rng.normal(0.0, 1.0 / np.sqrt(shape[-1]), size=shape)
-    theta = np.concatenate([block.ravel() for block in blocks.values()])
+    """Gaussian init scaled by 1/sqrt(fan_in); biases start at zero.  The
+    weight blocks draw in layout order."""
+    size, plan = _plan(hidden_enzyme, hidden_substrate, embed_dim)
+    theta = np.zeros(size)
+    for name, part, shape in plan:
+        if name.startswith("w_"):
+            theta[part] = rng.normal(0.0, 1.0 / np.sqrt(shape[-1]), size=shape).ravel()
     return ModelParams(theta, hidden_enzyme, hidden_substrate, embed_dim)
 
 
@@ -315,16 +297,10 @@ def _forward_arrays(w: dict, xe: np.ndarray, xs: np.ndarray):
     return h, z, preds
 
 
-def forward_batch(params: ModelParams, x_enzyme, x_substrate):
-    """(embeddings, predictions) for stacked feature rows."""
-    w = _blocks(params.theta, params.hidden_enzyme, params.hidden_substrate, params.embed_dim)
-    *_, z, preds = _forward_arrays(w, *_scaled(np.atleast_2d(x_enzyme), np.atleast_2d(x_substrate)))
-    return z, preds
-
-
 def predict(params: ModelParams, records) -> np.ndarray:
     """Predictions for records as they are; vectorized over the batch."""
-    _, preds = forward_batch(params, *_featurize(list(records)))
+    w = _blocks(params.theta, params.hidden_enzyme, params.hidden_substrate, params.embed_dim)
+    *_, preds = _forward_arrays(w, *_scaled(*_featurize(list(records))))
     return preds
 
 
@@ -487,10 +463,11 @@ def train(train_records, val_records, cfg: RunConfig):
     and nothing is drawn.  Each step stacks its raw rows and, with
     lam > 0, its augmented rows, computes the combined loss and its
     gradient in one stacked pass (gradients), and updates one working
-    parameter vector and one velocity vector in place.  After each epoch a read-only ModelParams
-    copy of the working vector is validated and kept if it is the best
-    so far.  Returns (params of the best validation-MSE epoch, per-epoch
-    log).  On a non-finite loss, gradient or parameter the run raises
+    parameter vector and one velocity vector in place.  After each epoch
+    the working vector is validated, and a read-only ModelParams copy of
+    it is kept only when its validation MSE is the best so far.  Returns
+    (params of the best validation-MSE epoch, per-epoch log).  On a
+    non-finite loss, gradient or parameter the run raises
     NonFiniteError carrying the best finite checkpoint and the log so far
     in its ``checkpoint`` and ``log`` attributes.  Logs the encoding
     time, the per-epoch wall time, the time spent drawing and masking and
@@ -511,22 +488,17 @@ def train(train_records, val_records, cfg: RunConfig):
     _scaled(xv_e, xv_s, out=(xv_e, xv_s))
     y = np.array([r.value for r in train_records], dtype=float)
     yv = np.array([r.value for r in val_records], dtype=float)
-    atom_counts = np.array([len(b) for b in bins])
+    atom_counts = counts[:, -1]  # each count row ends with its atom total
     pools = _flat([b[unprotected_atoms(r.graph)] for b, r in zip(bins, train_records)])
     encode_s = time.perf_counter() - encode_start
 
-    params = init_params(
-        np.random.default_rng([cfg.seed, 0xA11]),
-        cfg.hidden_enzyme,
-        cfg.hidden_substrate,
-        cfg.embed_dim,
-    )
-    sizes = (params.hidden_enzyme, params.hidden_substrate, params.embed_dim)
-    theta = params.theta.copy()  # the working vector; snapshots handed out are copies
+    sizes = (cfg.hidden_enzyme, cfg.hidden_substrate, cfg.embed_dim)
+    best_params = init_params(np.random.default_rng([cfg.seed, 0xA11]), *sizes)
+    theta = best_params.theta.copy()  # the working vector; snapshots handed out are copies
+    w = _blocks(theta, *sizes)  # its named views, cut once and read by each validation
     velocity = np.zeros(theta.shape)
 
     n = len(train_records)
-    best_params = params
     best_val = np.inf
     best_epoch = -1
     log: list[dict] = []
@@ -586,8 +558,7 @@ def train(train_records, val_records, cfg: RunConfig):
             epoch_cons += cons
             steps += 1
 
-        params = ModelParams(theta.copy(), *sizes)
-        *_, val_preds = _forward_arrays(_blocks(params.theta, *sizes), xv_e, xv_s)
+        *_, val_preds = _forward_arrays(w, xv_e, xv_s)
         val_mse = loss_base(val_preds, yv)
         if not np.isfinite(val_mse):
             abort(f"non-finite validation loss at epoch {epoch}")
@@ -607,7 +578,7 @@ def train(train_records, val_records, cfg: RunConfig):
         log.append(entry)
         if val_mse < best_val:
             best_val = val_mse
-            best_params = params
+            best_params = ModelParams(theta.copy(), *sizes)
             best_epoch = epoch
 
     for entry in log:

@@ -6,8 +6,10 @@ named invariant features (selected enzyme 2-mer bins plus substrate
 topology descriptors) with an additive per-family offset scaled by rho:
 the offset is pure shortcut signal, predictive in-family and worthless
 on held-out families, which is exactly the failure mode consistency
-training is supposed to resist.  The ground-truth weights land in a JSON
-sidecar so tests can rebuild noise-free targets bit-exactly.
+training is supposed to resist.  The targets read the feature rows the
+model trains on: every drawn record is featurized in one batch by
+``model._featurize``.  The ground-truth weights land in a JSON sidecar
+so tests can rebuild noise-free targets bit-exactly.
 """
 
 from __future__ import annotations
@@ -16,13 +18,14 @@ import json
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from .augment import ALPHABET, AMINO_ACIDS, choice_many
 from .errors import ConfigError
 from .io import EsiRecord, check_integer, check_real, parse_config_text, write_dataset
-from .model import featurize_enzyme, featurize_substrate
+from .model import _featurize
 from .molgraph import Atom, Bond, BOND_SINGLE, MolGraph, parse_smiles, write_smiles
 
 DEFAULT_SCAFFOLDS = (
@@ -156,12 +159,12 @@ def _decorate(graph: MolGraph, count: int, rng: np.random.Generator) -> MolGraph
     return graph
 
 
-def _signal(sequence: str, s: np.ndarray, enzyme_features, substrate_features) -> float:
-    """Linear invariant part of the target.  ``s`` is the descriptor of
-    the substrate parsed from its serialized SMILES, as
-    ``EsiRecord.graph`` is, so generation and a reconstruction from the
-    sidecar weights share every float operation."""
-    e = featurize_enzyme(sequence)
+def _signal(e: np.ndarray, s: np.ndarray, enzyme_features, substrate_features) -> float:
+    """Linear invariant part of the target, from a record's enzyme and
+    substrate feature rows.  ``s`` describes the substrate parsed from
+    its serialized SMILES, as ``EsiRecord.graph`` is, so generation and a
+    reconstruction from the sidecar weights share every float
+    operation."""
     total = 0.0
     for idx, w in enzyme_features:
         total += w * e[idx]
@@ -228,12 +231,8 @@ def generate(cfg: SynthConfig) -> tuple[list[EsiRecord], dict]:
     # member point mutations, which is what lets the learned weights
     # transfer to held-out families instead of encoding family identity
     k = len(ALPHABET)
-    inner = set()
-    for block in blocks:
-        if len(block) > 1:
-            vec = featurize_enzyme(block)
-            inner.update(int(i) + k for i in np.nonzero(vec[k:])[0])
-    inner_bins = sorted(inner)
+    pairs = {(a, b) for block in blocks for a, b in zip(block, block[1:])}
+    inner_bins = sorted(k + k * ALPHABET.index(a) + ALPHABET.index(b) for a, b in pairs)
 
     rng_weights = np.random.default_rng([cfg.seed, 0xFC])
     n_bins = min(_N_ENZYME_BINS, len(inner_bins))
@@ -250,6 +249,7 @@ def generate(cfg: SynthConfig) -> tuple[list[EsiRecord], dict]:
 
     scaffolds = [parse_smiles(text) for text in cfg.scaffolds]
     drawn = []
+    featurized = []  # what _featurize reads of each drawn record
     for f in range(cfg.family_count):
         for m in range(cfg.members_per_family):
             rng = np.random.default_rng([cfg.seed, 1, f, m])
@@ -257,16 +257,19 @@ def generate(cfg: SynthConfig) -> tuple[list[EsiRecord], dict]:
             scaffold_idx = int(rng.integers(len(cfg.scaffolds)))
             graph = _decorate(scaffolds[scaffold_idx], int(rng.integers(_MAX_DECORATIONS + 1)), rng)
             smiles = write_smiles(graph)
+            drawn.append((f, m, sequence, scaffold_idx, smiles, float(rng.normal())))
             # the target reads the graph as a reader of the dataset parses it
-            descriptor = featurize_substrate(parse_smiles(smiles))
-            drawn.append((f, m, sequence, scaffold_idx, smiles, descriptor, float(rng.normal())))
+            featurized.append(
+                SimpleNamespace(sequence=sequence, graph=parse_smiles(smiles), substrate_mask=None)
+            )
+    x_e, x_s = _featurize(featurized)
 
-    substrate_features = _substrate_weights(np.array([d[5] for d in drawn]), rng_weights)
+    substrate_features = _substrate_weights(x_s, rng_weights)
 
     records = []
-    for f, m, sequence, scaffold_idx, smiles, descriptor, noise in drawn:
+    for (f, m, sequence, scaffold_idx, smiles, noise), e, s in zip(drawn, x_e, x_s):
         organism = f"family-{f:02d}"
-        clean = _signal(sequence, descriptor, enzyme_features, substrate_features)
+        clean = _signal(e, s, enzyme_features, substrate_features)
         clean += cfg.rho * family_offsets[organism]
         records.append(
             EsiRecord(

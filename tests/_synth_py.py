@@ -7,20 +7,16 @@ generator.
 
 import numpy as np
 
-from enzood.model import featurize_substrate
+from enzood.model import _featurize
 from enzood.synth import _signal
 
 
 def reconstruct_targets(records, truth: dict) -> np.ndarray:
     """Noise-free targets from the sidecar weights; equals record values
     exactly when sigma=0."""
+    x_e, x_s = _featurize(records)
     out = []
-    for record in records:
-        clean = _signal(
-            record.sequence,
-            featurize_substrate(record.graph),
-            truth["enzyme_features"],
-            truth["substrate_features"],
-        )
+    for record, e, s in zip(records, x_e, x_s):
+        clean = _signal(e, s, truth["enzyme_features"], truth["substrate_features"])
         out.append(clean + truth["rho"] * truth["family_offsets"][record.organism])
     return np.array(out)

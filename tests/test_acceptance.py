@@ -13,6 +13,7 @@ from math import floor
 from pathlib import Path
 
 import numpy as np
+from _featurize_py import featurize_enzyme, featurize_substrate
 from _molgraph_py import canonical_smiles, is_isomorphic
 
 from enzood import cli
@@ -28,8 +29,6 @@ from enzood.metrics import au_good, curve_from_risks, mae, r_squared
 from enzood.model import (
     ATOM_COUNT_SCALE,
     ENZYME_INPUT_SCALE,
-    featurize_enzyme,
-    featurize_substrate,
     gradients,
     init_params,
 )

@@ -19,9 +19,6 @@ from enzood.model import (
     MOMENTUM,
     ModelParams,
     SUBSTRATE_FEATURES,
-    featurize_enzyme,
-    featurize_substrate,
-    forward_batch,
     gradients,
     init_params,
     loss_base,
@@ -43,21 +40,28 @@ def random_enzyme(rng, length):
     return "".join(AMINO_ACIDS[int(i)] for i in rng.integers(0, 20, size=length))
 
 
+def featurized(sequence="A", substrate="C", mask=None):
+    """The (enzyme, substrate) feature rows of one record, from the batch
+    featurizer; ``substrate`` is SMILES or a parsed graph."""
+    graph = parse_smiles(substrate) if isinstance(substrate, str) else substrate
+    record = SimpleNamespace(sequence=sequence, graph=graph, substrate_mask=mask)
+    x_e, x_s = model._featurize([record])
+    return x_e[0], x_s[0]
+
+
 def forward(params, record):
     """(d-dim embedding, scalar log10 prediction) for one record."""
-    x_e = featurize_enzyme(record.sequence)[None, :]
-    x_s = featurize_substrate(record.graph, record.substrate_mask)[None, :]
-    z, preds = forward_batch(params, x_e, x_s)
+    z, preds = _train_py.forward_batch(params, *model._featurize([record]))
     return z[0], float(preds[0])
 
 
 def batch_losses(params, x_e, x_s, xa_e, xa_s, targets, lam):
     """(base, cons, total) of one batch from forward passes alone."""
-    z_raw, preds = forward_batch(params, x_e, x_s)
+    z_raw, preds = _train_py.forward_batch(params, x_e, x_s)
     base = loss_base(preds, targets)
     cons = 0.0
     if lam > 0:
-        z_aug, _ = forward_batch(params, xa_e, xa_s)
+        z_aug, _ = _train_py.forward_batch(params, xa_e, xa_s)
         cons = loss_cons(z_raw, z_aug)
     return base, cons, loss_total(base, cons, lam)
 
@@ -67,7 +71,7 @@ def batch_losses(params, x_e, x_s, xa_e, xa_s, targets, lam):
 
 
 def test_featurize_enzyme_single_symbol():
-    v = featurize_enzyme("AAAA")
+    v, _ = featurized("AAAA")
     assert v.shape == (ENZYME_FEATURES,)
     a = ALPHABET.index("A")
     assert v[a] == 1.0
@@ -81,8 +85,8 @@ def test_featurize_enzyme_one_mer_permutation_invariant():
     rng = np.random.default_rng(0)
     seq = random_enzyme(rng, 40)
     shuffled = "".join(np.random.default_rng(1).permutation(list(seq)))
-    a = featurize_enzyme(seq)
-    b = featurize_enzyme(shuffled)
+    a, _ = featurized(seq)
+    b, _ = featurized(shuffled)
     assert np.array_equal(a[:21], b[:21])
 
 
@@ -90,7 +94,7 @@ def test_featurize_enzyme_mask_locality():
     seq = "ACDEFGHIKL"
     pos = 4
     masked = seq[:pos] + "X" + seq[pos + 1 :]
-    diff = np.nonzero(featurize_enzyme(seq) != featurize_enzyme(masked))[0]
+    diff = np.nonzero(featurized(seq)[0] != featurized(masked)[0])[0]
     x = ALPHABET.index("X")
     old = ALPHABET.index(seq[pos])
     left = ALPHABET.index(seq[pos - 1])
@@ -107,15 +111,14 @@ def test_featurize_enzyme_mask_locality():
 
 
 def test_featurize_enzyme_length_one():
-    v = featurize_enzyme("W")
+    v, _ = featurized("W")
     assert v[ALPHABET.index("W")] == 1.0
     assert np.all(v[21:] == 0.0)
     assert np.all(np.isfinite(v))
 
 
 def test_featurize_substrate_layout():
-    g = parse_smiles("C")
-    v = featurize_substrate(g)
+    _, v = featurized(substrate="C")
     assert v.shape == (SUBSTRATE_FEATURES,)
     # element bins: B C N O P S F Cl Br I, then MASKED
     assert v[1] == 1.0  # C bin
@@ -127,8 +130,7 @@ def test_featurize_substrate_layout():
 
 
 def test_featurize_substrate_masked_bin():
-    g = parse_smiles("CCO")
-    v = featurize_substrate(g, mask=(False, False, True))
+    _, v = featurized(substrate="CCO", mask=(False, False, True))
     o_bin = 3  # B C N O
     assert v[o_bin] == 0.0
     assert v[10] == pytest.approx(1 / 3)  # MASKED bin
@@ -138,7 +140,7 @@ def test_featurize_substrate_masked_bin():
 
 
 def test_featurize_substrate_charge_and_degree():
-    v = featurize_substrate(parse_smiles("CC[O-]"))
+    _, v = featurized(substrate="CC[O-]")
     assert v[21] == pytest.approx(-1 / 3)
     assert v[16] == 0.0
     assert v[17] == pytest.approx(2 / 3)  # two degree-1 atoms
@@ -149,15 +151,15 @@ def test_featurize_substrate_isomorphism_invariant(corpus_smiles):
     rng = np.random.default_rng(3)
     for text in corpus_smiles[:10]:
         g = parse_smiles(text)
-        base = featurize_substrate(g)
+        _, base = featurized(substrate=g)
         for rendering in enumerate_smiles(g, 5, rng):
-            again = featurize_substrate(parse_smiles(rendering))
+            _, again = featurized(substrate=rendering)
             assert np.array_equal(base, again), (text, rendering)
 
 
 def test_featurizer_kernel_matches_loop_reference(bench300):
-    """The index-array kernel, batched and through the one-row wrappers,
-    equals the loop reference bit for bit on masked sequences and
+    """The index-array kernel, over the whole batch and one record at a
+    time, equals the loop reference bit for bit on masked sequences and
     graphs."""
     rng = np.random.default_rng(41)
     cases = [
@@ -177,19 +179,19 @@ def test_featurizer_kernel_matches_loop_reference(bench300):
     for row, (seq, g, mask) in enumerate(cases):
         want_e = reference.featurize_enzyme(seq)
         want_s = reference.featurize_substrate(g, mask)
-        assert np.array_equal(x_e[row], want_e) and np.array_equal(featurize_enzyme(seq), want_e)
-        assert np.array_equal(x_s[row], want_s)
-        assert np.array_equal(featurize_substrate(g, mask), want_s)
+        one_e, one_s = featurized(seq, g, mask)
+        assert np.array_equal(x_e[row], want_e) and np.array_equal(one_e, want_e)
+        assert np.array_equal(x_s[row], want_s) and np.array_equal(one_s, want_s)
 
 
 def test_featurize_substrate_mask_length_checked():
     with pytest.raises(ValueError):
-        featurize_substrate(parse_smiles("CCO"), mask=(True,))
+        featurized(substrate="CCO", mask=(True,))
 
 
 def test_featurize_substrate_rejects_empty_graph():
     with pytest.raises(ValueError, match="empty"):
-        featurize_substrate(MolGraph([], []))
+        featurized(substrate=MolGraph([], []))
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +258,18 @@ def test_params_views_tile_theta():
 
 @pytest.mark.parametrize("sizes", [(5, 4, 6), (1, 1, 1), (48, 16, 64)])
 def test_block_plan_views_match_a_walk_over_the_shapes(sizes):
-    """The cached plan cuts the vector as walking the block shapes in
-    order does, into read-only views of a read-only vector."""
+    """The cached plan's table tiles the vector, block after block, and
+    _blocks cuts it as walking the table's shapes in order does, into
+    read-only views of a read-only vector."""
     params = init_params(np.random.default_rng(16), *sizes)
     assert model._plan(*sizes) is model._plan(*sizes)
+    length, table = model._plan(*sizes)
+    assert length == params.theta.size
     views = model._blocks(params.theta, *sizes)
     offset = 0
-    for name, shape in model._shapes(*sizes).items():
+    for name, part, shape in table:
         size = int(np.prod(shape))
+        assert (part.start, part.stop, part.step) == (offset, offset + size, None)
         want = params.theta[offset : offset + size].reshape(shape)
         offset += size
         for view in (views[name], getattr(params, name)):
@@ -437,10 +443,8 @@ def random_batch(rng, batch, he=5, hs=4, d=6):
     params = init_params(rng, he, hs, d)
     pairs = [sample_record(rng) for _ in range(batch)]
     aug = [sample_record(rng, atoms="CC(=O)OC") for _ in range(batch)]
-    x_e = np.stack([featurize_enzyme(p.sequence) for p in pairs])
-    x_s = np.stack([featurize_substrate(p.graph) for p in pairs])
-    xa_e = np.stack([featurize_enzyme(p.sequence) for p in aug])
-    xa_s = np.stack([featurize_substrate(p.graph) for p in aug])
+    x_e, x_s = model._featurize(pairs)
+    xa_e, xa_s = model._featurize(aug)
     y = rng.normal(size=batch)
     return params, (x_e, x_s, xa_e, xa_s, y)
 
@@ -630,9 +634,9 @@ def test_train_features_the_augmented_records(monkeypatch, mode):
             step_rng = np.random.default_rng([cfg.seed, epoch, step])
             rows_e, rows_s = [], []
             for r in (records[i] for i in order[start : start + cfg.batch_size]):
-                rows_e.append(featurize_enzyme(mask_sequence(r.sequence, 0.2, step_rng)))
+                rows_e.append(reference.featurize_enzyme(mask_sequence(r.sequence, 0.2, step_rng)))
                 mask = None if mode == "enumeration" else mask_graph(r.graph, 0.3, step_rng)
-                rows_s.append(featurize_substrate(r.graph, mask))
+                rows_s.append(reference.featurize_substrate(r.graph, mask))
             expected.append(model._scaled(np.stack(rows_e), np.stack(rows_s)))
     assert len(seen) == len(expected) == 4
     for (xa_e, xa_s), (want_e, want_s) in zip(seen, expected):
@@ -679,12 +683,12 @@ def test_train_masks_are_consecutive_choice_draws(monkeypatch):
                 seq = list(r.sequence)
                 for site in choice(step_rng, len(seq), floor(0.3 * len(seq))):
                     seq[site] = "X"
-                rows_e.append(featurize_enzyme("".join(seq)))
+                rows_e.append(reference.featurize_enzyme("".join(seq)))
                 pool = [i for i, p in enumerate(r.graph.protected) if not p]
                 hidden = {pool[j] for j in choice(step_rng, len(pool),
                                                    min(floor(0.3 * len(r.graph)), len(pool)))}
                 mask = [i in hidden for i in range(len(r.graph))]
-                rows_s.append(featurize_substrate(r.graph, mask))
+                rows_s.append(reference.featurize_substrate(r.graph, mask))
             expected.append(model._scaled(np.stack(rows_e), np.stack(rows_s)))
     assert len(seen) == len(expected) == 8
     assert [len(e) for e, _ in expected[:4]] == [6, 6, 6, 5]
@@ -709,20 +713,43 @@ def test_train_enumeration_is_the_graph_mask_run_at_p_g_zero():
     assert not np.array_equal(masked.theta, p0.theta)
 
 
+def new_bests(log) -> int:
+    """How many logged epochs lower the best validation MSE so far."""
+    best, count = np.inf, 0
+    for entry in log:
+        if "val_mse" in entry and entry["val_mse"] < best:
+            best, count = entry["val_mse"], count + 1
+    return count
+
+
 def test_train_never_changes_params_it_handed_out(monkeypatch):
     """Train updates one working vector in place and hands out read-only
-    copies: the initial params, then one snapshot per epoch.  Each keeps
-    its weights through every later step, and the best params and the
-    checkpoint of a NonFiniteError are among them."""
+    copies: the initial params, then one snapshot per epoch that lowers
+    the best validation MSE.  None shares memory with the working vector,
+    each keeps its weights through every later step, and the best params
+    and the checkpoint of a NonFiniteError are the latest one."""
     built = []
-    real = model.ModelParams
+    working = []
+    real_params, real_gradients = model.ModelParams, model.gradients
 
     def recording(*args):
-        params = real(*args)
+        params = real_params(*args)
         built.append((params, params.theta.tobytes()))
         return params
 
+    def spy(theta, *args):
+        working.append(theta)
+        return real_gradients(theta, *args)
+
     monkeypatch.setattr(model, "ModelParams", recording)
+    monkeypatch.setattr(model, "gradients", spy)
+
+    def check_snapshots():
+        assert len({id(theta) for theta in working}) == 1  # one vector, updated in place
+        for params, weights in built:
+            assert params.theta.tobytes() == weights and not params.theta.flags.writeable
+            assert not np.shares_memory(params.theta, working[0])
+
     rng = np.random.default_rng(37)
     pairs = linear_dataset(rng, 40, noise=0.3)
     cfg = RunConfig(
@@ -731,19 +758,20 @@ def test_train_never_changes_params_it_handed_out(monkeypatch):
     )
     best, log = train(pairs[:30], pairs[30:], cfg)
     assert log[0]["best_epoch"] < len(log) - 1  # steps ran after the returned params
-    assert len(built) == 1 + cfg.epochs
-    assert any(params is best for params, _ in built)
-    for params, weights in built:
-        assert params.theta.tobytes() == weights and not params.theta.flags.writeable
+    assert 1 < new_bests(log) < cfg.epochs
+    assert len(built) == 1 + new_bests(log)
+    assert built[-1][0] is best
+    check_snapshots()
 
     built.clear()
+    working.clear()
     with pytest.raises(NonFiniteError) as excinfo:  # logs 9 epochs, then diverges
         train(pairs[:30], pairs[30:], dataclasses.replace(cfg, learning_rate=1e3))
     err = excinfo.value
     assert len(err.log) == 10 and "aborted" in err.log[-1]
-    assert any(params is err.checkpoint for params, _ in built[1:])  # an epoch's snapshot
-    for params, weights in built:
-        assert params.theta.tobytes() == weights
+    assert new_bests(err.log) > 0 and len(built) == 1 + new_bests(err.log)
+    assert built[-1][0] is err.checkpoint  # an epoch's snapshot
+    check_snapshots()
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -852,12 +880,14 @@ def test_momentum_constant():
 
 
 def test_forward_batch_matches_single():
+    """predict's batched pass gives the reference forward pass's
+    predictions over the batch, and each row matches the record's own
+    one-row pass."""
     rng = np.random.default_rng(35)
     params = init_params(np.random.default_rng(1), 6, 5, 7)
     pairs = [sample_record(rng) for _ in range(4)]
-    x_e = np.stack([featurize_enzyme(p.sequence) for p in pairs])
-    x_s = np.stack([featurize_substrate(p.graph) for p in pairs])
-    z, preds = forward_batch(params, x_e, x_s)
+    z, preds = _train_py.forward_batch(params, *model._featurize(pairs))
+    assert predict(params, pairs).tobytes() == preds.tobytes()
     for k, record in enumerate(pairs):
         zk, pk = forward(params, record)
         assert np.allclose(z[k], zk, atol=1e-12)

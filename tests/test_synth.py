@@ -131,6 +131,27 @@ def test_generate_parses_each_scaffold_and_substrate_once(monkeypatch):
     assert calls == {"synth": len(cfg.scaffolds) + len(records), "io": len(records)}
 
 
+def test_generate_featurizes_every_record_in_one_call(monkeypatch):
+    """generate featurizes all its drawn records in one _featurize call,
+    in record order, each with its substrate as parsed from its SMILES
+    and no mask."""
+    cfg = SynthConfig(family_count=3, members_per_family=5, seed=4)
+    batches = []
+    real = synth._featurize
+
+    def spy(records):
+        batches.append(list(records))
+        return real(batches[-1])
+
+    monkeypatch.setattr(synth, "_featurize", spy)
+    records, _ = generate(cfg)
+    assert len(batches) == 1
+    (batch,) = batches
+    assert [r.sequence for r in batch] == [r.sequence for r in records]
+    assert [write_smiles(r.graph) for r in batch] == [r.smiles for r in records]
+    assert all(r.substrate_mask is None for r in batch)
+
+
 def test_mutation_rate_zero_collapses_families():
     records, _ = generate(SynthConfig(family_count=3, members_per_family=5, mutation_rate=0.0))
     by_family = {}
