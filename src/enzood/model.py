@@ -102,8 +102,8 @@ def _atom_counts(g: MolGraph) -> tuple[np.ndarray, np.ndarray]:
     for bond in g.bonds:
         counts[base + _BOND_SLOT[bond.order]] += 1
     counts[base + 4] = sum(g.ring_membership)
-    for i in range(n):
-        counts[base + 5 + min(g.degree(i), 4)] += 1
+    for neigh in g.adjacency:
+        counts[base + 5 + min(len(neigh), 4)] += 1
     counts[base + 10] = sum(atom.formal_charge for atom in g.atoms)
     counts[base + 11] = n
     return np.array(bins, dtype=np.intp), np.array(counts, dtype=np.int64)
@@ -337,7 +337,9 @@ def loss_total(base: float, cons: float, lam: float) -> float:
 # Gradients
 
 
-def gradients(theta: np.ndarray, layers, x_enzyme, x_substrate, targets, lam: float):
+def gradients(
+    theta: np.ndarray, layers, x_enzyme, x_substrate, targets, lam: float, views=None
+):
     """Analytical gradient of loss_total over one batch: one forward and
     one backward pass over a stack of row sets.
 
@@ -351,8 +353,13 @@ def gradients(theta: np.ndarray, layers, x_enzyme, x_substrate, targets, lam: fl
     block's gradient adds the raw rows' share first and the augmented
     rows' second.
 
-    Returns (gradient, base_loss, cons_loss); the gradient is a fresh
-    vector laid out like theta.
+    ``views``, when given, is (w, shares, g): the named blocks of theta
+    (_blocks), a (k, theta.size) buffer for each row set's gradient
+    share, and its named blocks, all cut once per run by train.
+
+    Returns (gradient, base_loss, cons_loss).  The gradient is laid out
+    like theta: a fresh vector without ``views``, else the buffer's first
+    row, which the next call with the same buffer overwrites.
     """
     if lam < 0:
         raise ValueError(f"lambda must be non-negative, got {lam}")
@@ -365,7 +372,10 @@ def gradients(theta: np.ndarray, layers, x_enzyme, x_substrate, targets, lam: fl
         raise ValueError(f"lambda {lam} needs {k} stacked row sets")
     xe, xs = x_enzyme[:k], x_substrate[:k]
 
-    w = _blocks(theta, *layers)
+    if views is None:
+        shares = np.empty((k, theta.size))  # each row set's gradient, laid out like theta
+        views = _blocks(theta, *layers), shares, _blocks(shares, *layers)
+    w, shares, g = views
     h, z, preds = _forward_arrays(w, xe, xs)
     err = preds[0] - y
     base = float((err * err).sum() / batch)  # loss_base's mean, bit for bit
@@ -379,8 +389,6 @@ def gradients(theta: np.ndarray, layers, x_enzyme, x_substrate, targets, lam: fl
         g_z[0] += g_cons
         np.negative(g_cons, out=g_z[1])
 
-    shares = np.empty((k, theta.size))  # each row set's gradient, laid out like theta
-    g = _blocks(shares, *layers)
     np.matmul(z[0].T, g_pred, out=g["w_head"][0])
     g["b_head"][0] = g_pred.sum()
     g["w_head"][1:] = g["b_head"][1:] = 0.0  # augmented rows reach only the embedding
@@ -462,8 +470,9 @@ def train(train_records, val_records, cfg: RunConfig):
     graph_mask run at p_g = 0.  With lam = 0 the consistency term is off
     and nothing is drawn.  Each step stacks its raw rows and, with
     lam > 0, its augmented rows, computes the combined loss and its
-    gradient in one stacked pass (gradients), and updates one working
-    parameter vector and one velocity vector in place.  After each epoch
+    gradient in one stacked pass (gradients) into one gradient buffer
+    cut once per run, with the working vector's views, and updates one
+    working parameter vector and one velocity vector in place.  After each epoch
     the working vector is validated, and a read-only ModelParams copy of
     it is kept only when its validation MSE is the best so far.  Returns
     (params of the best validation-MSE epoch, per-epoch log).  On a
@@ -495,7 +504,9 @@ def train(train_records, val_records, cfg: RunConfig):
     sizes = (cfg.hidden_enzyme, cfg.hidden_substrate, cfg.embed_dim)
     best_params = init_params(np.random.default_rng([cfg.seed, 0xA11]), *sizes)
     theta = best_params.theta.copy()  # the working vector; snapshots handed out are copies
-    w = _blocks(theta, *sizes)  # its named views, cut once and read by each validation
+    w = _blocks(theta, *sizes)  # its named views, cut once and read by each step and validation
+    shares = np.empty((2 if cfg.lam > 0 else 1, theta.size))  # the gradient buffer of every step
+    views = w, shares, _blocks(shares, *sizes)
     velocity = np.zeros(theta.shape)
 
     n = len(train_records)
@@ -539,7 +550,7 @@ def train(train_records, val_records, cfg: RunConfig):
                 xe, xs = x_e[idx][None], x_s[idx][None]
             step_start = time.perf_counter()
             try:
-                grad, base, cons = gradients(theta, sizes, xe, xs, y[idx], cfg.lam)
+                grad, base, cons = gradients(theta, sizes, xe, xs, y[idx], cfg.lam, views)
             except NonFiniteError as exc:
                 abort(str(exc))
             total = loss_total(base, cons, cfg.lam)
@@ -547,9 +558,6 @@ def train(train_records, val_records, cfg: RunConfig):
                 abort(f"non-finite training loss at epoch {epoch} step {step}")
             np.multiply(velocity, MOMENTUM, out=velocity)
             velocity -= np.multiply(grad, cfg.learning_rate, out=grad)
-            # a gradient held into the next step would make the allocator
-            # grow and trim the heap, with page faults, every step
-            del grad
             theta += velocity
             if not np.isfinite(theta).all():
                 abort(f"non-finite parameters at epoch {epoch} step {step}")

@@ -10,6 +10,13 @@ trusted); there is no perception pass, so aromatic bonds count 1.5 toward
 valence and ring heteroatoms that rely on lone-pair donation (furan-style
 oxygen) fall outside the dialect.
 
+Each SMILES is checked once and built once: the parser's own checks
+cover every rule ``MolGraph(atoms, bonds)`` checks on arbitrary input,
+so it builds each atom once and hands the graph to the one build step
+(adjacency and ring membership), skipping the bridge search when no
+ring closure was read.  synth.generate featurizes the graphs it draws
+and never parses its written SMILES back.
+
 Besides parsing/writing, the module provides randomized SMILES
 enumeration and detection of "protected" atoms (rings, functional
 groups, charged centers) that the augmentation stage must never mask.
@@ -102,15 +109,17 @@ def max_valence(atom: Atom) -> int:
 
 
 class MolGraph:
-    """Immutable molecular graph; ring membership is derived on construction."""
+    """Immutable molecular graph; ring membership is derived on construction.
+
+    ``MolGraph(atoms, bonds)`` checks its input, then runs the one build
+    step (``_build``); ``_built`` runs that step alone, for input that
+    obeys every rule by construction."""
 
     def __init__(self, atoms, bonds):
-        self.atoms: tuple[Atom, ...] = tuple(atoms)
-        self.bonds: tuple[Bond, ...] = tuple(bonds)
-        n = len(self.atoms)
+        atoms, bonds = tuple(atoms), tuple(bonds)
+        n = len(atoms)
         seen_pairs = set()
-        adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for bond in self.bonds:
+        for bond in bonds:
             if not (0 <= bond.a < n and 0 <= bond.b < n):
                 raise GraphError(f"bond {bond.a}-{bond.b} out of bounds for {n} atoms")
             pair = (min(bond.a, bond.b), max(bond.a, bond.b))
@@ -118,22 +127,39 @@ class MolGraph:
                 raise GraphError(f"duplicate bond between atoms {pair[0]} and {pair[1]}")
             seen_pairs.add(pair)
             if bond.order == BOND_AROMATIC and not (
-                self.atoms[bond.a].aromatic and self.atoms[bond.b].aromatic
+                atoms[bond.a].aromatic and atoms[bond.b].aromatic
             ):
                 raise GraphError("aromatic bond between non-aromatic atoms")
-            adjacency[bond.a].append((bond.b, bond.order))
-            adjacency[bond.b].append((bond.a, bond.order))
-        self.adjacency: tuple[tuple[tuple[int, int], ...], ...] = tuple(
-            tuple(neigh) for neigh in adjacency
-        )
-        for idx, atom in enumerate(self.atoms):
-            total = self.bond_order_sum(idx)
+        for idx, (atom, total) in enumerate(zip(atoms, _rounded_order_sums(n, bonds))):
             if total + atom.explicit_h > max_valence(atom):
                 raise ValenceError(
                     f"atom {idx} ({atom.element}) bond-order sum {total} plus "
                     f"H{atom.explicit_h} exceeds valence {max_valence(atom)}"
                 )
-        self.ring_membership: tuple[bool, ...] = _ring_membership(n, self.bonds, adjacency)
+        self._build(atoms, bonds)
+
+    @classmethod
+    def _built(cls, atoms: tuple, bonds: tuple, ring: tuple | None = None) -> MolGraph:
+        """The graph of atom and bond tuples that already obey every rule
+        ``__init__`` checks, built with no check; ``ring`` is the ring
+        membership when the caller knows it."""
+        g = cls.__new__(cls)
+        g._build(atoms, bonds, ring)
+        return g
+
+    def _build(self, atoms: tuple, bonds: tuple, ring: tuple | None = None):
+        adjacency: list[list[tuple[int, int]]] = [[] for _ in atoms]
+        for bond in bonds:
+            adjacency[bond.a].append((bond.b, bond.order))
+            adjacency[bond.b].append((bond.a, bond.order))
+        self.atoms: tuple[Atom, ...] = atoms
+        self.bonds: tuple[Bond, ...] = bonds
+        self.adjacency: tuple[tuple[tuple[int, int], ...], ...] = tuple(
+            tuple(neigh) for neigh in adjacency
+        )
+        if ring is None:
+            ring = _ring_membership(len(atoms), bonds, adjacency)
+        self.ring_membership: tuple[bool, ...] = ring
 
     def __len__(self):
         return len(self.atoms)
@@ -161,6 +187,15 @@ class MolGraph:
             cached = detect_protected(self)
             object.__setattr__(self, "_protected", cached)
         return cached
+
+
+def _rounded_order_sums(n: int, bonds) -> list[int]:
+    """Each atom's valence contribution of its bonds, rounded up."""
+    order_sum = [0.0] * n
+    for bond in bonds:
+        order_sum[bond.a] += _BOND_VALENCE[bond.order]
+        order_sum[bond.b] += _BOND_VALENCE[bond.order]
+    return [ceil(total - 1e-9) for total in order_sum]
 
 
 def _ring_membership(n, bonds, adjacency):
@@ -225,32 +260,33 @@ def parse_smiles(text: str) -> MolGraph:
     Atoms appear in traversal order; implicit hydrogens are filled from
     the valence table.  Raises :class:`SmilesSyntaxError` for malformed
     or unsupported input and :class:`ValenceError` when an atom's
-    bond-order sum exceeds the valence table.
+    bond-order sum exceeds the valence table.  These checks cover every
+    rule ``MolGraph(atoms, bonds)`` checks, so the graph is built with no
+    second check, and with no bridge search when no ring was closed.
     """
     if not isinstance(text, str) or not text:
         raise SmilesSyntaxError("empty SMILES")
-    atoms: list[Atom] = []
-    bracketed: list[bool] = []
+    elements: list[str] = []
+    aromatic: list[bool] = []
+    declared: list[tuple[int, int] | None] = []  # (charge, H count) of a bracket atom
     bonds: list[Bond] = []
     bond_pairs: set[tuple[int, int]] = set()
     prev = -1  # index of the attachment atom, -1 before the first atom
     branch_stack: list[int] = []
     pending: int | None = None  # explicit bond symbol awaiting the next atom
     ring_open: dict[int, tuple[int, int | None]] = {}
+    closed = False  # whether a ring closure made a bond
 
-    def add_atom(atom: Atom, from_bracket: bool):
+    def add_atom(element: str, is_aromatic: bool, bracket: tuple[int, int] | None):
         nonlocal prev, pending
-        idx = len(atoms)
-        atoms.append(atom)
-        bracketed.append(from_bracket)
+        idx = len(elements)
+        elements.append(element)
+        aromatic.append(is_aromatic)
+        declared.append(bracket)
         if prev >= 0:
             order = pending
             if order is None:
-                order = (
-                    BOND_AROMATIC
-                    if atoms[prev].aromatic and atom.aromatic
-                    else BOND_SINGLE
-                )
+                order = BOND_AROMATIC if aromatic[prev] and is_aromatic else BOND_SINGLE
             _push_bond(prev, idx, order)
         elif pending is not None:
             raise SmilesSyntaxError("bond symbol before the first atom")
@@ -261,13 +297,13 @@ def parse_smiles(text: str) -> MolGraph:
         pair = (min(a, b), max(a, b))
         if pair in bond_pairs:
             raise SmilesSyntaxError(f"duplicate bond between atoms {a} and {b}")
-        if order == BOND_AROMATIC and not (atoms[a].aromatic and atoms[b].aromatic):
+        if order == BOND_AROMATIC and not (aromatic[a] and aromatic[b]):
             raise SmilesSyntaxError("':' bond requires aromatic atoms on both ends")
         bond_pairs.add(pair)
         bonds.append(Bond(a, b, order))
 
     def close_or_open_ring(number: int):
-        nonlocal pending
+        nonlocal pending, closed
         if prev < 0:
             raise SmilesSyntaxError("ring digit before any atom")
         if number in ring_open:
@@ -282,12 +318,9 @@ def parse_smiles(text: str) -> MolGraph:
                     )
                 order = opening_bond
             if order is None:
-                order = (
-                    BOND_AROMATIC
-                    if atoms[other].aromatic and atoms[prev].aromatic
-                    else BOND_SINGLE
-                )
+                order = BOND_AROMATIC if aromatic[other] and aromatic[prev] else BOND_SINGLE
             _push_bond(other, prev, order)
+            closed = True
         else:
             ring_open[number] = (prev, pending)
         pending = None
@@ -333,25 +366,20 @@ def parse_smiles(text: str) -> MolGraph:
                 frag = text[i : end + 1] if end != -1 else text[i:]
                 raise SmilesSyntaxError(f"unsupported bracket atom {frag!r}")
             symbol, h_part, charge_part = match.groups()
-            aromatic = symbol.islower()
             element = symbol.capitalize() if len(symbol) == 1 else symbol
             h_count = 0
             if h_part:
                 h_count = 1 if h_part == "H" else int(h_part[1:])
-            charge = _parse_charge(charge_part)
-            add_atom(
-                Atom(element, formal_charge=charge, aromatic=aromatic, explicit_h=h_count),
-                from_bracket=True,
-            )
+            add_atom(element, symbol.islower(), (_parse_charge(charge_part), h_count))
             i = match.end()
         elif text[i : i + 2] in _TWO_CHAR:
-            add_atom(Atom(text[i : i + 2]), from_bracket=False)
+            add_atom(text[i : i + 2], False, None)
             i += 2
         elif ch in "BCNOPSFI":
-            add_atom(Atom(ch), from_bracket=False)
+            add_atom(ch, False, None)
             i += 1
         elif ch in "bcnops":
-            add_atom(Atom(ch.upper(), aromatic=True), from_bracket=False)
+            add_atom(ch.upper(), True, None)
             i += 1
         else:
             raise SmilesSyntaxError(f"unsupported token {ch!r} at position {i}")
@@ -363,34 +391,33 @@ def parse_smiles(text: str) -> MolGraph:
         raise SmilesSyntaxError(f"dangling ring digit(s): {digits}")
     if pending is not None:
         raise SmilesSyntaxError("dangling bond symbol at end of input")
-    if not atoms:
+    if not elements:
         raise SmilesSyntaxError("no atoms in SMILES")
 
     # Fill implicit hydrogens on bare atoms; bracket atoms keep the count
     # they declared (possibly zero) but still face the valence ceiling.
-    order_sum = [0.0] * len(atoms)
-    for bond in bonds:
-        order_sum[bond.a] += _BOND_VALENCE[bond.order]
-        order_sum[bond.b] += _BOND_VALENCE[bond.order]
-    finished: list[Atom] = []
-    for idx, atom in enumerate(atoms):
-        rounded = ceil(order_sum[idx] - 1e-9)
-        if bracketed[idx]:
-            if rounded + atom.explicit_h > max_valence(atom):
-                raise ValenceError(
-                    f"atom {idx} ({atom.element}) bonds {rounded} + H{atom.explicit_h} "
-                    f"exceed valence {max_valence(atom)}"
-                )
-            finished.append(atom)
-        else:
-            implicit = _implied_h(atom, rounded)
+    atoms: list[Atom] = []
+    for idx, rounded in enumerate(_rounded_order_sums(len(elements), bonds)):
+        element = elements[idx]
+        if declared[idx] is None:
+            implicit = _implied_h(element, rounded)
             if implicit is None:
                 raise ValenceError(
-                    f"atom {idx} ({atom.element}) bond-order sum {rounded} exceeds "
-                    f"valence {MAX_VALENCE[atom.element]}"
+                    f"atom {idx} ({element}) bond-order sum {rounded} exceeds "
+                    f"valence {MAX_VALENCE[element]}"
                 )
-            finished.append(Atom(atom.element, atom.formal_charge, atom.aromatic, implicit))
-    return MolGraph(finished, bonds)
+            atoms.append(Atom(element, 0, aromatic[idx], implicit))
+        else:
+            charge, h_count = declared[idx]
+            atom = Atom(element, charge, aromatic[idx], h_count)
+            if rounded + h_count > max_valence(atom):
+                raise ValenceError(
+                    f"atom {idx} ({element}) bonds {rounded} + H{h_count} "
+                    f"exceed valence {max_valence(atom)}"
+                )
+            atoms.append(atom)
+    ring = None if closed else (False,) * len(atoms)
+    return MolGraph._built(tuple(atoms), tuple(bonds), ring)
 
 
 def _parse_charge(token: str | None) -> int:
@@ -410,11 +437,10 @@ def _parse_charge(token: str | None) -> int:
 # SMILES writing
 
 
-def _implied_h(atom: Atom, rounded_bond_sum: int) -> int | None:
-    """Hydrogen count a bare atom token would receive, or None if impossible."""
-    if atom.formal_charge != 0:
-        return None
-    for cand in _DEFAULT_VALENCES[atom.element]:
+def _implied_h(element: str, rounded_bond_sum: int) -> int | None:
+    """Hydrogen count a bare (uncharged) atom token of ``element`` would
+    receive, or None if impossible."""
+    for cand in _DEFAULT_VALENCES[element]:
         if cand >= rounded_bond_sum:
             return cand - rounded_bond_sum
     return None
@@ -424,7 +450,8 @@ def _atom_token(g: MolGraph, idx: int) -> str:
     atom = g.atoms[idx]
     symbol = atom.element.lower() if atom.aromatic else atom.element
     needs_bracket = (
-        atom.formal_charge != 0 or _implied_h(atom, g.bond_order_sum(idx)) != atom.explicit_h
+        atom.formal_charge != 0
+        or _implied_h(atom.element, g.bond_order_sum(idx)) != atom.explicit_h
     )
     if not needs_bracket:
         return symbol

@@ -8,8 +8,10 @@ the offset is pure shortcut signal, predictive in-family and worthless
 on held-out families, which is exactly the failure mode consistency
 training is supposed to resist.  The targets read the feature rows the
 model trains on: every drawn record is featurized in one batch by
-``model._featurize``.  The ground-truth weights land in a JSON sidecar
-so tests can rebuild noise-free targets bit-exactly.
+``model._featurize``, from the graph it drew (the substrate row is
+invariant under isomorphism, so it is the row of the written SMILES
+parsed back).  The ground-truth weights land in a JSON sidecar so tests
+can rebuild noise-free targets bit-exactly.
 """
 
 from __future__ import annotations
@@ -139,7 +141,11 @@ def _mutate(prototype: str, rate: float, rng: np.random.Generator) -> str:
 
 def _decorate(graph: MolGraph, count: int, rng: np.random.Generator) -> MolGraph:
     """Attach up to ``count`` single-bonded atoms on unprotected positions
-    that still hold a hydrogen; stops early when no site is eligible."""
+    that still hold a hydrogen; stops early when no site is eligible.
+    Each step trades one of the site's hydrogens for a bond to a new
+    leaf, which no valence ceiling forbids and which closes no ring, so
+    the graph is built with no check and its ring membership gains one
+    False."""
     for _ in range(count):
         sites = [
             i
@@ -154,17 +160,17 @@ def _decorate(graph: MolGraph, count: int, rng: np.random.Generator) -> MolGraph
         old = atoms[site]
         atoms[site] = Atom(old.element, old.formal_charge, old.aromatic, old.explicit_h - 1)
         atoms.append(Atom(element, 0, False, 3 if element == "C" else 0))
-        bonds = list(graph.bonds) + [Bond(site, len(atoms) - 1, BOND_SINGLE)]
-        graph = MolGraph(atoms, bonds)
+        bonds = graph.bonds + (Bond(site, len(atoms) - 1, BOND_SINGLE),)
+        graph = MolGraph._built(tuple(atoms), bonds, graph.ring_membership + (False,))
     return graph
 
 
 def _signal(e: np.ndarray, s: np.ndarray, enzyme_features, substrate_features) -> float:
     """Linear invariant part of the target, from a record's enzyme and
-    substrate feature rows.  ``s`` describes the substrate parsed from
-    its serialized SMILES, as ``EsiRecord.graph`` is, so generation and a
-    reconstruction from the sidecar weights share every float
-    operation."""
+    substrate feature rows.  ``s`` holds the integers of the substrate
+    parsed from its serialized SMILES, as ``EsiRecord.graph`` is, so
+    generation and a reconstruction from the sidecar weights share every
+    float operation."""
     total = 0.0
     for idx, w in enzyme_features:
         total += w * e[idx]
@@ -256,12 +262,10 @@ def generate(cfg: SynthConfig) -> tuple[list[EsiRecord], dict]:
             sequence = _mutate(prototypes[f], cfg.mutation_rate, rng)
             scaffold_idx = int(rng.integers(len(cfg.scaffolds)))
             graph = _decorate(scaffolds[scaffold_idx], int(rng.integers(_MAX_DECORATIONS + 1)), rng)
-            smiles = write_smiles(graph)
-            drawn.append((f, m, sequence, scaffold_idx, smiles, float(rng.normal())))
-            # the target reads the graph as a reader of the dataset parses it
-            featurized.append(
-                SimpleNamespace(sequence=sequence, graph=parse_smiles(smiles), substrate_mask=None)
-            )
+            drawn.append((f, m, sequence, scaffold_idx, write_smiles(graph), float(rng.normal())))
+            # the substrate row is invariant under isomorphism, so the drawn
+            # graph featurizes as a reader of the dataset parses its SMILES
+            featurized.append(SimpleNamespace(sequence=sequence, graph=graph, substrate_mask=None))
     x_e, x_s = _featurize(featurized)
 
     substrate_features = _substrate_weights(x_s, rng_weights)

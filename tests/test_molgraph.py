@@ -347,6 +347,39 @@ def test_ring_membership_spiro_and_bridge():
     assert g.ring_membership == (True,) * 6 + (False, False)
 
 
+# no closure, spiro, bridged, fused-saturated and %nn ring closures,
+# charges and aromatics, beyond the shared corpora
+BUILD_CASES = [
+    "C",
+    "CC(C)(C)CC(=O)[O-]",
+    "C1CC12CC2",
+    "C1CCC12CCCC2",
+    "C1CC2CCC1C2",
+    "C12CC(C1)C2",
+    "C1CC2CC1CC2",
+    "CC%12CCC%12C",
+    "C%10CC%11CC%10C%11",
+    "c1ccccc1CC[NH3+]",
+]
+
+
+def built_fields(g):
+    return g.atoms, g.bonds, g.adjacency, g.ring_membership
+
+
+def test_parse_builds_what_the_checking_constructor_builds(
+    corpus_smiles, maskable_smiles, bench300
+):
+    """parse_smiles skips MolGraph's checks (its own cover them) and the
+    bridge search of a SMILES with no ring closure; the graph is the one
+    MolGraph(atoms, bonds) checks and builds, field for field."""
+    for text in corpus_smiles + maskable_smiles + BUILD_CASES + [r.smiles for r in bench300]:
+        g = parse_smiles(text)
+        assert type(g) is MolGraph
+        assert built_fields(MolGraph(g.atoms, g.bonds)) == built_fields(g), text
+        assert all(type(field) is tuple for field in built_fields(g))
+
+
 def test_corpus_parses_clean(corpus_smiles):
     for text in corpus_smiles:
         g = parse_smiles(text)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from _synth_py import reconstruct_targets
 
-from enzood import io, synth
+from enzood import io, model, synth
 from enzood.errors import ConfigError
 from enzood.io import read_dataset
-from enzood.molgraph import parse_smiles, write_smiles
+from enzood.molgraph import MolGraph, parse_smiles, write_smiles
 from enzood.seqid import global_identity, pairwise_identity_matrix
 from enzood.synth import (
     DEFAULT_SCAFFOLDS,
@@ -111,8 +111,8 @@ def test_generate_deterministic():
 
 
 def test_generate_parses_each_scaffold_and_substrate_once(monkeypatch):
-    """Each scaffold is parsed once, each decorated SMILES once for the
-    target and once more by its EsiRecord."""
+    """Each scaffold is parsed once and each decorated SMILES once, by its
+    EsiRecord: the target featurizes the graph that was drawn."""
     cfg = SynthConfig(family_count=3, members_per_family=5, seed=4)
     calls = {"synth": 0, "io": 0}
 
@@ -128,14 +128,11 @@ def test_generate_parses_each_scaffold_and_substrate_once(monkeypatch):
     for module in (synth, io):
         monkeypatch.setattr(module, "parse_smiles", counting(module))
     records, _ = generate(cfg)
-    assert calls == {"synth": len(cfg.scaffolds) + len(records), "io": len(records)}
+    assert calls == {"synth": len(cfg.scaffolds), "io": len(records)}
 
 
-def test_generate_featurizes_every_record_in_one_call(monkeypatch):
-    """generate featurizes all its drawn records in one _featurize call,
-    in record order, each with its substrate as parsed from its SMILES
-    and no mask."""
-    cfg = SynthConfig(family_count=3, members_per_family=5, seed=4)
+def featurized_batches(monkeypatch, cfg):
+    """(every batch generate(cfg) hands _featurize, the records)."""
     batches = []
     real = synth._featurize
 
@@ -145,11 +142,70 @@ def test_generate_featurizes_every_record_in_one_call(monkeypatch):
 
     monkeypatch.setattr(synth, "_featurize", spy)
     records, _ = generate(cfg)
+    return batches, records
+
+
+def test_generate_featurizes_every_record_in_one_call(monkeypatch):
+    """generate featurizes all its drawn records in one _featurize call,
+    in record order, each with the substrate graph it drew (which writes
+    the record's SMILES) and no mask."""
+    cfg = SynthConfig(family_count=3, members_per_family=5, seed=4)
+    batches, records = featurized_batches(monkeypatch, cfg)
     assert len(batches) == 1
     (batch,) = batches
     assert [r.sequence for r in batch] == [r.sequence for r in records]
     assert [write_smiles(r.graph) for r in batch] == [r.smiles for r in records]
     assert all(r.substrate_mask is None for r in batch)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_decorate_steps_build_what_the_checking_constructor_builds(seed):
+    """Each _decorate step skips MolGraph's checks and its bridge search;
+    the graph it builds is the one MolGraph(atoms, bonds) checks and
+    builds, field for field, and one step at a time draws as the whole
+    call does."""
+    steps = 0
+    for text in DEFAULT_SCAFFOLDS + ("c1ccccc1CC", "C1CC2CCC1C2", "CC%12CCC%12C"):
+        start = graph = parse_smiles(text)
+        rng = np.random.default_rng([seed, len(text)])
+        for _ in range(synth._MAX_DECORATIONS):
+            grown = synth._decorate(graph, 1, rng)
+            if grown is graph:
+                break
+            graph, steps = grown, steps + 1
+            checked = MolGraph(graph.atoms, graph.bonds)
+            for field in ("atoms", "bonds", "adjacency", "ring_membership"):
+                assert getattr(graph, field) == getattr(checked, field), (text, field)
+        rng = np.random.default_rng([seed, len(text)])
+        whole = synth._decorate(start, synth._MAX_DECORATIONS, rng)
+        assert whole.atoms == graph.atoms and whole.bonds == graph.bonds
+    assert steps > 0
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SynthConfig(),
+        SynthConfig(family_count=6, members_per_family=10, prototype_length=40),
+        SynthConfig(
+            family_count=4, members_per_family=8, seed=3,
+            scaffolds=("c1ccccc1CC", "C1CC2CCC1C2", "CC%12CCC%12C", "CC(C)(C)CC(=O)[O-]"),
+        ),
+    ],
+)
+def test_generate_drawn_graphs_count_as_the_parsed_records(monkeypatch, cfg):
+    """The substrate count row is invariant under isomorphism, so each
+    drawn graph counts exactly as its record's graph, parsed from the
+    written SMILES, does; only the order of the per-atom element bins
+    may differ."""
+    (batch,), records = featurized_batches(monkeypatch, cfg)
+    assert len(batch) == len(records)
+    for drawn, record in zip(batch, records):
+        (bins, counts), (want_bins, want_counts) = (
+            model._atom_counts(g) for g in (drawn.graph, record.graph)
+        )
+        assert counts.dtype == want_counts.dtype and np.array_equal(counts, want_counts)
+        assert np.array_equal(np.sort(bins), np.sort(want_bins)), record.smiles
 
 
 def test_mutation_rate_zero_collapses_families():
