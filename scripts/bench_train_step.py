@@ -7,8 +7,9 @@ fraction 2/7, seed 0), 300 epochs.  Each measurement runs the mode once
 untraced (wall time) and once traced, splitting ``model.train`` into:
 
 - encode: from entry to the first step (records to feature rows, init);
-- draw: the masking draws and the masked index arrays built from them
-  (``model._draw_epoch``, once per epoch; in older trees the per-step
+- draw: the batch orders, the masking draws and the masked index arrays
+  built from them (``model._draw_block``, once per block of epochs; in
+  older trees ``model._draw_epoch``, once per epoch, or the per-step
   ``augment.draw_masks``);
 - render / parse: SMILES rendering and parsing inside the steps;
 - featurize: feature rows built and scaled inside the steps
@@ -49,6 +50,7 @@ PHASES = ("encode", "draw", "render", "parse", "featurize", "forward", "backward
 # traced function -> phase; a call's self time (its time minus that of
 # traced calls inside it) goes to its phase
 CATEGORY = {
+    "model._draw_block": "draw",
     "model._draw_epoch": "draw",
     "augment.draw_masks": "draw",
     "molgraph.enumerate_smiles": "render",
@@ -59,7 +61,9 @@ CATEGORY = {
     "model._forward_arrays": "forward",
     "model.gradients": "backward",
 }
-STEP_START = ("model._draw_epoch", "augment.draw_masks", "model.gradients")
+STEP_START = ("model._draw_block", "model._draw_epoch", "augment.draw_masks", "model.gradients")
+# traced names that only older trees define
+OLDER_TREES = ("model._draw_epoch",)
 
 
 class PhaseTracer:

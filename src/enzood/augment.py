@@ -15,7 +15,7 @@ states that one ``choice`` call per draw would give.
 
 There are two entry points, both batch-wide: ``draw_masks`` draws the
 masks of many records from many generators (training calls it once per
-epoch), and ``augment_dataset`` turns a whole data set into (raw,
+block of epochs), and ``augment_dataset`` turns a whole data set into (raw,
 augmented) record pairs.  Their settings come from ``io.RunConfig``,
 whose ``p_s``, ``p_g``, ``substrate_mode`` and ``seed`` fields they
 read.  This module does not import ``io`` (``io`` imports it), so any

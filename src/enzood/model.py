@@ -16,8 +16,10 @@ Each step stacks the batch's raw rows and, with lam > 0, its augmented
 rows on a leading axis and runs one forward and one backward pass over
 the stack (gradients), then updates one working parameter vector in
 place; each epoch validates that vector, and a read-only ModelParams
-snapshot of it is taken only when the epoch is the best so far.  Training
-reads its settings from an ``io.RunConfig`` (the model does not import
+snapshot of it is taken only when the epoch is the best so far.  The
+batch orders and masks are drawn a block of epochs at a time: one
+draw_masks call and one masking pass per block.  Training reads its
+settings from an ``io.RunConfig`` (the model does not import
 ``io``; any object with the same fields will do).  Records are any
 objects with sequence, graph (the parsed substrate), substrate_mask,
 and value attributes, as io.EsiRecord has.  All gradients are
@@ -419,37 +421,57 @@ def gradients(
 # Training
 
 
-def _draw_epoch(order, residues, atom_counts, pools, cfg: RunConfig, epoch: int) -> list[tuple]:
-    """One epoch's augmented index arrays, one tuple per step: (residue
-    codes of the step's records end to end with every drawn position set
-    to MASK, their lengths, the element bins of the masked atoms end to
-    end, their count per record).  Step s's records draw in batch order
-    from the generator seeded by (seed, epoch, s); the whole epoch is
-    one draw_masks call.  ``residues`` and ``pools`` are (values end to
+# The most residue codes one block of epochs masks at once.  A block is
+# whole epochs, at least one, so an epoch with more residues than this is
+# a block of its own.  Blocks pay off on small sets, where each draw's
+# fixed cost dominates; a 150-record set of 80-residue enzymes still
+# draws one epoch per block, so its peak memory is that of one epoch.
+_BLOCK_RESIDUES = 1 << 14
+
+
+def _draw_block(epochs, residues, atom_counts, pools, cfg: RunConfig) -> list[tuple]:
+    """The draws of a run of consecutive epochs, one (order, steps) per
+    epoch: the epoch's batch order, from the generator seeded by (seed,
+    epoch, 0xD5), and, with lam > 0, its augmented index arrays, one
+    tuple per step (residue codes of the step's records end to end with
+    every drawn position set to MASK, their lengths, the element bins of
+    the masked atoms end to end, their count per record); with lam = 0
+    the steps are None and no mask is drawn.  Step s of epoch e draws
+    its records in batch order from the generator seeded by (seed, e,
+    s); the whole block is one draw_masks call and one masking pass, cut
+    per epoch and step.  ``residues`` and ``pools`` are (values end to
     end, length per record) pairs in record order: residue codes, and
     the element bins of each record's unprotected atoms."""
     (codes, lengths), (pool_bins, pool_sizes) = residues, pools
-    n = len(order)
-    edges = list(range(0, n, cfg.batch_size)) + [n]  # each step's first record, then n
-    rngs = [np.random.default_rng([cfg.seed, epoch, step]) for step in range(len(edges) - 1)]
+    n = len(lengths)
+    orders = [np.random.default_rng([cfg.seed, epoch, 0xD5]).permutation(n) for epoch in epochs]
+    if not cfg.lam > 0:
+        return [(order, None) for order in orders]
+    starts = range(0, n, cfg.batch_size)  # each step's first record
+    k = len(starts)
+    rngs = [np.random.default_rng([cfg.seed, epoch, s]) for epoch in epochs for s in range(k)]
+    rows = np.concatenate(orders)  # the block's records, epoch after epoch
+    per_rng = np.tile(np.diff([*starts, n]), len(orders))  # each step's record count
     sites, site_counts, picks, pick_counts = draw_masks(
-        lengths[order], atom_counts[order], pool_sizes[order], cfg, rngs, np.diff(edges)
+        lengths[rows], atom_counts[rows], pool_sizes[rows], cfg, rngs, per_rng
     )
     code_starts = np.cumsum(lengths) - lengths
     pool_starts = np.cumsum(pool_sizes) - pool_sizes
-    lengths = lengths[order]
-    ends = np.cumsum(lengths)  # of each record's codes in epoch order
-    masked = codes[np.repeat(code_starts[order] - ends + lengths, lengths) + np.arange(ends[-1])]
+    lengths = lengths[rows]
+    ends = np.cumsum(lengths)  # of each record's codes in block order
+    masked = codes[np.repeat(code_starts[rows] - ends + lengths, lengths) + np.arange(ends[-1])]
     masked[np.repeat(ends - lengths, site_counts) + sites] = _MASK_CODE
-    atoms = pool_bins[np.repeat(pool_starts[order], pick_counts) + picks]
+    atoms = pool_bins[np.repeat(pool_starts[rows], pick_counts) + picks]
+    edges = [e * n + s for e in range(len(orders)) for s in starts] + [len(rows)]
     code_edges = np.concatenate(([0], ends))[edges].tolist()
     atom_edges = np.concatenate(([0], np.cumsum(pick_counts)))[edges].tolist()
-    return [
+    steps = [
         (masked[c0:c1], lengths[r0:r1], atoms[a0:a1], pick_counts[r0:r1])
         for r0, r1, c0, c1, a0, a1 in zip(
             edges, edges[1:], code_edges, code_edges[1:], atom_edges, atom_edges[1:]
         )
     ]
+    return [(order, steps[e * k : (e + 1) * k]) for e, order in enumerate(orders)]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # each step checks finiteness itself
@@ -459,17 +481,20 @@ def train(train_records, val_records, cfg: RunConfig):
     ``cfg`` is an ``io.RunConfig``; the momentum is the fixed constant
     MOMENTUM.  Every record is encoded once as index arrays, and the
     feature rows of the training and validation records are built and
-    scaled once.  With lam > 0 each epoch draws fresh masks for every
-    step's records at once (_draw_epoch): step s's records draw in batch
-    order from a generator seeded by (seed, epoch, s)
-    (augment.draw_masks), and each step builds its augmented rows from
-    its slice of the masked index arrays.  The substrate featurizer is
-    invariant under graph isomorphism, so in enumeration mode a
-    re-rendered substrate would featurize as the unmasked graph: its atom
-    draw is empty and nothing is rendered, which makes the run the
-    graph_mask run at p_g = 0.  With lam = 0 the consistency term is off
-    and nothing is drawn.  Each step stacks its raw rows and, with
-    lam > 0, its augmented rows, computes the combined loss and its
+    scaled once.  The epochs are drawn a block at a time (_draw_block),
+    as many whole epochs as mask at most _BLOCK_RESIDUES residues, and at
+    least one: each epoch's batch order and, with lam > 0, fresh masks
+    for every step's records, all of the block's in one draw.  Step s of
+    epoch e draws its records in batch order from a generator seeded by
+    (seed, e, s) (augment.draw_masks), so the block size changes no
+    draw, and each step builds its augmented rows from its slice of the
+    masked index arrays.  The substrate featurizer is invariant under
+    graph isomorphism, so in enumeration mode a re-rendered substrate
+    would featurize as the unmasked graph: its atom draw is empty and
+    nothing is rendered, which makes the run the graph_mask run at
+    p_g = 0.  With lam = 0 the consistency term is off and no mask is
+    drawn.  Each step stacks its raw rows and, with lam > 0, its
+    augmented rows, computes the combined loss and its
     gradient in one stacked pass (gradients) into one gradient buffer
     cut once per run, with the working vector's views, and updates one
     working parameter vector and one velocity vector in place.  After each epoch
@@ -479,8 +504,9 @@ def train(train_records, val_records, cfg: RunConfig):
     non-finite loss, gradient or parameter the run raises
     NonFiniteError carrying the best finite checkpoint and the log so far
     in its ``checkpoint`` and ``log`` attributes.  Logs the encoding
-    time, the per-epoch wall time, the time spent drawing and masking and
-    the time spent in steps (forward, backward and update) at INFO level.
+    time, the per-epoch wall time, the time spent in steps (forward,
+    backward and update), and the time spent drawing and masking and the
+    number of blocks drawn at INFO level.
     """
     train_records = list(train_records)
     val_records = list(val_records)
@@ -525,12 +551,14 @@ def train(train_records, val_records, cfg: RunConfig):
     epochs_start = time.perf_counter()
     draw_s = 0.0
     step_s = 0.0
+    per_block = max(1, _BLOCK_RESIDUES // len(residues[0]))  # epochs one block draws
     for epoch in range(cfg.epochs):
-        order = np.random.default_rng([cfg.seed, epoch, 0xD5]).permutation(n)
-        if cfg.lam > 0:
+        if epoch % per_block == 0:
             draw_start = time.perf_counter()
-            augmented = _draw_epoch(order, residues, atom_counts, pools, cfg, epoch)
+            block = range(epoch, min(epoch + per_block, cfg.epochs))
+            drawn = iter(_draw_block(block, residues, atom_counts, pools, cfg))
             draw_s += time.perf_counter() - draw_start
+        order, augmented = next(drawn)
         epoch_base = 0.0
         epoch_cons = 0.0
         steps = 0
@@ -593,14 +621,15 @@ def train(train_records, val_records, cfg: RunConfig):
         entry["best_epoch"] = best_epoch
     _LOG.info(
         "train: encoded %d train + %d val records in %.3f s; %d epochs, %.4f s per epoch, "
-        "%.3f s drawing and masking, %.3f s in steps",
+        "%.3f s in steps, %.3f s drawing and masking in %d blocks",
         len(train_records),
         len(val_records),
         encode_s,
         cfg.epochs,
         (time.perf_counter() - epochs_start) / cfg.epochs,
-        draw_s,
         step_s,
+        draw_s,
+        -(-cfg.epochs // per_block),
     )
     return best_params, log
 

@@ -74,7 +74,8 @@ class SynthConfig:
     """Benchmark shape and shift knobs.
 
     rho scales the per-family target offset (the spurious shortcut);
-    sigma is the label noise, both in log10 units.
+    sigma is the label noise, both in log10 units.  Each scaffold is
+    parsed once, here, to check it; generate reuses those graphs.
     """
 
     family_count: int = 10
@@ -105,11 +106,15 @@ class SynthConfig:
             raise ConfigError(f"rho must be in [0, 1], got {self.rho}")
         if not self.scaffolds:
             raise ConfigError("scaffold set must be non-empty")
+        graphs = []
         for k, text in enumerate(self.scaffolds):
             try:
-                parse_smiles(text)
+                graphs.append(parse_smiles(text))
             except ValueError as exc:
                 raise ConfigError(f"scaffold {k} ({text!r}) does not parse: {exc}") from exc
+        # the graphs generate decorates: an attribute, not a field, so
+        # fields(), equality, hashing and repr never see it
+        object.__setattr__(self, "_scaffold_graphs", tuple(graphs))
 
 
 def parse_synth_config_text(text: str, origin: str = "<synth-config>") -> SynthConfig:
@@ -253,7 +258,7 @@ def generate(cfg: SynthConfig) -> tuple[list[EsiRecord], dict]:
         offsets = (offsets - offsets.mean()) / offsets.std()
     family_offsets = {f"family-{f:02d}": float(v) for f, v in enumerate(offsets)}
 
-    scaffolds = [parse_smiles(text) for text in cfg.scaffolds]
+    scaffolds = cfg._scaffold_graphs
     drawn = []
     featurized = []  # what _featurize reads of each drawn record
     for f in range(cfg.family_count):

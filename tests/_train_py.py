@@ -6,9 +6,12 @@ rows through their own forward pass, and backpropagates each through its
 own call of ``back_pass``, raw first.  ``train`` builds a fresh
 read-only ``ModelParams`` after every step and scales each step's inputs
 inside the forward pass.  ``loss_cons`` is its own, written with
-np.sum and np.mean, so the library's is checked along with the step;
-everything else (encoding, the epoch draw, featurization, the
-checkpoint type) is the library's own."""
+np.sum and np.mean, so the library's is checked along with the step.
+``_draw_epoch`` draws the masks of one epoch per ``draw_masks`` call and
+``train`` draws each epoch's batch order itself, so the library's
+blocks of epochs are checked against per-epoch draws.  Everything else
+(encoding, the mask draw itself, featurization, the checkpoint type) is
+the library's own."""
 
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ import time
 
 import numpy as np
 
-from enzood.augment import unprotected_atoms
+from enzood.augment import draw_masks, unprotected_atoms
 from enzood.errors import DegenerateTargetsError, NonFiniteError
 from enzood.metrics import mae, r_squared
 from enzood.model import (
@@ -25,8 +28,8 @@ from enzood.model import (
     MOMENTUM,
     ModelParams,
     _SUBSTRATE_INPUT_SCALE,
+    _MASK_CODE,
     _blocks,
-    _draw_epoch,
     _encode,
     _enzyme_rows,
     _featurize,
@@ -151,14 +154,47 @@ def gradients(
     return flat, base, cons
 
 
+def _draw_epoch(order, residues, atom_counts, pools, cfg: RunConfig, epoch: int) -> list[tuple]:
+    """One epoch's augmented index arrays, one tuple per step: (residue
+    codes of the step's records end to end with every drawn position set
+    to MASK, their lengths, the element bins of the masked atoms end to
+    end, their count per record).  Step s's records draw in batch order
+    from the generator seeded by (seed, epoch, s); the whole epoch is
+    one draw_masks call.  ``residues`` and ``pools`` are (values end to
+    end, length per record) pairs in record order: residue codes, and
+    the element bins of each record's unprotected atoms."""
+    (codes, lengths), (pool_bins, pool_sizes) = residues, pools
+    n = len(order)
+    edges = list(range(0, n, cfg.batch_size)) + [n]  # each step's first record, then n
+    rngs = [np.random.default_rng([cfg.seed, epoch, step]) for step in range(len(edges) - 1)]
+    sites, site_counts, picks, pick_counts = draw_masks(
+        lengths[order], atom_counts[order], pool_sizes[order], cfg, rngs, np.diff(edges)
+    )
+    code_starts = np.cumsum(lengths) - lengths
+    pool_starts = np.cumsum(pool_sizes) - pool_sizes
+    lengths = lengths[order]
+    ends = np.cumsum(lengths)  # of each record's codes in epoch order
+    masked = codes[np.repeat(code_starts[order] - ends + lengths, lengths) + np.arange(ends[-1])]
+    masked[np.repeat(ends - lengths, site_counts) + sites] = _MASK_CODE
+    atoms = pool_bins[np.repeat(pool_starts[order], pick_counts) + picks]
+    code_edges = np.concatenate(([0], ends))[edges].tolist()
+    atom_edges = np.concatenate(([0], np.cumsum(pick_counts)))[edges].tolist()
+    return [
+        (masked[c0:c1], lengths[r0:r1], atoms[a0:a1], pick_counts[r0:r1])
+        for r0, r1, c0, c1, a0, a1 in zip(
+            edges, edges[1:], code_edges, code_edges[1:], atom_edges, atom_edges[1:]
+        )
+    ]
+
+
 @np.errstate(over="ignore", invalid="ignore")  # each step checks finiteness itself
 def train(train_records, val_records, cfg: RunConfig):
     """Momentum SGD with per-step augmentation.
 
     ``cfg`` is an ``io.RunConfig``; the momentum is the fixed constant
     MOMENTUM.  Every record is encoded once as index arrays.  With
-    lam > 0 each epoch draws fresh masks for every step's records at
-    once (_draw_epoch): step s's records draw in batch order from a
+    lam > 0 each epoch draws fresh masks for every step's records in
+    one call (_draw_epoch): step s's records draw in batch order from a
     generator seeded by (seed, epoch, s) (augment.draw_masks), and each
     step builds its augmented rows from its slice of the masked index
     arrays.  The substrate featurizer is invariant under graph

@@ -21,11 +21,14 @@ def load_script():
 
 
 def test_traced_names_resolve():
+    """Every traced name is defined in this tree, but for those kept
+    to time older trees, which this tree must not define."""
     bench = load_script()
     for qualname in (*bench.CATEGORY, *bench.STEP_START):
         module_name, attr = qualname.rsplit(".", 1)
         module = importlib.import_module(f"enzood.{module_name}")
-        assert callable(getattr(module, attr, None)), qualname
+        found = getattr(module, attr, None)
+        assert (found is None) if qualname in bench.OLDER_TREES else callable(found), qualname
 
 
 def test_traced_train_on_split_phases():
@@ -45,9 +48,12 @@ def test_traced_train_on_split_phases():
     assert phases["draw"] > 0.0 and phases["featurize"] > 0.0
     assert phases["forward"] > 0.0 and phases["backward"] > 0.0
     assert phases["other"] >= 0.0
-    # one draw per epoch, covering every step
-    assert result["calls"]["model._draw_epoch"] == cfg.epochs
-    assert result["calls"]["augment.draw_masks"] == cfg.epochs
+    # one draw per block of epochs, covering every step of the block
+    residues = sum(len(r.sequence) for r in harness.select_records(records, split.train_ids))
+    per_block = max(1, model._BLOCK_RESIDUES // residues)
+    blocks = -(-cfg.epochs // per_block)
+    assert result["calls"]["model._draw_block"] == blocks
+    assert result["calls"]["augment.draw_masks"] == blocks
     # one stacked forward pass per step, and one per epoch to validate
     steps = cfg.epochs * -(-len(split.train_ids) // cfg.batch_size)
     assert result["calls"]["model.gradients"] == steps

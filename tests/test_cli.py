@@ -513,7 +513,8 @@ def test_wall_time_goes_to_stderr_only(tmp_path, capsys):
 
 
 def test_train_reports_encoding_and_epoch_time_on_stderr(tmp_path, capsys):
-    """Encoding, per-epoch, drawing and step times: stderr only."""
+    """Encoding, per-epoch, step and drawing times and the blocks drawn
+    (the 3 epochs of this small set fit in one): stderr only."""
     bench = make_bench(tmp_path)
     cfg = write_cfg(tmp_path, "run.cfg", "epochs=3\n")
     argv = ["train", "--train", bench, "--val", bench, "--config", cfg,
@@ -525,7 +526,8 @@ def test_train_reports_encoding_and_epoch_time_on_stderr(tmp_path, capsys):
     assert len(lines) == 1
     assert re.fullmatch(
         r"train: encoded (\d+) train \+ \1 val records in [0-9.]+ s; "
-        r"3 epochs, [0-9.]+ s per epoch, [0-9.]+ s drawing and masking, [0-9.]+ s in steps",
+        r"3 epochs, [0-9.]+ s per epoch, [0-9.]+ s in steps, "
+        r"[0-9.]+ s drawing and masking in 1 blocks",
         lines[0],
     ), lines[0]
     assert "encoded" not in captured.out and "drawing" not in captured.out

@@ -1,6 +1,7 @@
 import base64
 import dataclasses
 import json
+import logging
 from math import floor
 from types import SimpleNamespace
 
@@ -593,8 +594,7 @@ def test_train_lambda_zero_draws_no_augmentation(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("masks drawn with lam=0")
 
-    monkeypatch.setattr(model, "_draw_epoch", refuse)
-    monkeypatch.setattr(model, "draw_masks", refuse)
+    monkeypatch.setattr(model, "draw_masks", refuse)  # _draw_block still draws the orders
     rng = np.random.default_rng(36)
     pairs = linear_dataset(rng, 24)
     cfg = RunConfig(
@@ -821,10 +821,10 @@ def run_outcome(train_fn, train_records, val_records, cfg):
     return "trained", params.theta.tobytes(), repr(log)
 
 
-def bench_case(n_train=40, **settings):
+def bench_case(n_train=40, epochs=3, **settings):
     """n_train records of the 300-record benchmark, 12 more to validate,
-    3 epochs at the default layer sizes."""
-    cfg = RunConfig(epochs=3, **settings)
+    ``epochs`` epochs at the default layer sizes."""
+    cfg = RunConfig(epochs=epochs, **settings)
     return lambda bench: (bench[:n_train], bench[n_train : n_train + 12], cfg)
 
 
@@ -840,30 +840,81 @@ def divergence_case(data_seed, value_scale, **settings):
     return case
 
 
+def block_cap(train_records, block):
+    """The _BLOCK_RESIDUES that draws ``block`` epochs of these records
+    at a time: a fraction makes one epoch alone exceed the cap."""
+    return int(block * sum(len(r.sequence) for r in train_records))
+
+
 @pytest.mark.parametrize(
-    "case",
+    "case, block",
     [
-        pytest.param(bench_case(lam=0.0), id="lam-0"),
-        pytest.param(bench_case(lam=0.5), id="lam-0.5"),
-        pytest.param(bench_case(lam=50.0), id="lam-50"),
-        pytest.param(bench_case(lam=0.5, substrate_mode="enumeration"), id="enumeration"),
-        pytest.param(bench_case(n_train=33, lam=0.5), id="final-batch-of-one"),
-        pytest.param(bench_case(lam=0.5, batch_size=64), id="batch-larger-than-n"),
-        pytest.param(divergence_case(33, 1.0, learning_rate=1e155, epochs=4, seed=2),
+        pytest.param(bench_case(lam=0.0), None, id="lam-0"),
+        pytest.param(bench_case(lam=0.5), None, id="lam-0.5"),
+        pytest.param(bench_case(lam=50.0), None, id="lam-50"),
+        pytest.param(bench_case(lam=0.5, substrate_mode="enumeration"), None, id="enumeration"),
+        pytest.param(bench_case(n_train=33, lam=0.5), None, id="final-batch-of-one"),
+        pytest.param(bench_case(lam=0.5, batch_size=64), None, id="batch-larger-than-n"),
+        pytest.param(divergence_case(33, 1.0, learning_rate=1e155, epochs=4, seed=2), None,
                      id="diverging", marks=pytest.mark.filterwarnings("ignore:overflow")),
-        pytest.param(divergence_case(34, 1e6, learning_rate=1e306, epochs=3, seed=5),
+        pytest.param(divergence_case(34, 1e6, learning_rate=1e306, epochs=3, seed=5), None,
                      id="non-finite-parameters"),
+        pytest.param(bench_case(lam=0.5, epochs=5), 2, id="epochs-not-a-multiple-of-the-block"),
+        pytest.param(bench_case(lam=0.5), 1, id="block-of-one-epoch"),
+        pytest.param(bench_case(lam=0.5), 10, id="one-block-longer-than-the-run"),
+        pytest.param(bench_case(lam=0.5, epochs=2), 0.5, id="epoch-over-the-cap"),
+        pytest.param(bench_case(lam=0.0, epochs=5), 2, id="lam-0-in-blocks"),
+        pytest.param(bench_case(lam=0.5, epochs=5, substrate_mode="enumeration"), 2,
+                     id="enumeration-in-blocks"),
+        pytest.param(divergence_case(33, 1.0, learning_rate=1e14, epochs=8, seed=2), 7,
+                     id="non-finite-mid-block", marks=pytest.mark.filterwarnings("ignore:overflow")),
     ],
 )
-def test_train_matches_the_two_pass_reference(case, bench300):
-    """One stacked pass per step, updated in place, gives the weights,
-    log and NonFiniteError of the reference that runs the raw and the
-    augmented rows through two passes and builds fresh params each
-    step, bit for bit."""
+def test_train_matches_the_two_pass_reference(case, block, bench300, monkeypatch):
+    """One stacked pass per step, updated in place, with the draws of
+    blocks of epochs, gives the weights, log and NonFiniteError of the
+    reference that runs the raw and the augmented rows through two
+    passes, builds fresh params each step and draws one epoch at a time,
+    bit for bit.  ``block`` sets the block cap to that many epochs of
+    residues (the library's own cap when None)."""
     train_records, val_records, cfg = case(bench300)
+    if block is not None:
+        monkeypatch.setattr(model, "_BLOCK_RESIDUES", block_cap(train_records, block))
     assert run_outcome(train, train_records, val_records, cfg) == run_outcome(
         _train_py.train, train_records, val_records, cfg
     )
+
+
+@pytest.mark.parametrize(
+    "epochs, block, want",
+    [
+        (5, 2, [(0, 2), (2, 4), (4, 5)]),
+        (3, 1, [(0, 1), (1, 2), (2, 3)]),
+        (3, 10, [(0, 3)]),
+        (2, 0.5, [(0, 1), (1, 2)]),
+    ],
+)
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_train_draws_whole_epochs_a_block_at_a_time(
+    monkeypatch, caplog, bench300, epochs, block, want, lam
+):
+    """Each block is the longest run of whole epochs, at least one, whose
+    residues fit under the cap, drawn in one _draw_block call, and the
+    train line counts the blocks."""
+    train_records, val_records, cfg = bench_case(lam=lam, epochs=epochs)(bench300)
+    monkeypatch.setattr(model, "_BLOCK_RESIDUES", block_cap(train_records, block))
+    seen = []
+    real = model._draw_block
+
+    def spy(block_epochs, *args):
+        seen.append((block_epochs.start, block_epochs.stop))
+        return real(block_epochs, *args)
+
+    monkeypatch.setattr(model, "_draw_block", spy)
+    with caplog.at_level(logging.INFO, logger="enzood.model"):
+        train(train_records, val_records, cfg)
+    assert seen == want
+    assert caplog.messages[-1].endswith(f" s drawing and masking in {len(want)} blocks")
 
 
 def test_train_rejects_empty_sets():

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -111,9 +112,9 @@ def test_generate_deterministic():
 
 
 def test_generate_parses_each_scaffold_and_substrate_once(monkeypatch):
-    """Each scaffold is parsed once and each decorated SMILES once, by its
+    """Each scaffold is parsed once, by the config's check, whose graphs
+    generate decorates, and each decorated SMILES once, by its
     EsiRecord: the target featurizes the graph that was drawn."""
-    cfg = SynthConfig(family_count=3, members_per_family=5, seed=4)
     calls = {"synth": 0, "io": 0}
 
     def counting(module):
@@ -127,8 +128,27 @@ def test_generate_parses_each_scaffold_and_substrate_once(monkeypatch):
 
     for module in (synth, io):
         monkeypatch.setattr(module, "parse_smiles", counting(module))
+    cfg = SynthConfig(family_count=3, members_per_family=5, seed=4)
     records, _ = generate(cfg)
     assert calls == {"synth": len(cfg.scaffolds), "io": len(records)}
+
+
+def test_parsed_scaffolds_are_no_field():
+    """The scaffold graphs the check parses ride on the config outside
+    its fields: equality, hashing, repr, the resolved items and the
+    sidecar's config see the declared settings alone."""
+    cfg = SynthConfig(family_count=1, members_per_family=2)
+    assert [write_smiles(g) for g in cfg._scaffold_graphs] == [
+        write_smiles(parse_smiles(text)) for text in cfg.scaffolds
+    ]
+    names = [f.name for f in fields(cfg)]
+    assert "_scaffold_graphs" not in names and "_scaffold_graphs" not in repr(cfg)
+    assert [key for key, _ in io.resolved_items(cfg)] == names
+    twin = SynthConfig(family_count=1, members_per_family=2)
+    assert cfg == twin and hash(cfg) == hash(twin)
+    assert io.config_hash(cfg) == io.config_hash(twin)
+    _, truth = generate(cfg)
+    assert list(truth["config"]) == names
 
 
 def featurized_batches(monkeypatch, cfg):
