@@ -1,4 +1,4 @@
-"""Time the alignment kernel, ``seqid.align_stats_many``, on four matrices.
+"""Time ``seqid.align_stats_many`` and its two kernels on five matrices.
 
 Each corpus is the all-pairs identity matrix (upper triangle, one batch
 call) over the distinct sequences of a synthetic set:
@@ -12,8 +12,15 @@ call) over the distinct sequences of a synthetic set:
   behind acceptance 6 and the ``ood_split`` fixture;
 - long: two length groups at real enzyme lengths, 450 and 600 residues
   (3 families of 4 each, 5% point mutations; 24 sequences, 276 pairs).
-  Chunks holding a 600-residue sequence pass the kernel's 511-residue
-  limit for 32-bit keys, so this matrix times its 64-bit path.
+  Its one chunk runs on the wavefront, whose keys stay 32-bit up to
+  10,922 residues; on rows it took the 64-bit path, past that kernel's
+  511-residue limit;
+- mixed: short and long sequences in one set, 30 residues (6 families
+  of 6) and 600 (3 families of 4), 5% point mutations; 43 sequences,
+  903 pairs.  Its two chunks fall on both sides of the kernel rule:
+  the 30-residue pairs run on the wavefront, and the chunk mixing
+  30- and 600-residue ``a``'s would pad to 600 x 600 there, so it runs
+  on rows.
 
 A corpus is aligned repeatedly until half a second has passed (at least
 once); the median call gives its time and its DP cells per second.
@@ -59,6 +66,12 @@ def corpora() -> dict:
                                                 prototype_length=40, seed=0)),
         "bench300": sequences(synth.SynthConfig()),
         "long": two_lengths(450, 600),
+        "mixed": sequences(
+            synth.SynthConfig(family_count=6, members_per_family=6, prototype_length=30,
+                              mutation_rate=0.05, seed=0),
+            synth.SynthConfig(family_count=3, members_per_family=4, prototype_length=600,
+                              mutation_rate=0.05, seed=1),
+        ),
     }
 
 

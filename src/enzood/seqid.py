@@ -4,8 +4,9 @@ identity-threshold OOD splits.
 Identity is global Needleman-Wunsch (match=+1, mismatch=0, linear gap=-1)
 with identical-column count divided by gap-inclusive alignment length; the
 gap-inclusive denominator keeps identities conservative, which makes the
-split guarantees stricter.  One numpy kernel, ``align_stats_many``, aligns
-whole batches of pairs; every identity below goes through it.
+split guarantees stricter.  One batch entry point, ``align_stats_many``,
+aligns whole batches of pairs on two numpy kernels, by DP rows or by
+anti-diagonals; every identity below goes through it.
 """
 
 from __future__ import annotations
@@ -19,8 +20,13 @@ import numpy as np
 
 from .errors import DuplicateIdError, InfeasibleSplitError
 
-# Pairs aligned together.
-ALIGN_CHUNK = 256
+# Most pairs aligned together; a batch is cut into chunks of near-equal size.
+ALIGN_CHUNK = 512
+# A chunk's kernel: see align_stats_many.
+_WAVEFRONT_MIN = 4096
+_WAVEFRONT_PAD = 3
+# The longest sequence whose fields fit 64-bit keys in both kernels.
+_MAX_RESIDUES = 2**20 - 1
 
 _LOG = logging.getLogger(__name__)
 
@@ -35,11 +41,21 @@ def align_stats_many(as_, bs) -> np.ndarray:
     pair ``(as_[k], bs[k])``, of the canonical global alignment.
 
     Tie-break during traceback: diagonal, then up (gap in ``b``), then
-    left (gap in ``a``).  Pairs are aligned in chunks of similar length.
+    left (gap in ``a``).  The pairs are sorted by length and cut into
+    ``ceil(N / ALIGN_CHUNK)`` chunks of near-equal size, each aligned by
+    one of two kernels with the same results.  The wavefront,
+    ``_align_wavefront``, takes ``la + lb`` numpy steps where the row
+    kernel, ``_align_rows``, takes ``la``, but a cell costs it about a
+    third as much, and it pads every pair to the chunk's longest ``a`` by
+    longest ``b``.  So a chunk runs on the wavefront when its longest
+    ``a`` times its pair count is at least ``_WAVEFRONT_MIN`` and the
+    wavefront's cells are at most ``_WAVEFRONT_PAD`` times the row
+    kernel's, and on the row kernel otherwise.
+
     Each call logs at INFO level its pair count, its DP cells (the sum
-    of len a * len b), its time, and the cells the kernel computed:
-    each chunk pads every pair to the chunk's longest ``b`` plus column
-    0, and runs each pair's own rows only.
+    of len a * len b), its time, the cells the kernels computed and the
+    chunks each kernel ran.  The row kernel computes, for each pair, its
+    own rows across the chunk's longest ``b`` plus column 0.
     """
     start = time.perf_counter()
     as_, bs = list(as_), list(bs)
@@ -51,6 +67,8 @@ def align_stats_many(as_, bs) -> np.ndarray:
     # in the zero byte the chunks pad with
     index = {s: k for k, s in enumerate(dict.fromkeys(as_ + bs))}
     lengths = np.array([len(s) for s in index], dtype=np.int64)
+    if lengths.max(initial=0) > _MAX_RESIDUES:
+        raise ValueError(f"a {lengths.max()}-residue sequence does not fit 64-bit alignment keys")
     starts = np.cumsum(lengths) - lengths
     buf = np.frombuffer(("".join(index) + "\0").encode("ascii"), dtype=np.uint8)
     ia = np.array([index[s] for s in as_], dtype=np.intp)
@@ -58,20 +76,32 @@ def align_stats_many(as_, bs) -> np.ndarray:
     la, lb = lengths[ia], lengths[ib]
     order = np.lexsort((lb, la))
     out = np.empty((len(as_), 3), dtype=np.int64)
-    computed = 0
-    for lo in range(0, len(order), ALIGN_CHUNK):
-        chunk = order[lo : lo + ALIGN_CHUNK]
+    computed, chunks = 0, {_align_wavefront: 0, _align_rows: 0}
+    n_chunks = -(-len(order) // ALIGN_CHUNK)
+    for k in range(n_chunks):
+        chunk = order[k * len(order) // n_chunks : (k + 1) * len(order) // n_chunks]
         a = _codes(buf, starts[ia[chunk]], la[chunk])
         b = _codes(buf, starts[ib[chunk]], lb[chunk])
-        out[chunk] = _align_chunk(a, b, la[chunk], lb[chunk])
-        computed += int(la[chunk].sum()) * b.shape[1]
+        rows, cols = a.shape[1] - 1, b.shape[1] - 1
+        row_cells = int(la[chunk].sum()) * (cols + 1)
+        wave_cells = len(chunk) * rows * cols
+        if rows * len(chunk) >= _WAVEFRONT_MIN and wave_cells <= _WAVEFRONT_PAD * row_cells:
+            kernel, cells = _align_wavefront, wave_cells
+        else:
+            kernel, cells = _align_rows, row_cells
+        out[chunk] = kernel(a, b, la[chunk], lb[chunk])
+        computed += cells
+        chunks[kernel] += 1
     _LOG.info(
-        "align: %s backend, %d pairs, %d DP cells in %.3f s, %d cells computed",
+        "align: %s backend, %d pairs, %d DP cells in %.3f s, %d cells computed, "
+        "%d wavefront and %d row chunks",
         alignment_backend(),
         len(as_),
         int(np.dot(la, lb)),
         time.perf_counter() - start,
         computed,
+        chunks[_align_wavefront],
+        chunks[_align_rows],
     )
     return out
 
@@ -85,7 +115,7 @@ def _codes(buf, starts, lengths) -> np.ndarray:
     return buf[np.where(inside, starts[:, None] + cols - 1, buf.size - 1)]
 
 
-def _align_chunk(a, b, la, lb) -> np.ndarray:
+def _align_rows(a, b, la, lb) -> np.ndarray:
     """One DP row at a time over every pair of the chunk; ``a`` and ``b``
     are as made by ``_codes``, row ``i`` reads residue ``i`` of ``a``,
     and ``la`` ascends (``align_stats_many`` lexsorts the pairs by
@@ -95,10 +125,11 @@ def _align_chunk(a, b, la, lb) -> np.ndarray:
     score field, the column, a prefer-diagonal bit and the match count;
     the column and match fields are ``bits`` wide, enough for the
     chunk's longest sequence.  Keys are int32 when every field fits in
-    31 bits (sequences of up to 511 residues) and int64 otherwise; the
-    arithmetic is the same.  Comparing keys compares scores, then
-    columns, then diagonal before up, so one ``maximum`` picks a move
-    and carries its matches along.
+    31 bits (sequences of up to 511 residues) and int64 otherwise
+    (``align_stats_many`` has checked that they fit); the arithmetic is
+    the same.  Comparing keys compares scores, then columns, then
+    diagonal before up, so one ``maximum`` picks a move and carries its
+    matches along.
 
     - After row ``i - 1`` the key at column ``j`` is that of the up
       move into row ``i``: score field = cell score - 1 + j, column j.
@@ -132,10 +163,7 @@ def _align_chunk(a, b, la, lb) -> np.ndarray:
     k_shift = bits + 1
     s_shift = k_shift + bits
     # scores stay within +-(2 * longest + 1) in every key
-    width = s_shift + (2 * longest + 1).bit_length()
-    if width > 63:
-        raise ValueError(f"a {longest}-residue sequence does not fit 64-bit alignment keys")
-    dtype = np.int32 if width <= 31 else np.int64
+    dtype = np.int32 if s_shift + (2 * longest + 1).bit_length() <= 31 else np.int64
     j = np.arange(cols, dtype=dtype)
     restore = np.broadcast_to((j << k_shift) - (1 << s_shift), (n, cols)).copy()
     keys = restore.copy()  # row 0: score -j, no matches
@@ -168,6 +196,80 @@ def _align_chunk(a, b, la, lb) -> np.ndarray:
             run_keys = keys[first:]
         np.bitwise_and(run_keys, clear, out=run_keys)
         np.add(run_keys, restore[first:], out=run_keys)
+    out[:, 2] = (la + lb - out[:, 0] + out[:, 1]) // 2
+    return out
+
+
+def _align_wavefront(a, b, la, lb) -> np.ndarray:
+    """One anti-diagonal at a time over every pair of the chunk, each
+    pair padded to the chunk's longest ``a`` (``rows``) by longest ``b``
+    (``cols``); ``a`` and ``b`` are as made by ``_codes``.
+
+    The arrays are (rows, pairs), pairs innermost, indexed by the row
+    ``i`` of the DP cell, so the cells ``i + j = d`` of diagonal ``d``
+    that lie inside the rectangle are one contiguous block.  Each cell
+    is one integer key: ``score + i + j`` in the top field, then a 2-bit
+    preference field, then the match count.
+
+    - The up move from ``(i - 1, j)`` and the left move from
+      ``(i, j - 1)`` lose one score and gain one in ``i + j``, so they
+      are the keys of those cells as stored; the diagonal move from
+      ``(i - 1, j - 1)`` adds two to the top field, plus one score and
+      one match on a match.
+    - Every candidate gets its preference (diagonal 2, up 1, left 0)
+      before two ``maximum`` passes, so keys compare by score, then
+      diagonal before up before left, as the traceback does; the field
+      is cleared again afterwards.
+    - Cells on row 0 or column 0 score ``-(i + j)``, so their key is 0:
+      the zeroed buffers are never written there.
+
+    Diagonal ``d`` reads diagonals ``d - 1`` and ``d - 2`` only, so
+    three buffers take turns.  A pair's result is read at its cell
+    ``(la, lb)`` on diagonal ``la + lb``; cells past it in the padding
+    are computed but never read.  Keys are int32 when the widest one
+    fits in 31 bits (a square chunk of up to 10,922 residues) and int64
+    otherwise (``align_stats_many`` has checked that they fit).
+    """
+    n = len(la)
+    rows, cols = a.shape[1] - 1, b.shape[1] - 1
+    short = min(rows, cols)
+    m_bits = short.bit_length()  # matches are at most ``short``
+    s_shift = m_bits + 2
+    # score + i + j lies in [0, rows + cols + short]
+    width = s_shift + (rows + cols + short).bit_length()
+    dtype = np.int32 if width <= 31 else np.int64
+    up_pref = 1 << m_bits
+    diag = (2 << s_shift) + 2 * up_pref
+    match = (1 << s_shift) + 1
+    clear = ~(3 << m_bits)
+    a_t = np.ascontiguousarray(a[:, 1:].T)  # a_t[i - 1]: residue i of each a
+    b_rev = np.ascontiguousarray(b[:, :0:-1].T)  # b_rev[x]: residue cols - x of each b
+    bufs = [np.zeros((rows + 1, n), dtype=dtype) for _ in range(3)]
+    eq = np.empty((short, n), dtype=dtype)
+    up = np.empty_like(eq)
+    out = np.empty((n, 3), dtype=np.int64)
+    ends = la + lb
+    by_end = np.argsort(ends, kind="stable")
+    bounds = np.searchsorted(ends[by_end], np.arange(2, rows + cols + 2)).tolist()
+    for d in range(2, rows + cols + 1):
+        prev2, prev, cur = bufs[d % 3 - 2], bufs[d % 3 - 1], bufs[d % 3]
+        lo, hi = max(1, d - cols), min(rows, d - 1)
+        size = hi - lo + 1
+        band_eq, band_up, band = eq[:size], up[:size], cur[lo : hi + 1]
+        np.equal(a_t[lo - 1 : hi], b_rev[cols - d + lo : cols - d + hi + 1], out=band_eq)
+        np.multiply(band_eq, match, out=band_eq)
+        np.add(prev2[lo - 1 : hi], band_eq, out=band)
+        np.add(band, diag, out=band)
+        np.add(prev[lo - 1 : hi], up_pref, out=band_up)
+        np.maximum(band_up, prev[lo : hi + 1], out=band_up)
+        np.maximum(band, band_up, out=band)
+        np.bitwise_and(band, clear, out=band)
+        first, stop = bounds[d - 2], bounds[d - 1]
+        if stop > first:
+            done = by_end[first:stop]
+            best = cur[la[done], done]
+            out[done, 0] = (best >> s_shift) - d
+            out[done, 1] = best & (up_pref - 1)
     out[:, 2] = (la + lb - out[:, 0] + out[:, 1]) // 2
     return out
 

@@ -18,7 +18,7 @@ def test_time_matrix_on_a_small_corpus():
     bench = load_script()
     corpora = bench.corpora()
     assert {name: len(seqs) for name, seqs in corpora.items()} == {
-        "split": 24, "pipeline": 60, "bench300": 300, "long": 24,
+        "split": 24, "pipeline": 60, "bench300": 300, "long": 24, "mixed": 43,
     }
     seqs = corpora["split"][:7]
     result = bench.time_matrix(seqs, min_seconds=0.0)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from enzood import cli
+from enzood import cli, seqid
 from enzood.harness import LAMBDA_GRID, MASK_GRID, read_checkpoint
 from enzood.io import read_dataset, write_dataset
 from enzood.model import _blocks, predict
@@ -673,11 +673,19 @@ def test_split_reports_alignment_work_on_stderr(tmp_path, capsys):
     seqs = list(dict.fromkeys(r.sequence for r in read_dataset(bench)))
     pairs = len(seqs) * (len(seqs) - 1) // 2
     cells = sum(len(a) * len(b) for k, a in enumerate(seqs) for b in seqs[k + 1 :])
-    # the kernel's chunks of pairs sorted by length: each pair's rows,
-    # padded to the chunk's longest b plus column 0
+    # the kernels' balanced chunks of pairs sorted by length: the
+    # wavefront pads each pair to the chunk's longest a by longest b, the
+    # row kernel runs each pair's rows across the longest b plus column 0
     sizes = sorted((len(a), len(b)) for k, a in enumerate(seqs) for b in seqs[k + 1 :])
-    chunks = [sizes[k : k + ALIGN_CHUNK] for k in range(0, len(sizes), ALIGN_CHUNK)]
-    computed = sum(sum(la for la, _ in c) * (max(lb for _, lb in c) + 1) for c in chunks)
+    n = -(-len(sizes) // ALIGN_CHUNK)
+    computed, kernels = 0, [0, 0]
+    for c in (sizes[k * len(sizes) // n : (k + 1) * len(sizes) // n] for k in range(n)):
+        rows, cols = max(la for la, _ in c), max(lb for _, lb in c)
+        row_cells = sum(la for la, _ in c) * (cols + 1)
+        wave_cells = len(c) * rows * cols
+        wave = rows * len(c) >= seqid._WAVEFRONT_MIN and wave_cells <= seqid._WAVEFRONT_PAD * row_cells
+        computed += wave_cells if wave else row_cells
+        kernels[not wave] += 1
     argv = ["split", "--in", bench, "--out-dir", tmp_path / "splits"]
     capsys.readouterr()
     assert run_cli(argv) == 0
@@ -686,7 +694,7 @@ def test_split_reports_alignment_work_on_stderr(tmp_path, capsys):
     assert len(lines) == 1
     assert re.fullmatch(
         rf"align: numpy backend, {pairs} pairs, {cells} DP cells in [0-9.]+ s, "
-        rf"{computed} cells computed",
+        rf"{computed} cells computed, {kernels[0]} wavefront and {kernels[1]} row chunks",
         lines[0],
     ), lines[0]
     assert "align: " not in captured.out

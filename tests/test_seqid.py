@@ -1,4 +1,5 @@
 import math
+import re
 from collections import namedtuple
 
 import numpy as np
@@ -56,6 +57,10 @@ def brute_force_stats(a: str, b: str):
 def random_seq(rng, max_len, alphabet):
     k = int(rng.integers(1, max_len + 1))
     return "".join(alphabet[int(c)] for c in rng.integers(0, len(alphabet), size=k))
+
+
+def protein(rng, size):
+    return "".join(AA[int(c)] for c in rng.integers(0, 20, size))
 
 
 def test_alignment_matches_brute_force():
@@ -216,8 +221,140 @@ def test_align_stats_many_pairs_finishing_at_different_rows(caplog):
     assert len(pairs) < seqid.ALIGN_CHUNK
     with caplog.at_level("INFO", logger="enzood.seqid"):
         assert_matches_reference(pairs)
+    # the wavefront would compute 4.4 times these cells, so the rows run
     computed = sum(len(a) for a, _ in pairs) * (max(len(b) for _, b in pairs) + 1)
-    assert caplog.messages[-1].endswith(f", {computed} cells computed")
+    assert caplog.messages[-1].endswith(f", {computed} cells computed, 0 wavefront and 1 row chunks")
+
+
+def kernel_chunk(pairs):
+    """The arguments ``align_stats_many`` gives a kernel for ``pairs`` as
+    one chunk: byte codes, then lengths, lexsorted by ``(la, lb)``."""
+    pairs = sorted(pairs, key=lambda p: (len(p[0]), len(p[1])))
+
+    def codes(seqs):
+        width = max(len(s) for s in seqs) + 1
+        return np.array([[0] + list(s.encode()) + [0] * (width - 1 - len(s)) for s in seqs],
+                        dtype=np.uint8)
+
+    a, b = codes([a for a, _ in pairs]), codes([b for _, b in pairs])
+    la = np.array([len(a) for a, _ in pairs], dtype=np.int64)
+    lb = np.array([len(b) for _, b in pairs], dtype=np.int64)
+    return pairs, (a, b, la, lb)
+
+
+KERNELS = [seqid._align_rows, seqid._align_wavefront]
+
+
+def kernel_cases():
+    """Chunks of every shape the two kernels meet, as lists of pairs."""
+    rng = np.random.default_rng(77)
+
+    def seq(size, alphabet):
+        return "".join(alphabet[int(c)] for c in rng.integers(0, len(alphabet), size))
+
+    def mutant(s):
+        return "".join(AA[(AA.index(c) + 1) % 20] if rng.random() < 0.1 else c for c in s)
+
+    square = [(seq(24, "ACGT"), seq(24, "ACGT")) for _ in range(30)]
+    short_a = [(random_seq(rng, 6, AA), protein(rng, int(rng.integers(80, 121)))) for _ in range(12)]
+    # like perfbench's split workload: 48- and 64-residue families mixed
+    # in one chunk
+    family = [mutant(p) for p in (protein(rng, 48), protein(rng, 64)) for _ in range(4)]
+    split = [(x, y) for k, x in enumerate(family) for y in family[k + 1 :]]
+    # one pair ends on each diagonal d = 2 .. 24 of a 12 x 12 chunk
+    every_diagonal = [(seq(k, "ACG"), seq(1, "ACG")) for k in range(1, 13)]
+    every_diagonal += [(seq(12, "ACG"), seq(k, "ACG")) for k in range(2, 13)]
+    ties = [("ACA", "CAC"), ("AACA", "CAAC"), ("AACAC", "CCAACA"), ("AACCAC", "CCACA")]
+    return {
+        "square": square,
+        "la << lb": short_a,
+        "la >> lb": [(b, a) for a, b in short_a],
+        "split 48/64": split,
+        "every diagonal": every_diagonal,
+        "frozen ties": ties,
+        "adversarial": adversarial_pairs(rng, 200),
+    }
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.__name__)
+@pytest.mark.parametrize("case", list(kernel_cases()))
+def test_kernels_match_reference(kernel, case):
+    pairs, args = kernel_chunk(kernel_cases()[case])
+    got = kernel(*args)
+    for (a, b), row in zip(pairs, got.tolist()):
+        assert tuple(row) == reference_stats(a.encode(), b.encode()), (a, b)
+
+
+def test_row_kernel_at_its_key_width_limit():
+    # the row kernel packs score, column and matches: 511 residues is the
+    # longest chunk with int32 keys, 512 the shortest with int64 ones
+    rng = np.random.default_rng(5)
+    for longest in (511, 512):
+        top = protein(rng, longest)
+        pairs, args = kernel_chunk([(top, top), ("A", "C" * longest), ("C" * longest, "A")])
+        assert seqid._align_rows(*args).tolist() == [
+            [-(longest - 1), 0, longest], [-(longest - 1), 0, longest], [longest, longest, longest]
+        ]
+
+
+def test_wavefront_at_its_key_width_limit():
+    # the wavefront packs score + i + j and matches: a square chunk of
+    # 10,922 residues is the largest with int32 keys, 10,923 the smallest
+    # with int64 ones; an identical pair reaches the largest key, with
+    # score + i + j = 3 * longest at its last cell
+    rng = np.random.default_rng(6)
+    for longest in (10_922, 10_923):
+        top = protein(rng, longest)
+        pairs, args = kernel_chunk([(top, top), ("A", "C" * longest)])
+        assert seqid._align_wavefront(*args).tolist() == [
+            [-(longest - 1), 0, longest], [longest, longest, longest]
+        ]
+
+
+def chunk_kernels(caplog, pairs):
+    """The chunks each kernel ran for ``pairs``, from the INFO line."""
+    with caplog.at_level("INFO", logger="enzood.seqid"):
+        assert_matches_reference(pairs)
+    waves, rows = re.search(r"(\d+) wavefront and (\d+) row chunks$", caplog.messages[-1]).groups()
+    return int(waves), int(rows)
+
+
+@pytest.mark.parametrize("count, kernels", [(63, (0, 1)), (64, (1, 0))])
+def test_align_stats_many_picks_the_wavefront_from_4096_rows_by_pairs(caplog, count, kernels):
+    # 64-residue a's: 63 pairs give 4,032, 64 pairs 4,096
+    rng = np.random.default_rng(count)
+    pairs = [(protein(rng, 64), protein(rng, 64)) for _ in range(count)]
+    assert chunk_kernels(caplog, pairs) == kernels
+
+
+@pytest.mark.parametrize("eighteens, kernels", [(9, (1, 0)), (8, (0, 1))])
+def test_align_stats_many_bounds_the_wavefront_padding(caplog, eighteens, kernels):
+    # 72 pairs, one 64-residue a and b's of up to 5 residues: the
+    # wavefront computes 72 * 64 * 5 = 23,040 cells, the row kernel the
+    # sum of la times 6, which is 7,680 with nine 18-residue a's (exactly
+    # a third, so the wavefront runs) and 7,674 with eight
+    rng = np.random.default_rng(eighteens)
+    sizes = [64] + [18] * eighteens + [17] * (71 - eighteens)
+    pairs = [(protein(rng, size), random_seq(rng, 5, AA)) for size in sizes]
+    pairs[0] = (pairs[0][0], "WWWWW")
+    assert chunk_kernels(caplog, pairs) == kernels
+
+
+def test_align_stats_many_cuts_balanced_chunks(monkeypatch):
+    sizes = []
+
+    def recording(kernel):
+        def run(a, b, la, lb):
+            sizes.append(len(la))
+            return kernel(a, b, la, lb)
+        return run
+
+    for name in ("_align_rows", "_align_wavefront"):
+        monkeypatch.setattr(seqid, name, recording(getattr(seqid, name)))
+    rng = np.random.default_rng(8)
+    pairs = adversarial_pairs(rng, seqid.ALIGN_CHUNK + 1)
+    assert_matches_reference(pairs)
+    assert sorted(sizes) == [seqid.ALIGN_CHUNK // 2, seqid.ALIGN_CHUNK // 2 + 1]
 
 
 def test_align_stats_many_rejects_keys_wider_than_64_bits():
