@@ -12,16 +12,18 @@ untraced (wall time) and once traced, splitting ``model.train`` into:
   older trees ``model._draw_epoch``, once per epoch, or the per-step
   ``augment.draw_masks``);
 - render / parse: SMILES rendering and parsing inside the steps;
-- featurize: feature rows built and scaled inside the steps
+- featurize: augmented feature rows built and scaled once per epoch
   (``model._enzyme_rows``, ``model._substrate_rows`` and
-  ``model._scaled``; in older trees the forward pass scales);
+  ``model._scaled``; in older trees once per step, and before that the
+  forward pass scales);
 - forward: ``model._forward_arrays`` (one pass over the stacked raw and
   augmented rows per step, and per-epoch validation; in older trees one
   pass per row set);
 - backward: ``model.gradients`` minus the forward pass inside it;
-- other: the rest of ``model.train`` (batch indexing and stacking, the
-  parameter update, the snapshot of each new best epoch and the log; in
-  older trees the masked index arrays).
+- other: the rest of ``model.train`` (batch indexing and stacking of
+  each step's raw and augmented rows, the parameter update, the snapshot
+  of each new best epoch and the log; in older trees the masked index
+  arrays).
 
 Functions a source tree lacks are skipped, so the same script times an
 older tree.  Usage::

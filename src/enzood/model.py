@@ -12,11 +12,13 @@ linear head emits the log10 kinetic prediction.
 Training minimizes prediction MSE on the records plus lam times the mean
 squared embedding distance between each record and its augmented
 counterpart; the augmented samples feed only the consistency term.
-Each step stacks the batch's raw rows and, with lam > 0, its augmented
-rows on a leading axis and runs one forward and one backward pass over
-the stack (gradients), then updates one working parameter vector in
-place; each epoch validates that vector, and a read-only ModelParams
-snapshot of it is taken only when the epoch is the best so far.  The
+With lam > 0 each epoch featurizes the augmented rows of all its
+records at once; each step stacks the batch's raw rows and its slice of
+those augmented rows on a leading axis and runs one forward and one
+backward pass over the stack (gradients), then updates one working
+parameter vector in place; each epoch validates that vector, and a
+read-only ModelParams snapshot of it is taken only when the epoch is
+the best so far.  The
 batch orders and masks are drawn a block of epochs at a time: one
 draw_masks call and one masking pass per block.  Training reads its
 settings from an ``io.RunConfig`` (the model does not import
@@ -38,7 +40,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .augment import ALPHABET, MASK_SYMBOL, draw_masks, unprotected_atoms
+from .augment import ALPHABET, MASK_SYMBOL, draw_masks
 from .errors import DegenerateTargetsError, NonFiniteError
 from .metrics import mae, r_squared
 from .molgraph import (
@@ -47,7 +49,6 @@ from .molgraph import (
     BOND_SINGLE,
     BOND_TRIPLE,
     ELEMENTS,
-    MolGraph,
 )
 
 if TYPE_CHECKING:
@@ -76,7 +77,14 @@ _RESIDUE_CODE[np.frombuffer(ALPHABET.encode("ascii"), dtype=np.uint8)] = np.aran
 _MASK_CODE = ALPHABET.index(MASK_SYMBOL)
 _ELEMENT_INDEX = {element: i for i, element in enumerate(ELEMENTS)}
 _MASKED_BIN = len(ELEMENTS)
-_BOND_SLOT = {BOND_SINGLE: 0, BOND_DOUBLE: 1, BOND_TRIPLE: 2, BOND_AROMATIC: 3}
+# count-row slots after the element bins and MASKED: 4 bond orders, ring
+# atoms, degrees 0..4+, charge sum, atom total
+_BOND_SLOT = {
+    order: _MASKED_BIN + 1 + i
+    for i, order in enumerate((BOND_SINGLE, BOND_DOUBLE, BOND_TRIPLE, BOND_AROMATIC))
+}
+_RING_SLOT = _MASKED_BIN + 5
+_DEGREE_SLOT = _MASKED_BIN + 6
 
 
 def _residue_codes(seq: str) -> np.ndarray:
@@ -89,53 +97,24 @@ def _residue_codes(seq: str) -> np.ndarray:
     return codes
 
 
-def _atom_counts(g: MolGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Element bin of each atom, and the integer count row of the graph
-    with no atom masked (bond orders, ring atoms, degrees, charge sum and
-    atom total included)."""
-    n = len(g)
-    if n == 0:
-        raise ValueError("empty substrate graph")
-    bins = [_ELEMENT_INDEX[atom.element] for atom in g.atoms]
-    counts = [0] * SUBSTRATE_FEATURES
-    for b in bins:
-        counts[b] += 1
-    base = _MASKED_BIN + 1
-    for bond in g.bonds:
-        counts[base + _BOND_SLOT[bond.order]] += 1
-    counts[base + 4] = sum(g.ring_membership)
-    for neigh in g.adjacency:
-        counts[base + 5 + min(len(neigh), 4)] += 1
-    counts[base + 10] = sum(atom.formal_charge for atom in g.atoms)
-    counts[base + 11] = n
-    return np.array(bins, dtype=np.intp), np.array(counts, dtype=np.int64)
+def _cut(values: np.ndarray, keep: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of ``values`` (laid end to end, sizes[r] > 0 per row)
+    that ``keep`` marks, end to end, and how many each row keeps."""
+    return values[keep], np.add.reduceat(keep, np.cumsum(sizes) - sizes, dtype=np.int64)
 
 
-def _masked_bins(bins: np.ndarray, mask) -> np.ndarray:
-    """Element bins of the atoms ``mask`` hides; none for a None mask."""
-    if mask is None:
-        return bins[:0]
-    if len(mask) != len(bins):
-        raise ValueError(f"mask length {len(mask)} != atom count {len(bins)}")
-    return bins[np.asarray(mask, dtype=bool)]
-
-
-def _flat(arrays) -> tuple[np.ndarray, np.ndarray]:
-    """The arrays end to end, and the length of each."""
-    return np.concatenate(arrays), np.array([len(a) for a in arrays], dtype=np.int64)
-
-
-def _enzyme_rows(codes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def _enzyme_rows(codes: np.ndarray, lengths: np.ndarray, out=None) -> np.ndarray:
     """Feature rows of residue codes laid end to end, ``lengths`` per
     row: 1-mer counts over the length, 2-mer counts (pair a, b in bin
     a * 21 + b) over the length - 1, and no 2-mers for a single
-    residue."""
+    residue.  Written into ``out``, a (rows, 462) array, when given."""
     k = len(ALPHABET)
     b = len(lengths)
     ones = np.repeat(np.arange(0, b * k, k), lengths) + codes  # row * k + code
     twos = ones[:-1] * k + codes[1:]
     twos[np.cumsum(lengths)[:-1] - 1] = b * k * k  # pairs across two sequences: a spare bin
-    out = np.empty((b, ENZYME_FEATURES))
+    if out is None:
+        out = np.empty((b, ENZYME_FEATURES))
     np.divide(np.bincount(ones, minlength=b * k).reshape(b, k), lengths[:, None], out=out[:, :k])
     np.divide(
         np.bincount(twos, minlength=b * k * k + 1)[:-1].reshape(b, k * k),
@@ -162,14 +141,63 @@ def _substrate_rows(counts: np.ndarray, hidden: np.ndarray, per_row) -> np.ndarr
 
 
 def _encode(records):
-    """The records as index arrays: (residue codes end to end, each
-    record's length), each record's per-atom element bins, (the bins
-    its own substrate mask hides end to end, their count per record),
-    and the stacked count rows of the unmasked graphs."""
-    residues = _flat([_residue_codes(r.sequence) for r in records])
-    bins, counts = zip(*(_atom_counts(r.graph) for r in records))
-    hidden = _flat([_masked_bins(b, r.substrate_mask) for b, r in zip(bins, records)])
-    return residues, bins, hidden, np.stack(counts)
+    """The records as index arrays, in one pass over the list: (residue
+    codes end to end, each record's length), the element bin of every
+    atom end to end (record r's atom total, its count row's last entry,
+    per record), (the bins each record's own substrate mask hides end to
+    end, their count per record), and the (records, 23) integer count
+    rows of the unmasked graphs.
+
+    The residue codes are one lookup over the joined sequences; each
+    graph's element bins, bond slots and degrees join flat arrays, and
+    one bincount keyed by row * 23 + slot counts them into the rows.
+    Raises ValueError on an empty list, and otherwise the error of the
+    first faulty record in three phases: its residues (an empty sequence
+    or a symbol outside the alphabet), then its graph (no atoms), then
+    its mask (a length other than the atom count)."""
+    if not records:
+        raise ValueError("no records to encode")
+    sequences = [r.sequence for r in records]
+    lengths = np.array([len(s) for s in sequences], dtype=np.int64)
+    text = "".join(sequences)
+    codes = None
+    if text.isascii():
+        codes = _RESIDUE_CODE[np.frombuffer(text.encode("ascii"), dtype=np.uint8)]
+    if codes is None or not lengths.all() or codes.min() < 0:
+        for seq in sequences:
+            _residue_codes(seq)  # raises the first faulty record's error
+
+    graphs = [r.graph for r in records]
+    atoms = np.array([len(g) for g in graphs], dtype=np.int64)
+    if not atoms.all():
+        raise ValueError("empty substrate graph")
+
+    n, f = len(records), SUBSTRATE_FEATURES
+    bins = np.array([_ELEMENT_INDEX[a.element] for g in graphs for a in g.atoms], dtype=np.intp)
+    slots = np.array([_BOND_SLOT[b.order] for g in graphs for b in g.bonds], dtype=np.intp)
+    degrees = np.array([min(len(neigh), 4) for g in graphs for neigh in g.adjacency], dtype=np.intp)
+    row = np.arange(0, n * f, f)
+    atom_row = np.repeat(row, atoms)
+    keys = np.concatenate((
+        atom_row + bins,
+        np.repeat(row, [len(g.bonds) for g in graphs]) + slots,
+        atom_row + _DEGREE_SLOT + degrees,
+    ))
+    counts = np.bincount(keys, minlength=n * f).reshape(n, f)
+    counts[:, _RING_SLOT] = [sum(g.ring_membership) for g in graphs]
+    counts[:, f - 2] = [sum(a.formal_charge for a in g.atoms) for g in graphs]
+    counts[:, f - 1] = atoms
+
+    hide = np.zeros(len(bins), dtype=bool)  # the atoms the records' own masks hide
+    starts = np.cumsum(atoms) - atoms
+    for r, start, n_atoms in zip(records, starts.tolist(), atoms.tolist()):
+        mask = r.substrate_mask
+        if mask is None:
+            continue
+        if len(mask) != n_atoms:
+            raise ValueError(f"mask length {len(mask)} != atom count {n_atoms}")
+        hide[start : start + n_atoms] = mask
+    return (codes, lengths), bins, _cut(bins, hide, atoms), counts
 
 
 def _featurize(records) -> tuple[np.ndarray, np.ndarray]:
@@ -430,18 +458,18 @@ _BLOCK_RESIDUES = 1 << 14
 
 
 def _draw_block(epochs, residues, atom_counts, pools, cfg: RunConfig) -> list[tuple]:
-    """The draws of a run of consecutive epochs, one (order, steps) per
-    epoch: the epoch's batch order, from the generator seeded by (seed,
-    epoch, 0xD5), and, with lam > 0, its augmented index arrays, one
-    tuple per step (residue codes of the step's records end to end with
+    """The draws of a run of consecutive epochs, one (order, augmented)
+    per epoch: the epoch's batch order, from the generator seeded by
+    (seed, epoch, 0xD5), and, with lam > 0, its augmented index arrays
+    in batch order (residue codes of the epoch's records end to end with
     every drawn position set to MASK, their lengths, the element bins of
     the masked atoms end to end, their count per record); with lam = 0
-    the steps are None and no mask is drawn.  Step s of epoch e draws
-    its records in batch order from the generator seeded by (seed, e,
-    s); the whole block is one draw_masks call and one masking pass, cut
-    per epoch and step.  ``residues`` and ``pools`` are (values end to
-    end, length per record) pairs in record order: residue codes, and
-    the element bins of each record's unprotected atoms."""
+    augmented is None and no mask is drawn.  Step s of epoch e draws its
+    records in batch order from the generator seeded by (seed, e, s);
+    the whole block is one draw_masks call and one masking pass, cut per
+    epoch.  ``residues`` and ``pools`` are (values end to end, length
+    per record) pairs in record order: residue codes, and the element
+    bins of each record's unprotected atoms."""
     (codes, lengths), (pool_bins, pool_sizes) = residues, pools
     n = len(lengths)
     orders = [np.random.default_rng([cfg.seed, epoch, 0xD5]).permutation(n) for epoch in epochs]
@@ -462,16 +490,15 @@ def _draw_block(epochs, residues, atom_counts, pools, cfg: RunConfig) -> list[tu
     masked = codes[np.repeat(code_starts[rows] - ends + lengths, lengths) + np.arange(ends[-1])]
     masked[np.repeat(ends - lengths, site_counts) + sites] = _MASK_CODE
     atoms = pool_bins[np.repeat(pool_starts[rows], pick_counts) + picks]
-    edges = [e * n + s for e in range(len(orders)) for s in starts] + [len(rows)]
+    edges = range(0, len(rows) + 1, n)  # each epoch's first record, then the end
     code_edges = np.concatenate(([0], ends))[edges].tolist()
     atom_edges = np.concatenate(([0], np.cumsum(pick_counts)))[edges].tolist()
-    steps = [
-        (masked[c0:c1], lengths[r0:r1], atoms[a0:a1], pick_counts[r0:r1])
-        for r0, r1, c0, c1, a0, a1 in zip(
-            edges, edges[1:], code_edges, code_edges[1:], atom_edges, atom_edges[1:]
+    return [
+        (order, (masked[c0:c1], lengths[r0:r1], atoms[a0:a1], pick_counts[r0:r1]))
+        for order, r0, r1, c0, c1, a0, a1 in zip(
+            orders, edges, edges[1:], code_edges, code_edges[1:], atom_edges, atom_edges[1:]
         )
     ]
-    return [(order, steps[e * k : (e + 1) * k]) for e, order in enumerate(orders)]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # each step checks finiteness itself
@@ -479,34 +506,37 @@ def train(train_records, val_records, cfg: RunConfig):
     """Momentum SGD with per-step augmentation.
 
     ``cfg`` is an ``io.RunConfig``; the momentum is the fixed constant
-    MOMENTUM.  Every record is encoded once as index arrays, and the
-    feature rows of the training and validation records are built and
-    scaled once.  The epochs are drawn a block at a time (_draw_block),
-    as many whole epochs as mask at most _BLOCK_RESIDUES residues, and at
-    least one: each epoch's batch order and, with lam > 0, fresh masks
-    for every step's records, all of the block's in one draw.  Step s of
-    epoch e draws its records in batch order from a generator seeded by
-    (seed, e, s) (augment.draw_masks), so the block size changes no
-    draw, and each step builds its augmented rows from its slice of the
-    masked index arrays.  The substrate featurizer is invariant under
+    MOMENTUM.  The training records are encoded once, in one batch pass
+    (_encode), and the feature rows of the training and validation
+    records are built and scaled once.  The epochs are drawn a block at
+    a time (_draw_block), as many whole epochs as mask at most
+    _BLOCK_RESIDUES residues, and at least one: each epoch's batch order
+    and, with lam > 0, fresh masks for every step's records, all of the
+    block's in one draw.  Step s of epoch e draws its records in batch
+    order from a generator seeded by (seed, e, s) (augment.draw_masks),
+    so the block size changes no draw.  With lam > 0 each epoch builds
+    and scales the augmented rows of all its records once, in batch
+    order, into two row buffers cut once per run, and each step reads
+    its slice of them.  The substrate featurizer is invariant under
     graph isomorphism, so in enumeration mode a re-rendered substrate
     would featurize as the unmasked graph: its atom draw is empty and
     nothing is rendered, which makes the run the graph_mask run at
     p_g = 0.  With lam = 0 the consistency term is off and no mask is
     drawn.  Each step stacks its raw rows and, with lam > 0, its
-    augmented rows, computes the combined loss and its
-    gradient in one stacked pass (gradients) into one gradient buffer
-    cut once per run, with the working vector's views, and updates one
-    working parameter vector and one velocity vector in place.  After each epoch
-    the working vector is validated, and a read-only ModelParams copy of
-    it is kept only when its validation MSE is the best so far.  Returns
+    augmented rows, computes the combined loss and its gradient in one
+    stacked pass (gradients) into one gradient buffer cut once per run,
+    with the working vector's views, and updates one working parameter
+    vector and one velocity vector in place.  After each epoch the
+    working vector is validated, and a read-only ModelParams copy of it
+    is kept only when its validation MSE is the best so far.  Returns
     (params of the best validation-MSE epoch, per-epoch log).  On a
     non-finite loss, gradient or parameter the run raises
     NonFiniteError carrying the best finite checkpoint and the log so far
     in its ``checkpoint`` and ``log`` attributes.  Logs the encoding
     time, the per-epoch wall time, the time spent in steps (forward,
-    backward and update), and the time spent drawing and masking and the
-    number of blocks drawn at INFO level.
+    backward and update), the time spent featurizing augmented rows, and
+    the time spent drawing and masking and the number of blocks drawn at
+    INFO level.
     """
     train_records = list(train_records)
     val_records = list(val_records)
@@ -524,7 +554,8 @@ def train(train_records, val_records, cfg: RunConfig):
     y = np.array([r.value for r in train_records], dtype=float)
     yv = np.array([r.value for r in val_records], dtype=float)
     atom_counts = counts[:, -1]  # each count row ends with its atom total
-    pools = _flat([b[unprotected_atoms(r.graph)] for b, r in zip(bins, train_records)])
+    unprotected = np.logical_not([p for r in train_records for p in r.graph.protected])
+    pools = _cut(bins, unprotected, atom_counts)
     encode_s = time.perf_counter() - encode_start
 
     sizes = (cfg.hidden_enzyme, cfg.hidden_substrate, cfg.embed_dim)
@@ -548,8 +579,12 @@ def train(train_records, val_records, cfg: RunConfig):
         err.log = log
         raise err
 
+    if cfg.lam > 0:  # each epoch's scaled augmented rows, in batch order
+        xa_e, xa_s = np.empty(x_e.shape), np.empty(x_s.shape)
+
     epochs_start = time.perf_counter()
     draw_s = 0.0
+    featurize_s = 0.0
     step_s = 0.0
     per_block = max(1, _BLOCK_RESIDUES // len(residues[0]))  # epochs one block draws
     for epoch in range(cfg.epochs):
@@ -559,21 +594,26 @@ def train(train_records, val_records, cfg: RunConfig):
             drawn = iter(_draw_block(block, residues, atom_counts, pools, cfg))
             draw_s += time.perf_counter() - draw_start
         order, augmented = next(drawn)
+        if cfg.lam > 0:
+            featurize_start = time.perf_counter()
+            codes, lengths, atoms, per_row = augmented
+            _scaled(
+                _enzyme_rows(codes, lengths, out=xa_e),
+                _substrate_rows(counts[order], atoms, per_row),
+                out=(xa_e, xa_s),
+            )
+            featurize_s += time.perf_counter() - featurize_start
         epoch_base = 0.0
         epoch_cons = 0.0
         steps = 0
         for step, start in enumerate(range(0, n, cfg.batch_size)):
-            idx = order[start : start + cfg.batch_size]
+            end = start + cfg.batch_size
+            idx = order[start:end]
             if cfg.lam > 0:
-                codes, lengths, atoms, per_row = augmented[step]
                 xe = np.empty((2, len(idx), ENZYME_FEATURES))
                 xs = np.empty((2, len(idx), SUBSTRATE_FEATURES))
                 xe[0], xs[0] = x_e[idx], x_s[idx]
-                _scaled(
-                    _enzyme_rows(codes, lengths),
-                    _substrate_rows(counts[idx], atoms, per_row),
-                    out=(xe[1], xs[1]),
-                )
+                xe[1], xs[1] = xa_e[start:end], xa_s[start:end]
             else:
                 xe, xs = x_e[idx][None], x_s[idx][None]
             step_start = time.perf_counter()
@@ -621,13 +661,15 @@ def train(train_records, val_records, cfg: RunConfig):
         entry["best_epoch"] = best_epoch
     _LOG.info(
         "train: encoded %d train + %d val records in %.3f s; %d epochs, %.4f s per epoch, "
-        "%.3f s in steps, %.3f s drawing and masking in %d blocks",
+        "%.3f s in steps, %.3f s featurizing augmented rows, %.3f s drawing and masking "
+        "in %d blocks",
         len(train_records),
         len(val_records),
         encode_s,
         cfg.epochs,
         (time.perf_counter() - epochs_start) / cfg.epochs,
         step_s,
+        featurize_s,
         draw_s,
         -(-cfg.epochs // per_block),
     )

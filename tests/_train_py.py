@@ -9,9 +9,14 @@ inside the forward pass.  ``loss_cons`` is its own, written with
 np.sum and np.mean, so the library's is checked along with the step.
 ``_draw_epoch`` draws the masks of one epoch per ``draw_masks`` call and
 ``train`` draws each epoch's batch order itself, so the library's
-blocks of epochs are checked against per-epoch draws.  Everything else
-(encoding, the mask draw itself, featurization, the checkpoint type) is
-the library's own."""
+blocks of epochs are checked against per-epoch draws.  ``_encode`` is a
+frozen per-record encoder (one ``_residue_codes``, ``_atom_counts`` and
+``_masked_bins`` call per record, and a per-record pool build in
+``train``), and each step featurizes its own augmented rows, so the
+library's one batch encoding pass and its per-epoch augmented rows are
+checked against per-record and per-step work.  Everything else (the
+mask draw itself, the row kernels, the checkpoint type) is the
+library's own."""
 
 from __future__ import annotations
 
@@ -26,21 +31,95 @@ from enzood.metrics import mae, r_squared
 from enzood.model import (
     ENZYME_INPUT_SCALE,
     MOMENTUM,
+    SUBSTRATE_FEATURES,
     ModelParams,
     _SUBSTRATE_INPUT_SCALE,
     _MASK_CODE,
+    _RESIDUE_CODE,
     _blocks,
-    _encode,
     _enzyme_rows,
-    _featurize,
-    _flat,
     _substrate_rows,
     init_params,
     loss_base,
     loss_total,
 )
+from enzood.molgraph import (
+    BOND_AROMATIC,
+    BOND_DOUBLE,
+    BOND_SINGLE,
+    BOND_TRIPLE,
+    ELEMENTS,
+    MolGraph,
+)
 
 _LOG = logging.getLogger(__name__)
+
+_ELEMENT_INDEX = {element: i for i, element in enumerate(ELEMENTS)}
+_MASKED_BIN = len(ELEMENTS)
+_BOND_SLOT = {BOND_SINGLE: 0, BOND_DOUBLE: 1, BOND_TRIPLE: 2, BOND_AROMATIC: 3}
+
+
+def _residue_codes(seq: str) -> np.ndarray:
+    """Alphabet index of each residue."""
+    if not seq:
+        raise ValueError("empty enzyme sequence")
+    codes = _RESIDUE_CODE[np.frombuffer(seq.encode("ascii"), dtype=np.uint8)]
+    if codes.min() < 0:
+        raise ValueError("enzyme sequence holds symbols outside the residue alphabet")
+    return codes
+
+
+def _atom_counts(g: MolGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Element bin of each atom, and the integer count row of the graph
+    with no atom masked (bond orders, ring atoms, degrees, charge sum and
+    atom total included)."""
+    n = len(g)
+    if n == 0:
+        raise ValueError("empty substrate graph")
+    bins = [_ELEMENT_INDEX[atom.element] for atom in g.atoms]
+    counts = [0] * SUBSTRATE_FEATURES
+    for b in bins:
+        counts[b] += 1
+    base = _MASKED_BIN + 1
+    for bond in g.bonds:
+        counts[base + _BOND_SLOT[bond.order]] += 1
+    counts[base + 4] = sum(g.ring_membership)
+    for neigh in g.adjacency:
+        counts[base + 5 + min(len(neigh), 4)] += 1
+    counts[base + 10] = sum(atom.formal_charge for atom in g.atoms)
+    counts[base + 11] = n
+    return np.array(bins, dtype=np.intp), np.array(counts, dtype=np.int64)
+
+
+def _masked_bins(bins: np.ndarray, mask) -> np.ndarray:
+    """Element bins of the atoms ``mask`` hides; none for a None mask."""
+    if mask is None:
+        return bins[:0]
+    if len(mask) != len(bins):
+        raise ValueError(f"mask length {len(mask)} != atom count {len(bins)}")
+    return bins[np.asarray(mask, dtype=bool)]
+
+
+def _flat(arrays) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays end to end, and the length of each."""
+    return np.concatenate(arrays), np.array([len(a) for a in arrays], dtype=np.int64)
+
+
+def _encode(records):
+    """The records as index arrays, one record at a time: (residue codes
+    end to end, each record's length), each record's per-atom element
+    bins, (the bins its own substrate mask hides end to end, their count
+    per record), and the stacked count rows of the unmasked graphs."""
+    residues = _flat([_residue_codes(r.sequence) for r in records])
+    bins, counts = zip(*(_atom_counts(r.graph) for r in records))
+    hidden = _flat([_masked_bins(b, r.substrate_mask) for b, r in zip(bins, records)])
+    return residues, bins, hidden, np.stack(counts)
+
+
+def _featurize(records) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked (enzyme, substrate) feature rows of the records."""
+    residues, _, hidden, counts = _encode(records)
+    return _enzyme_rows(*residues), _substrate_rows(counts, *hidden)
 
 
 def loss_cons(f, f_aug) -> float:

@@ -58,6 +58,6 @@ def test_traced_train_on_split_phases():
     steps = cfg.epochs * -(-len(split.train_ids) // cfg.batch_size)
     assert result["calls"]["model.gradients"] == steps
     assert result["calls"]["model._forward_arrays"] == steps + cfg.epochs
-    # the featurize time is the kernel's: one augmented batch per step
-    assert result["calls"]["model._enzyme_rows"] == steps
-    assert result["calls"]["model._substrate_rows"] == steps
+    # the featurize time is the kernel's: one augmented featurization per epoch
+    assert result["calls"]["model._enzyme_rows"] == cfg.epochs
+    assert result["calls"]["model._substrate_rows"] == cfg.epochs

@@ -185,6 +185,93 @@ def test_featurizer_kernel_matches_loop_reference(bench300):
         assert np.array_equal(x_s[row], want_s) and np.array_equal(one_s, want_s)
 
 
+def stub(sequence, substrate, mask=None):
+    """A record as the encoder reads it; ``substrate`` is SMILES or a graph."""
+    graph = parse_smiles(substrate) if isinstance(substrate, str) else substrate
+    return SimpleNamespace(sequence=sequence, graph=graph, substrate_mask=mask)
+
+
+def test_batch_encoder_matches_the_per_record_encoder(corpus_smiles):
+    """One batch pass over the list gives the index arrays and count rows
+    of the per-record encoder, dtypes included, and _featurize gives the
+    loop reference's rows bit for bit: substrate masks None, all-False,
+    partial and full, charged atoms and aromatic rings, and one-residue
+    sequences."""
+    rng = np.random.default_rng(43)
+    records = []
+    for i, text in enumerate(corpus_smiles + ["C[N+](C)(C)C", "[O-]c1ccccc1", "OC(=O)c1ccccc1"]):
+        graph = parse_smiles(text)
+        n = len(graph)
+        masks = (None, (False,) * n, tuple(bool(b) for b in rng.integers(0, 2, n)), (True,) * n)
+        length = (1, 2, int(rng.integers(3, 60)))[i % 3]
+        sequence = "".join(ALPHABET[int(c)] for c in rng.integers(0, len(ALPHABET), length))
+        records.append(stub(sequence, graph, masks[i % 4]))
+    assert any(len(r.sequence) == 1 for r in records)
+    assert any(any(a.formal_charge for a in r.graph.atoms) for r in records)
+    assert any(any(a.aromatic for a in r.graph.atoms) for r in records)
+    assert any(m is not None and any(m) and not all(m) for m in (r.substrate_mask for r in records))
+
+    (codes, lengths), bins, (hidden, per_row), counts = model._encode(records)
+    (want_codes, want_lengths), want_bins, want_hidden, want_counts = _train_py._encode(records)
+    for got, want in [
+        (codes, want_codes), (lengths, want_lengths), (bins, np.concatenate(want_bins)),
+        (hidden, want_hidden[0]), (per_row, want_hidden[1]), (counts, want_counts),
+    ]:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(counts[:, -1], [len(b) for b in want_bins])
+
+    x_e, x_s = model._featurize(records)
+    for row, r in enumerate(records):
+        assert np.array_equal(x_e[row], reference.featurize_enzyme(r.sequence))
+        assert np.array_equal(x_s[row], reference.featurize_substrate(r.graph, r.substrate_mask))
+
+
+def raised(encode, records):
+    """The type and message of the error ``encode(records)`` raises."""
+    with pytest.raises(Exception) as info:
+        encode(records)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize(
+    "faults, message",
+    [
+        (["empty-sequence"], "empty enzyme sequence"),
+        (["foreign-symbol"], "outside the residue alphabet"),
+        (["non-ascii"], "'ascii' codec can't encode"),
+        (["mask-length"], "mask length 2 != atom count 3"),
+        (["empty-graph"], "empty substrate graph"),
+        (["mask-length", "empty-graph", "foreign-symbol"], "outside the residue alphabet"),
+        (["empty-graph", "mask-length"], "empty substrate graph"),
+        (["non-ascii", "empty-sequence"], "'ascii' codec can't encode"),
+        (["empty-sequence", "foreign-symbol"], "empty enzyme sequence"),
+    ],
+)
+def test_batch_encoder_raises_the_per_record_error(faults, message):
+    """A list with faulty records raises what the per-record encoder
+    raises, type and message: the first faulty record's residues, then
+    the first empty graph, then the first mask of the wrong length."""
+    faulty = {
+        "empty-sequence": stub("", "CCO"),
+        "foreign-symbol": stub("ACZDE", "CCO"),
+        "non-ascii": stub("ACDéE", "CCO"),
+        "mask-length": stub("ACDE", "CCO", (True, False)),
+        "empty-graph": stub("ACDE", MolGraph([], [])),
+    }
+    records = [stub("MKV", "c1ccccc1O")]
+    for fault in faults:
+        records += [faulty[fault], stub("W", "CC[O-]", (False, True, False))]
+    want = raised(_train_py._encode, records)
+    assert message in want[1]
+    assert raised(model._encode, records) == want
+    assert raised(model._featurize, records) == want
+
+
+def test_encoder_rejects_an_empty_list():
+    with pytest.raises(ValueError, match="no records"):
+        model._encode([])
+
+
 def test_featurize_substrate_mask_length_checked():
     with pytest.raises(ValueError):
         featurized(substrate="CCO", mask=(True,))

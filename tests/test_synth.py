@@ -220,12 +220,13 @@ def test_generate_drawn_graphs_count_as_the_parsed_records(monkeypatch, cfg):
     may differ."""
     (batch,), records = featurized_batches(monkeypatch, cfg)
     assert len(batch) == len(records)
-    for drawn, record in zip(batch, records):
-        (bins, counts), (want_bins, want_counts) = (
-            model._atom_counts(g) for g in (drawn.graph, record.graph)
-        )
-        assert counts.dtype == want_counts.dtype and np.array_equal(counts, want_counts)
-        assert np.array_equal(np.sort(bins), np.sort(want_bins)), record.smiles
+    (_, bins, _, counts), (_, want_bins, _, want_counts) = (
+        model._encode(rs) for rs in (batch, records)
+    )
+    assert counts.dtype == want_counts.dtype and np.array_equal(counts, want_counts)
+    ends = np.cumsum(counts[:, -1])[:-1]  # each count row ends with its atom total
+    for got, want, record in zip(np.split(bins, ends), np.split(want_bins, ends), records):
+        assert np.array_equal(np.sort(got), np.sort(want)), record.smiles
 
 
 def test_mutation_rate_zero_collapses_families():
