@@ -7,11 +7,13 @@ substrate atoms drawn only from the unprotected pool (rings, functional
 groups, and charged atoms are never masked).  Counts use floor so the
 requested ratio is never exceeded.
 
-Every draw goes through ``choice_many``, an array-level replay of
+Every mask draw goes through ``choice_many``, an array-level replay of
 numpy's ``Generator.choice`` without replacement (Floyd's algorithm,
 Bentley & Floyd, CACM 1987): the masks of many records, drawn from
 many generators, come from one call, with the values and the generator
-states that one ``choice`` call per draw would give.
+states that one ``choice`` call per draw would give.  The one draw
+outside masking, ``synth.generate``'s pick of enzyme bins, is a single
+request and calls numpy's ``choice`` itself.
 
 There are two entry points, both batch-wide: ``draw_masks`` draws the
 masks of many records from many generators (training calls it once per
@@ -57,13 +59,6 @@ def validate_sequence(seq: str) -> None:
 # count > pop // 50
 _TAIL_MIN_POP = 10_000
 _TAIL_CUTOFF = 50
-# Below this many drawn values in all, the requests are replayed one by
-# one in Python instead of in array passes, whose cost is mostly fixed or
-# per step.  Both routes give the same draws, so the switch moves time,
-# never results.  On a 2-core x86-64 machine the Python replay still won
-# at 537 draws (488 against 583 us) and lost at 1,287 (1,152 against
-# 757 us): the break-even lies between those two counts, above this one.
-_ARRAY_MIN_DRAWS = 400
 
 
 def _ranks(lengths) -> np.ndarray:
@@ -87,13 +82,13 @@ def _by_step(lengths):
     return request, step, np.concatenate(([0], np.cumsum(active)))
 
 
-def choice_many(rngs, pops, counts, per_rng=None) -> np.ndarray:
+def choice_many(rngs, pops, counts, per_rng) -> np.ndarray:
     """The draws of consecutive ``rng.choice(pops[r], size=counts[r],
     replace=False)`` calls, end to end as one intp array, computed with
     array operations; each generator is left in the state those calls
     leave it in.  The first per_rng[0] requests draw from rngs[0], the
-    next per_rng[1] from rngs[1], and so on (all from rngs[0] when
-    per_rng is None).  A zero count draws nothing.
+    next per_rng[1] from rngs[1], and so on.  A zero count draws
+    nothing.
 
     Each generator makes one ``integers`` call holding every bound its
     requests ask for, in numpy's order: pop-k .. pop-1 for Floyd's
@@ -102,21 +97,15 @@ def choice_many(rngs, pops, counts, per_rng=None) -> np.ndarray:
     request's Floyd steps, then its swaps, are then replayed side by
     side, one array pass per step.  Floyd's taken set is a mask over the
     values a request can take, at most 2k of them, so, as in numpy, only
-    the tail route needs memory that grows with pop.  Under
-    _ARRAY_MIN_DRAWS values in all, the same bounds are drawn and the
-    requests replayed one by one in Python instead, which is faster at
-    that size."""
+    the tail route needs memory that grows with pop."""
     if len(pops) != len(counts):
         raise ValueError(f"{len(pops)} populations but {len(counts)} counts")
-    per_rng = [len(pops)] if per_rng is None else per_rng
     if len(per_rng) != len(rngs) or sum(per_rng) != len(pops):
         raise ValueError("per_rng must give each generator's share of the requests")
     pops = np.asarray(pops, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
     if (counts < 0).any() or (counts > pops).any():
         raise ValueError("every count must lie between 0 and its population")
-    if counts.sum() < _ARRAY_MIN_DRAWS:
-        return _replay_one_by_one(rngs, pops.tolist(), counts.tolist(), per_rng)
     tail = (pops > _TAIL_MIN_POP) & (counts > pops // _TAIL_CUTOFF)
     floyd = np.where(tail, 0, counts)
     deck = np.where(tail, pops, counts)  # the array the swaps act on
@@ -164,44 +153,6 @@ def choice_many(rngs, pops, counts, per_rng=None) -> np.ndarray:
     # each request keeps the last k cards of its deck
     kept = np.repeat(deck_start + deck - counts, counts) + _ranks(counts)
     return cards[kept].astype(np.intp)
-
-
-def _on_tail(pop: int, k: int) -> bool:
-    return pop > _TAIL_MIN_POP and k > pop // _TAIL_CUTOFF
-
-
-def _replay_one_by_one(rngs, pops, counts, per_rng) -> np.ndarray:
-    """choice_many for few draws, in Python: per generator, the bounds of
-    its requests in numpy's order and one ``integers`` call, then each
-    request's Floyd picks (or arange(pop) on the tail route), its swaps,
-    and its last k cards."""
-    out = []
-    requests = iter(zip(pops, counts))
-    for rng, share in zip(rngs, per_rng):
-        mine = [next(requests) for _ in range(share)]
-        ends = []  # the bounds, exclusive
-        for pop, k in mine:
-            if _on_tail(pop, k):
-                ends += range(pop, max(pop - k, 1), -1)
-            else:
-                ends += [*range(pop - k + 1, pop + 1), *range(k, 1, -1)]
-        if not ends:
-            continue
-        raw = iter(rng.integers(0, np.array(ends, dtype=np.int64)).tolist())
-        for pop, k in mine:
-            if _on_tail(pop, k):
-                cards = list(range(pop))
-            else:
-                cards, taken = [], set()
-                for j in range(pop - k, pop):
-                    t = next(raw)
-                    cards.append(j if t in taken else t)
-                    taken.add(cards[-1])
-            for i in range(len(cards) - 1, max(len(cards) - k, 1) - 1, -1):
-                j = next(raw)
-                cards[i], cards[j] = cards[j], cards[i]
-            out += cards[len(cards) - k :]
-    return np.array(out, dtype=np.intp)
 
 
 def _mask_counts(ratio: float, sizes, pool_sizes) -> np.ndarray:

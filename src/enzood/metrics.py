@@ -2,9 +2,9 @@
 
 A GoodCurve holds one risk value per identity threshold plus a weight
 per threshold (the histogram of each query's maximal identity to the
-training set).  Its weighted mean is the scalar AU-GOOD summary; whether
-higher is better follows the metric id, never a sign flip baked into the
-stored risks.
+training set).  Its weighted mean is the scalar AU-GOOD summary.  Risks
+are stored as the metric gives them, never sign-flipped: higher is
+better for r2 and lower for mae.
 """
 
 from __future__ import annotations
@@ -17,9 +17,6 @@ from .errors import DegenerateTargetsError
 from .seqid import max_identities
 
 METRIC_IDS = ("r2", "mae")
-
-# metric id -> True when larger values are better
-METRIC_DIRECTION = {"r2": True, "mae": False}
 
 
 def _paired_arrays(preds, targets):
@@ -56,9 +53,8 @@ def mae(preds, targets) -> float:
 class GoodCurve:
     """Per-threshold risk values with a weight histogram over thresholds.
 
-    ``risks`` are raw metric values under ``metric`` ('r2' or 'mae');
-    direction is looked up from the metric id, so curves never store
-    sign-flipped values.  The per-point threshold step is the constant 1,
+    ``risks`` are raw metric values under ``metric`` ('r2' or 'mae'),
+    never sign-flipped.  The per-point threshold step is the constant 1,
     which makes the AU-GOOD summary a weighted mean of the risks.
     """
 
@@ -82,10 +78,6 @@ class GoodCurve:
         total = float(sum(self.weights))
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1 within 1e-9, got {total}")
-
-    @property
-    def higher_is_better(self) -> bool:
-        return METRIC_DIRECTION[self.metric]
 
 
 def curve_from_risks(thresholds, risks, metric: str, weights=None) -> GoodCurve:

@@ -24,7 +24,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .augment import ALPHABET, AMINO_ACIDS, choice_many
+from .augment import ALPHABET, AMINO_ACIDS
 from .errors import ConfigError
 from .io import EsiRecord, check_integer, check_real, parse_config_text, write_dataset
 from .model import _featurize
@@ -247,7 +247,7 @@ def generate(cfg: SynthConfig) -> tuple[list[EsiRecord], dict]:
 
     rng_weights = np.random.default_rng([cfg.seed, 0xFC])
     n_bins = min(_N_ENZYME_BINS, len(inner_bins))
-    picks = choice_many([rng_weights], [len(inner_bins)], [n_bins])
+    picks = rng_weights.choice(len(inner_bins), size=n_bins, replace=False)
     enzyme_bins = np.sort(np.array(inner_bins)[picks])
     enzyme_weights = rng_weights.normal(0.0, _ENZYME_WEIGHT_SCALE, size=n_bins)
     enzyme_features = [[int(i), float(w)] for i, w in zip(enzyme_bins, enzyme_weights)]

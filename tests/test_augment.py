@@ -5,7 +5,6 @@ import pytest
 from _augment_py import mask_graph, mask_sequence
 from _molgraph_py import is_isomorphic
 
-from enzood import augment
 from enzood.augment import (
     ALPHABET,
     AMINO_ACIDS,
@@ -178,15 +177,7 @@ def assert_same_state(a, b):
     assert np.array_equal(a.choice(60, size=7, replace=False), b.choice(60, size=7, replace=False))
 
 
-@pytest.fixture(params=["arrays", "one_by_one"])
-def replay(request, monkeypatch):
-    """Run a test through each of choice_many's two replays: the array
-    passes, and the request-by-request loop it takes for small inputs."""
-    monkeypatch.setattr(augment, "_ARRAY_MIN_DRAWS", 0 if request.param == "arrays" else 1 << 62)
-    return request.param
-
-
-def test_choice_many_matches_consecutive_choice_calls(replay):
+def test_choice_many_matches_consecutive_choice_calls():
     """Random request lists over 1 to 3 generators.  Most populations
     are sequence-sized; one list in ten holds populations past 10000
     with counts around pop // 50, where numpy switches from Floyd's
@@ -231,13 +222,13 @@ def test_choice_many_matches_consecutive_choice_calls(replay):
         (10**12, 3),  # Floyd's memory does not grow with pop
     ],
 )
-def test_choice_many_edges(replay, pop, k):
+def test_choice_many_edges(pop, k):
     for with_neighbours in (False, True):
         pops, counts = [pop], [k]
         if with_neighbours:  # zero requests around it draw nothing
             pops, counts = [5, pop, 30, 4], [0, k, 3, 0]
         a, b = np.random.default_rng(21), np.random.default_rng(21)
-        got = choice_many([a], pops, counts)
+        got = choice_many([a], pops, counts, [len(pops)])
         assert np.array_equal(got, consecutive_choices([b], pops, counts, [len(pops)]))
         assert_same_state(a, b)
 
@@ -245,8 +236,8 @@ def test_choice_many_edges(replay, pop, k):
 def test_choice_many_zero_counts_draw_nothing():
     rng = np.random.default_rng(3)
     state = rng.bit_generator.state
-    assert choice_many([rng], [5, 1, 0], [0, 0, 0]).shape == (0,)
-    assert choice_many([rng], [], []).shape == (0,)
+    assert choice_many([rng], [5, 1, 0], [0, 0, 0], [3]).shape == (0,)
+    assert choice_many([rng], [], [], [0]).shape == (0,)
     assert choice_many([], [], [], []).shape == (0,)
     assert rng.bit_generator.state == state
 
@@ -254,16 +245,16 @@ def test_choice_many_zero_counts_draw_nothing():
 def test_choice_many_rejects_bad_counts():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        choice_many([rng], [3], [4])
+        choice_many([rng], [3], [4], [1])
     with pytest.raises(ValueError):
-        choice_many([rng], [3], [-1])
+        choice_many([rng], [3], [-1], [1])
     with pytest.raises(ValueError):
-        choice_many([rng], [3, 4], [1])
+        choice_many([rng], [3, 4], [1], [2])
     with pytest.raises(ValueError):  # the shares must cover every request
         choice_many([rng, rng], [3, 4], [1, 1], [1, 0])
 
 
-def test_draw_masks_many_records_many_generators(replay):
+def test_draw_masks_many_records_many_generators():
     """Records draw residues, then atoms from their pool, from their
     generator in record order; each draw is one rng.choice."""
     meta = np.random.default_rng(13)

@@ -82,7 +82,6 @@ def test_curve_echoes_supplied_values():
     r2s = [0.62, 0.55, 0.41, 0.18]
     curve = curve_from_risks([0.99, 0.8, 0.6, 0.4], r2s, "r2")
     assert curve.risks == (0.18, 0.41, 0.55, 0.62)
-    assert curve.higher_is_better
 
 
 def test_au_good_examples():

@@ -111,6 +111,35 @@ def test_generate_deterministic():
     assert c_records != a_records
 
 
+@pytest.mark.parametrize(
+    "cfg, bins, first_weight",
+    [
+        (
+            SynthConfig(),
+            [47, 68, 75, 91, 107, 118, 130, 135, 158, 161, 176, 226, 255, 263, 264, 274, 290,
+             298, 307, 352, 382, 397, 433, 437],
+            -11.146760435765962,
+        ),
+        (
+            SynthConfig(family_count=6, members_per_family=10, prototype_length=40, seed=0),
+            [51, 52, 118, 135, 143, 158, 161, 205, 226, 228, 258, 263, 265, 267, 271, 274, 292,
+             298, 299, 352, 389, 397, 433],
+            5.52277511078756,
+        ),
+    ],
+    ids=["default", "pipeline"],
+)
+def test_generate_enzyme_bins_are_frozen(cfg, bins, first_weight):
+    """The enzyme bins generate draws, and the first weight drawn after
+    them from the same generator, frozen as they were first drawn: a
+    change to that draw stream moves them, though every same-tree
+    determinism check would still pass.  The pipeline set has 23 inner
+    bins and takes them all, so there only the weight shows the draw."""
+    _, truth = generate(cfg)
+    assert [i for i, _ in truth["enzyme_features"]] == bins
+    assert truth["enzyme_features"][0][1] == pytest.approx(first_weight, rel=1e-12)
+
+
 def test_generate_parses_each_scaffold_and_substrate_once(monkeypatch):
     """Each scaffold is parsed once, by the config's check, whose graphs
     generate decorates, and each decorated SMILES once, by its
