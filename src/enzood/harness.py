@@ -46,10 +46,9 @@ class NestedSplit:
     test_ids: tuple[str, ...]
 
     def __post_init__(self):
-        groups = (set(self.train_ids), set(self.val_ids), set(self.test_ids))
-        total = sum(len(g) for g in groups)
-        if len(set().union(*groups)) != total:
-            raise ValueError("train/val/test ids overlap")
+        groups = (self.train_ids, self.val_ids, self.test_ids)
+        if len(set().union(*groups)) != sum(len(g) for g in groups):
+            raise ValueError("an id is repeated within or across train/val/test")
 
 
 def nested_identity_split(
@@ -101,38 +100,51 @@ def evaluate_params(params: ModelParams, records, *, require_r2: bool = True) ->
     }
 
 
-def train_on_split(records, split: NestedSplit, cfg: RunConfig):
-    """(params, log, scores) with scores holding val and test metrics."""
+def run_set(records, split: NestedSplit, cfgs) -> list[tuple]:
+    """(params, log, scores) per config of the list, in order; scores hold
+    val and test metrics.  Records are selected once, and configs that
+    train alike share one run: training reads p_g only in graph_mask mode."""
+    if not cfgs:
+        raise ValueError("run_set needs at least one config")
     train_recs = select_records(records, split.train_ids)
     val_recs = select_records(records, split.val_ids)
     test_recs = select_records(records, split.test_ids)
-    params, log = train(train_recs, val_recs, cfg)
-    scores = {
-        "val": evaluate_params(params, val_recs),
-        "test": evaluate_params(params, test_recs),
-    }
-    return params, log, scores
+    keys = [cfg if cfg.substrate_mode == "graph_mask" else dataclasses.replace(cfg, p_g=0.0)
+            for cfg in cfgs]
+    runs = {}  # config as training reads it -> (params, log, scores)
+    for key, cfg in zip(keys, cfgs):
+        if key not in runs:
+            params, log = train(train_recs, val_recs, cfg)
+            scores = {
+                "val": evaluate_params(params, val_recs),
+                "test": evaluate_params(params, test_recs),
+            }
+            runs[key] = params, log, scores
+    return [runs[key] for key in keys]
+
+
+def train_on_split(records, split: NestedSplit, cfg: RunConfig):
+    """(params, log, scores) of one config: its run_set entry."""
+    return run_set(records, split, [cfg])[0]
 
 
 # ---------------------------------------------------------------------------
 # Experiments
 
 
-def two_arm_comparison(
-    records, split: NestedSplit, base_cfg: RunConfig, seeds, treated_lam: float = 0.5
-) -> dict:
-    """Consistency-on (lam=treated_lam) versus consistency-off (lam=0),
-    same seeds and identical data; reports per-seed OOD test metrics and
-    the mean gains."""
+def two_arm_comparison(records, split: NestedSplit, base_cfg: RunConfig, seeds) -> dict:
+    """Consistency-on (base_cfg itself) versus consistency-off (base_cfg
+    at lam=0), same seeds and identical data; reports per-seed OOD test
+    metrics and the mean gains."""
+    treated_cfgs = [dataclasses.replace(base_cfg, seed=int(seed)) for seed in seeds]
+    control_cfgs = [dataclasses.replace(cfg, lam=0.0) for cfg in treated_cfgs]
+    runs = run_set(records, split, control_cfgs + treated_cfgs)
+    treated_runs = runs[len(control_cfgs) :]
     rows = []
-    for seed in seeds:
-        control_cfg = dataclasses.replace(base_cfg, lam=0.0, seed=int(seed))
-        treated_cfg = dataclasses.replace(base_cfg, lam=treated_lam, seed=int(seed))
-        _, _, control = train_on_split(records, split, control_cfg)
-        _, _, treated = train_on_split(records, split, treated_cfg)
+    for cfg, (_, _, control), (_, _, treated) in zip(treated_cfgs, runs, treated_runs):
         rows.append(
             {
-                "seed": int(seed),
+                "seed": cfg.seed,
                 "control_r2": control["test"]["r2"],
                 "treated_r2": treated["test"]["r2"],
                 "control_mae": control["test"]["mae"],
@@ -154,13 +166,12 @@ def two_arm_comparison(
 def lambda_sweep(records, split: NestedSplit, base_cfg: RunConfig, grid=LAMBDA_GRID) -> list[dict]:
     """One row per lambda at the config seed: validation metrics drive
     selection, test metrics ride along for the report."""
+    cfgs = [dataclasses.replace(base_cfg, lam=float(lam)) for lam in grid]
     rows = []
-    for lam in grid:
-        cfg = dataclasses.replace(base_cfg, lam=float(lam))
-        _, _, scores = train_on_split(records, split, cfg)
+    for cfg, (_, _, scores) in zip(cfgs, run_set(records, split, cfgs)):
         rows.append(
             {
-                "lam": float(lam),
+                "lam": cfg.lam,
                 "val_mse": scores["val"]["mse"],
                 "val_r2": scores["val"]["r2"],
                 "val_mae": scores["val"]["mae"],
@@ -178,29 +189,17 @@ def best_lambda_index(rows) -> int:
 
 def mask_sweep(records, split: NestedSplit, base_cfg: RunConfig, grid=MASK_GRID) -> list[dict]:
     """Sweep p_s and p_g independently, holding the other at its base
-    value; one row per (side, ratio).  Training reads p_g only in
-    graph_mask mode, so a row whose run training cannot tell from an
-    earlier row's reuses that row's scores: in enumeration mode the six
-    substrate rows are one run (the enzyme row at the base p_s, when the
-    grid holds it)."""
+    value; one row per (side, ratio)."""
     rows = []
-    runs = {}  # (p_s, p_g as training reads it) -> scores
+    cfgs = []
     for side, field in (("enzyme", "p_s"), ("substrate", "p_g")):
         for ratio in grid:
-            cfg = dataclasses.replace(base_cfg, **{field: float(ratio)})
-            key = (cfg.p_s, cfg.p_g if cfg.substrate_mode == "graph_mask" else None)
-            if key not in runs:
-                runs[key] = train_on_split(records, split, cfg)[2]
-            scores = runs[key]
-            rows.append(
-                {
-                    "side": side,
-                    "ratio": float(ratio),
-                    "val_mse": scores["val"]["mse"],
-                    "val_r2": scores["val"]["r2"],
-                    "val_mae": scores["val"]["mae"],
-                }
-            )
+            rows.append({"side": side, "ratio": float(ratio)})
+            cfgs.append(dataclasses.replace(base_cfg, **{field: float(ratio)}))
+    for row, (_, _, scores) in zip(rows, run_set(records, split, cfgs)):
+        row["val_mse"] = scores["val"]["mse"]
+        row["val_r2"] = scores["val"]["r2"]
+        row["val_mae"] = scores["val"]["mae"]
     return rows
 
 

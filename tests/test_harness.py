@@ -20,6 +20,7 @@ from enzood.harness import (
     mask_sweep,
     nested_identity_split,
     read_checkpoint,
+    run_set,
     select_records,
     train_on_split,
     two_arm_comparison,
@@ -74,6 +75,17 @@ def test_nested_split_identity_soundness(bench, split):
 def test_nested_split_rejects_overlap():
     with pytest.raises(ValueError):
         NestedSplit(0.6, ("a", "b"), ("b",), ("c",))
+
+
+@pytest.mark.parametrize("groups", [
+    (("a", "a"), ("b",), ("c",)),
+    (("a",), ("b", "b"), ("c",)),
+    (("a",), ("b",), ("c", "c")),
+])
+def test_nested_split_rejects_repeat_within_group(groups):
+    """A repeated id would put one record twice into its list."""
+    with pytest.raises(ValueError):
+        NestedSplit(0.6, *groups)
 
 
 def test_select_records_unknown_id(bench):
@@ -174,29 +186,75 @@ def test_mask_sweep_enumeration_substrate_rows_repeat_one_run(bench, split):
     assert len(scores) == 1
 
 
+@pytest.fixture
+def train_calls(monkeypatch):
+    """Each (lam, p_s, p_g, seed) that harness passes to train."""
+    calls = []
+    real = harness.train
+
+    def counting(train_recs, val_recs, cfg):
+        calls.append((cfg.lam, cfg.p_s, cfg.p_g, cfg.seed))
+        return real(train_recs, val_recs, cfg)
+
+    monkeypatch.setattr(harness, "train", counting)
+    return calls
+
+
 @pytest.mark.parametrize("mode, runs", [("enumeration", 6), ("graph_mask", 11)])
-def test_mask_sweep_trains_each_distinct_run_once(monkeypatch, bench, split, mode, runs):
+def test_mask_sweep_trains_each_distinct_run_once(train_calls, bench, split, mode, runs):
     """A row whose config trains like an earlier row's reuses its scores:
     in enumeration mode every substrate row is the enzyme row at the
     base p_s (0.10, on the grid), and in graph_mask mode the enzyme and
     substrate rows at 0.10 are the base config twice."""
-    calls = []
-    real = harness.train_on_split
-
-    def counting(records, split, cfg):
-        calls.append((cfg.p_s, cfg.p_g))
-        return real(records, split, cfg)
-
-    monkeypatch.setattr(harness, "train_on_split", counting)
     cfg = dataclasses.replace(QUICK, substrate_mode=mode)
     rows = mask_sweep(bench, split, cfg)
-    assert len(calls) == len(set(calls)) == runs
+    assert len(train_calls) == len(set(train_calls)) == runs
     assert len(rows) == 2 * len(MASK_GRID)
     scores = {(row["side"], row["ratio"]): (row["val_mse"], row["val_r2"], row["val_mae"])
               for row in rows}
     assert scores[("substrate", 0.10)] == scores[("enzyme", 0.10)]
     if mode == "enumeration":
         assert {scores[("substrate", r)] for r in MASK_GRID} == {scores[("enzyme", 0.10)]}
+
+
+@pytest.mark.parametrize("lam, runs", [(0.5, 4), (0.0, 2)])
+def test_two_arm_comparison_trains_each_distinct_run_once(train_calls, bench, split, lam, runs):
+    """Two runs per seed, the control at lam 0 and base_cfg itself; one
+    when base_cfg is already at lam 0, and then the arms are equal."""
+    cfg = dataclasses.replace(QUICK, epochs=2, lam=lam)
+    res = two_arm_comparison(bench, split, cfg, seeds=[0, 1])
+    assert len(train_calls) == len(set(train_calls)) == runs
+    assert {call[0] for call in train_calls} == {0.0, lam}
+    if lam == 0.0:
+        assert res["r2_gain"] == 0.0 and res["mae_drop"] == 0.0
+
+
+def test_lambda_sweep_trains_one_run_per_grid_value(train_calls, bench, split):
+    cfg = dataclasses.replace(QUICK, epochs=2)
+    lambda_sweep(bench, split, cfg, grid=(0.0, 0.5, 5.0))
+    assert [call[0] for call in train_calls] == [0.0, 0.5, 5.0]
+
+
+def test_train_on_split_is_run_set_of_one(train_calls, bench, split):
+    params, log, scores = train_on_split(bench, split, QUICK)
+    [(params_b, log_b, scores_b)] = run_set(bench, split, [QUICK])
+    assert len(train_calls) == 2
+    assert log == log_b
+    assert scores == scores_b
+    assert np.array_equal(params.theta, params_b.theta)
+
+
+def test_empty_config_lists_raise_value_error(bench, split):
+    """No driver trains nothing: an empty seed list or grid is refused
+    before any record is selected."""
+    with pytest.raises(ValueError, match="at least one config"):
+        run_set(bench, split, [])
+    with pytest.raises(ValueError, match="at least one config"):
+        two_arm_comparison(bench, split, QUICK, seeds=[])
+    with pytest.raises(ValueError, match="at least one config"):
+        lambda_sweep(bench, split, QUICK, grid=())
+    with pytest.raises(ValueError, match="at least one config"):
+        mask_sweep(bench, split, QUICK, grid=())
 
 
 def test_good_evaluation_structure(bench, split):
