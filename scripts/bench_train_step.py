@@ -20,10 +20,11 @@ untraced (wall time) and once traced, splitting ``model.train`` into:
   augmented rows per step, and per-epoch validation; in older trees one
   pass per row set);
 - backward: ``model.gradients`` minus the forward pass inside it;
-- other: the rest of ``model.train`` (batch indexing and stacking of
-  each step's raw and augmented rows, the parameter update, the snapshot
-  of each new best epoch and the log; in older trees the masked index
-  arrays).
+- other: the rest of ``model.train`` (each epoch's gather of its raw
+  rows and targets into the row stack, the parameter update, the
+  snapshot of each new best epoch and the log; in older trees the
+  per-step indexing and stacking of each step's raw and augmented rows,
+  and the masked index arrays).
 
 Functions a source tree lacks are skipped, so the same script times an
 older tree.  Usage::

@@ -21,6 +21,7 @@ from .io import RunConfig, config_hash, format_scalar, resolved_items
 from .metrics import METRIC_IDS, au_good, curve_from_risks, mae, r_squared
 from .model import (
     ModelParams,
+    loss_base,
     params_from_jsonable,
     params_to_jsonable,
     predict,
@@ -94,7 +95,7 @@ def evaluate_params(params: ModelParams, records, *, require_r2: bool = True) ->
         r2 = None
     return {
         "n": len(records),
-        "mse": float(np.mean((preds - targets) ** 2)),
+        "mse": loss_base(preds, targets),
         "r2": r2,
         "mae": mae(preds, targets),
     }
@@ -103,7 +104,9 @@ def evaluate_params(params: ModelParams, records, *, require_r2: bool = True) ->
 def run_set(records, split: NestedSplit, cfgs) -> list[tuple]:
     """(params, log, scores) per config of the list, in order; scores hold
     val and test metrics.  Records are selected once, and configs that
-    train alike share one run: training reads p_g only in graph_mask mode."""
+    train alike share one run: training reads p_g only in graph_mask mode,
+    and at lam = 0 it draws no mask, so reads neither p_s, p_g nor
+    substrate_mode."""
     if not cfgs:
         raise ValueError("run_set needs at least one config")
     train_recs = select_records(records, split.train_ids)
@@ -111,6 +114,8 @@ def run_set(records, split: NestedSplit, cfgs) -> list[tuple]:
     test_recs = select_records(records, split.test_ids)
     keys = [cfg if cfg.substrate_mode == "graph_mask" else dataclasses.replace(cfg, p_g=0.0)
             for cfg in cfgs]
+    unmasked = dict(p_s=0.0, p_g=0.0, substrate_mode="graph_mask")  # what lam = 0 trains as
+    keys = [key if key.lam > 0 else dataclasses.replace(key, **unmasked) for key in keys]
     runs = {}  # config as training reads it -> (params, log, scores)
     for key, cfg in zip(keys, cfgs):
         if key not in runs:

@@ -12,15 +12,15 @@ linear head emits the log10 kinetic prediction.
 Training minimizes prediction MSE on the records plus lam times the mean
 squared embedding distance between each record and its augmented
 counterpart; the augmented samples feed only the consistency term.
-With lam > 0 each epoch featurizes the augmented rows of all its
-records at once; each step stacks the batch's raw rows and its slice of
-those augmented rows on a leading axis and runs one forward and one
-backward pass over the stack (gradients), then updates one working
-parameter vector in place; each epoch validates that vector, and a
-read-only ModelParams snapshot of it is taken only when the epoch is
-the best so far.  The
-batch orders and masks are drawn a block of epochs at a time: one
-draw_masks call and one masking pass per block.  Training reads its
+Each epoch lays its rows out once, in batch order, in one stack per
+run: the raw rows at [0] and, with lam > 0, the augmented rows of all
+its records, featurized at once, at [1].  Each step reads its slice of
+the stack, runs one forward and one backward pass over it (gradients)
+and updates one working parameter vector in place; each epoch
+validates that vector, and a read-only ModelParams snapshot of it is
+taken only when the epoch is the best so far.  The batch orders and
+masks are drawn a block of epochs at a time: one draw_masks call and
+one masking pass per block.  Training reads its
 settings from an ``io.RunConfig`` (the model does not import
 ``io``; any object with the same fields will do).  Records are any
 objects with sequence, graph (the parsed substrate), substrate_mask,
@@ -514,21 +514,22 @@ def train(train_records, val_records, cfg: RunConfig):
     and, with lam > 0, fresh masks for every step's records, all of the
     block's in one draw.  Step s of epoch e draws its records in batch
     order from a generator seeded by (seed, e, s) (augment.draw_masks),
-    so the block size changes no draw.  With lam > 0 each epoch builds
-    and scales the augmented rows of all its records once, in batch
-    order, into two row buffers cut once per run, and each step reads
-    its slice of them.  The substrate featurizer is invariant under
-    graph isomorphism, so in enumeration mode a re-rendered substrate
-    would featurize as the unmasked graph: its atom draw is empty and
-    nothing is rendered, which makes the run the graph_mask run at
-    p_g = 0.  With lam = 0 the consistency term is off and no mask is
-    drawn.  Each step stacks its raw rows and, with lam > 0, its
-    augmented rows, computes the combined loss and its gradient in one
-    stacked pass (gradients) into one gradient buffer cut once per run,
-    with the working vector's views, and updates one working parameter
-    vector and one velocity vector in place.  After each epoch the
-    working vector is validated, and a read-only ModelParams copy of it
-    is kept only when its validation MSE is the best so far.  Returns
+    so the block size changes no draw.  Each epoch lays out its scaled
+    rows once, in batch order, in one (k, n, features) stack per branch
+    cut once per run: the raw rows at [0] and, with lam > 0, the
+    augmented rows of all its records, built at once, at [1].  The
+    substrate featurizer is invariant under graph isomorphism, so in
+    enumeration mode a re-rendered substrate would featurize as the
+    unmasked graph: its atom draw is empty and nothing is rendered,
+    which makes the run the graph_mask run at p_g = 0.  With lam = 0
+    the consistency term is off, no mask is drawn and k is 1.  Each
+    step reads its slice of the stack, computes the combined loss and
+    its gradient in one stacked pass (gradients) into one gradient
+    buffer cut once per run, with the working vector's views, and
+    updates one working parameter vector and one velocity vector in
+    place.  After each epoch the working vector is validated, and a
+    read-only ModelParams copy of it is kept only when its validation
+    MSE is the best so far.  Returns
     (params of the best validation-MSE epoch, per-epoch log).  On a
     non-finite loss, gradient or parameter the run raises
     NonFiniteError carrying the best finite checkpoint and the log so far
@@ -562,7 +563,8 @@ def train(train_records, val_records, cfg: RunConfig):
     best_params = init_params(np.random.default_rng([cfg.seed, 0xA11]), *sizes)
     theta = best_params.theta.copy()  # the working vector; snapshots handed out are copies
     w = _blocks(theta, *sizes)  # its named views, cut once and read by each step and validation
-    shares = np.empty((2 if cfg.lam > 0 else 1, theta.size))  # the gradient buffer of every step
+    k = 2 if cfg.lam > 0 else 1  # row sets per step: raw, and with lam > 0 augmented
+    shares = np.empty((k, theta.size))  # the gradient buffer of every step
     views = w, shares, _blocks(shares, *sizes)
     velocity = np.zeros(theta.shape)
 
@@ -579,8 +581,8 @@ def train(train_records, val_records, cfg: RunConfig):
         err.log = log
         raise err
 
-    if cfg.lam > 0:  # each epoch's scaled augmented rows, in batch order
-        xa_e, xa_s = np.empty(x_e.shape), np.empty(x_s.shape)
+    # each epoch's scaled rows in batch order: raw at [0], with lam > 0 augmented at [1]
+    xe, xs = np.empty((k, *x_e.shape)), np.empty((k, *x_s.shape))
 
     epochs_start = time.perf_counter()
     draw_s = 0.0
@@ -594,31 +596,28 @@ def train(train_records, val_records, cfg: RunConfig):
             drawn = iter(_draw_block(block, residues, atom_counts, pools, cfg))
             draw_s += time.perf_counter() - draw_start
         order, augmented = next(drawn)
+        np.take(x_e, order, axis=0, out=xe[0])
+        np.take(x_s, order, axis=0, out=xs[0])
+        y_order = y[order]
         if cfg.lam > 0:
             featurize_start = time.perf_counter()
             codes, lengths, atoms, per_row = augmented
             _scaled(
-                _enzyme_rows(codes, lengths, out=xa_e),
+                _enzyme_rows(codes, lengths, out=xe[1]),
                 _substrate_rows(counts[order], atoms, per_row),
-                out=(xa_e, xa_s),
+                out=(xe[1], xs[1]),
             )
             featurize_s += time.perf_counter() - featurize_start
         epoch_base = 0.0
         epoch_cons = 0.0
         steps = 0
         for step, start in enumerate(range(0, n, cfg.batch_size)):
-            end = start + cfg.batch_size
-            idx = order[start:end]
-            if cfg.lam > 0:
-                xe = np.empty((2, len(idx), ENZYME_FEATURES))
-                xs = np.empty((2, len(idx), SUBSTRATE_FEATURES))
-                xe[0], xs[0] = x_e[idx], x_s[idx]
-                xe[1], xs[1] = xa_e[start:end], xa_s[start:end]
-            else:
-                xe, xs = x_e[idx][None], x_s[idx][None]
+            batch = slice(start, start + cfg.batch_size)
             step_start = time.perf_counter()
             try:
-                grad, base, cons = gradients(theta, sizes, xe, xs, y[idx], cfg.lam, views)
+                grad, base, cons = gradients(
+                    theta, sizes, xe[:, batch], xs[:, batch], y_order[batch], cfg.lam, views
+                )
             except NonFiniteError as exc:
                 abort(str(exc))
             total = loss_total(base, cons, cfg.lam)

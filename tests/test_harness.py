@@ -200,13 +200,21 @@ def train_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("mode, runs", [("enumeration", 6), ("graph_mask", 11)])
-def test_mask_sweep_trains_each_distinct_run_once(train_calls, bench, split, mode, runs):
+@pytest.mark.parametrize(
+    "mode, lam, runs",
+    [
+        pytest.param("enumeration", 0.5, 6, id="enumeration-6"),
+        pytest.param("graph_mask", 0.5, 11, id="graph_mask-11"),
+        pytest.param("graph_mask", 0.0, 1, id="graph_mask-lam0-1"),
+    ],
+)
+def test_mask_sweep_trains_each_distinct_run_once(train_calls, bench, split, mode, lam, runs):
     """A row whose config trains like an earlier row's reuses its scores:
     in enumeration mode every substrate row is the enzyme row at the
-    base p_s (0.10, on the grid), and in graph_mask mode the enzyme and
-    substrate rows at 0.10 are the base config twice."""
-    cfg = dataclasses.replace(QUICK, substrate_mode=mode)
+    base p_s (0.10, on the grid), in graph_mask mode the enzyme and
+    substrate rows at 0.10 are the base config twice, and at lam 0 no
+    mask is drawn, so every row is one run."""
+    cfg = dataclasses.replace(QUICK, substrate_mode=mode, lam=lam)
     rows = mask_sweep(bench, split, cfg)
     assert len(train_calls) == len(set(train_calls)) == runs
     assert len(rows) == 2 * len(MASK_GRID)
@@ -215,6 +223,8 @@ def test_mask_sweep_trains_each_distinct_run_once(train_calls, bench, split, mod
     assert scores[("substrate", 0.10)] == scores[("enzyme", 0.10)]
     if mode == "enumeration":
         assert {scores[("substrate", r)] for r in MASK_GRID} == {scores[("enzyme", 0.10)]}
+    if lam == 0.0:
+        assert set(scores.values()) == {scores[("enzyme", 0.10)]}
 
 
 @pytest.mark.parametrize("lam, runs", [(0.5, 4), (0.0, 2)])

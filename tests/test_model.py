@@ -703,7 +703,7 @@ def test_train_features_the_augmented_records(monkeypatch, mode):
     real = model.gradients
 
     def spy(theta, sizes, xe, xs, *args):
-        seen.append((xe[1], xs[1]))
+        seen.append((xe[1].copy(), xs[1].copy()))  # a later epoch refills the stack
         return real(theta, sizes, xe, xs, *args)
 
     monkeypatch.setattr(model, "gradients", spy)
@@ -739,7 +739,7 @@ def test_train_masks_are_consecutive_choice_draws(monkeypatch):
     real = model.gradients
 
     def spy(theta, sizes, xe, xs, *args):
-        seen.append((xe[1], xs[1]))
+        seen.append((xe[1].copy(), xs[1].copy()))  # a later epoch refills the stack
         return real(theta, sizes, xe, xs, *args)
 
     monkeypatch.setattr(model, "gradients", spy)
@@ -781,6 +781,44 @@ def test_train_masks_are_consecutive_choice_draws(monkeypatch):
     assert [len(e) for e, _ in expected[:4]] == [6, 6, 6, 5]
     for (xa_e, xa_s), (want_e, want_s) in zip(seen, expected):
         assert np.array_equal(xa_e, want_e) and np.array_equal(xa_s, want_s)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_train_steps_read_slices_of_one_row_stack(monkeypatch, lam):
+    """Every step's rows are a slice of one stack laid out per run: one
+    row set at lam 0 and two at lam > 0, the raw rows at [0] in batch
+    order, with the targets in the same order, and a short last batch."""
+    seen = []
+    real = model.gradients
+
+    def spy(theta, sizes, xe, xs, targets, *args):
+        seen.append((xe, xs, xe[0].copy(), xs[0].copy(), targets.copy()))
+        return real(theta, sizes, xe, xs, targets, *args)
+
+    monkeypatch.setattr(model, "gradients", spy)
+    rng = np.random.default_rng(41)
+    records = [sample_record(rng) for _ in range(14)]
+    cfg = RunConfig(
+        lam=lam, epochs=2, batch_size=4, hidden_enzyme=4, hidden_substrate=3, embed_dim=4,
+        seed=5,
+    )
+    train(records[:11], records[11:], cfg)
+    assert len(seen) == 2 * 3
+    first_e, first_s = seen[0][:2]
+    step = 0
+    for epoch in range(cfg.epochs):
+        order = np.random.default_rng([cfg.seed, epoch, 0xD5]).permutation(11)
+        for start in range(0, 11, cfg.batch_size):
+            xe, xs, raw_e, raw_s, targets = seen[step]
+            batch = [records[i] for i in order[start : start + cfg.batch_size]]
+            assert xe.base is not None and xe.base is first_e.base  # one buffer per run
+            assert xs.base is not None and xs.base is first_s.base
+            assert len(xe) == len(xs) == (2 if lam > 0 else 1)
+            want_e, want_s = model._scaled(*model._featurize(batch))
+            assert np.array_equal(raw_e, want_e) and np.array_equal(raw_s, want_s)
+            assert np.array_equal(targets, [r.value for r in batch])
+            step += 1
+    assert [len(t) for *_, t in seen[:3]] == [4, 4, 3]
 
 
 def test_train_enumeration_is_the_graph_mask_run_at_p_g_zero():
