@@ -7,13 +7,13 @@ substrate atoms drawn only from the unprotected pool (rings, functional
 groups, and charged atoms are never masked).  Counts use floor so the
 requested ratio is never exceeded.
 
-Every mask draw goes through ``choice_many``, an array-level replay of
-numpy's ``Generator.choice`` without replacement (Floyd's algorithm,
-Bentley & Floyd, CACM 1987): the masks of many records, drawn from
-many generators, come from one call, with the values and the generator
-states that one ``choice`` call per draw would give.  The one draw
-outside masking, ``synth.generate``'s pick of enzyme bins, is a single
-request and calls numpy's ``choice`` itself.
+Every mask draw goes through ``sample_many``, a random-key sampler
+without replacement: a draw of k from a population of n takes the
+values of the k smallest of n uniform keys.  The masks of many records,
+drawn from many generators, come from one call, with the values that
+one ``np.argsort(rng.random(n))[:k]`` per non-empty draw would give.
+The one draw outside masking, ``synth.generate``'s pick of enzyme bins,
+is a single request and calls numpy's ``choice`` itself.
 
 There are two entry points, both batch-wide: ``draw_masks`` draws the
 masks of many records from many generators (training calls it once per
@@ -54,50 +54,18 @@ def validate_sequence(seq: str) -> None:
         raise ValueError(f"symbols outside the residue alphabet: {sorted(bad)}")
 
 
-# numpy's Generator.choice without replacement: Floyd's algorithm and a
-# final shuffle, or a tail shuffle of arange(pop) once pop > 10000 and
-# count > pop // 50
-_TAIL_MIN_POP = 10_000
-_TAIL_CUTOFF = 50
+def sample_many(rngs, pops, counts, per_rng) -> np.ndarray:
+    """Uniform samples without replacement, end to end as one intp
+    array: request r takes counts[r] values from range(pops[r]).  The
+    first per_rng[0] requests draw from rngs[0], the next per_rng[1]
+    from rngs[1], and so on.  A zero count draws nothing.
 
-
-def _ranks(lengths) -> np.ndarray:
-    """0 .. lengths[r] - 1 for each r, end to end."""
-    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-
-
-def _runs(starts, steps, lengths) -> np.ndarray:
-    """Arithmetic runs end to end: run r is starts[r] + steps[r] * i
-    for i < lengths[r]."""
-    return np.repeat(starts, lengths) + np.repeat(steps, lengths) * _ranks(lengths)
-
-
-def _by_step(lengths):
-    """Every (request, step) pair with step < lengths[request], grouped
-    by step (longest request first within a group), and the bounds of
-    each step's group."""
-    active = np.cumsum(np.bincount(lengths)[::-1])[::-1][1:]  # requests with length > step
-    request = np.argsort(-lengths, kind="stable")[_ranks(active)]
-    step = np.repeat(np.arange(len(active)), active)
-    return request, step, np.concatenate(([0], np.cumsum(active)))
-
-
-def choice_many(rngs, pops, counts, per_rng) -> np.ndarray:
-    """The draws of consecutive ``rng.choice(pops[r], size=counts[r],
-    replace=False)`` calls, end to end as one intp array, computed with
-    array operations; each generator is left in the state those calls
-    leave it in.  The first per_rng[0] requests draw from rngs[0], the
-    next per_rng[1] from rngs[1], and so on.  A zero count draws
-    nothing.
-
-    Each generator makes one ``integers`` call holding every bound its
-    requests ask for, in numpy's order: pop-k .. pop-1 for Floyd's
-    selection, then k-1 .. 1 for the final shuffle, or, on the tail
-    route, pop-1 down to max(pop-k, 1) for swaps on arange(pop).  Every
-    request's Floyd steps, then its swaps, are then replayed side by
-    side, one array pass per step.  Floyd's taken set is a mask over the
-    values a request can take, at most 2k of them, so, as in numpy, only
-    the tail route needs memory that grows with pop."""
+    A random-key sample: each generator makes one ``random`` call
+    holding a key for every value of its non-empty requests, in request
+    order, and a request takes the values of its counts[r] smallest
+    keys, in ascending key order.  A generator's keys lie in a table of
+    its requests by its own largest population, padded with inf, so
+    memory grows with each generator's requests, not the batch's."""
     if len(pops) != len(counts):
         raise ValueError(f"{len(pops)} populations but {len(counts)} counts")
     if len(per_rng) != len(rngs) or sum(per_rng) != len(pops):
@@ -106,53 +74,19 @@ def choice_many(rngs, pops, counts, per_rng) -> np.ndarray:
     counts = np.asarray(counts, dtype=np.int64)
     if (counts < 0).any() or (counts > pops).any():
         raise ValueError("every count must lie between 0 and its population")
-    tail = (pops > _TAIL_MIN_POP) & (counts > pops // _TAIL_CUTOFF)
-    floyd = np.where(tail, 0, counts)
-    deck = np.where(tail, pops, counts)  # the array the swaps act on
-    swaps = np.where(tail, pops - np.maximum(pops - counts, 1), np.maximum(counts - 1, 0))
-    highs = _runs(
-        np.stack([pops - counts, deck - 1], axis=1).ravel(),
-        np.tile([1, -1], len(pops)),
-        np.stack([floyd, swaps], axis=1).ravel(),
-    )
-    raw_end = np.cumsum(floyd + swaps)
-    raw_start = raw_end - floyd - swaps
-    edges = [0] + np.concatenate(([0], raw_end))[np.cumsum(per_rng, dtype=np.int64)].tolist()
-    raw = np.empty(len(highs), dtype=np.int64)
+    live = counts > 0
+    owners = np.repeat(np.arange(len(rngs)), per_rng)[live]
+    pops, counts = pops[live], counts[live]
+    edges = np.searchsorted(owners, np.arange(len(rngs) + 1)).tolist()
+    out = [np.empty(0, dtype=np.intp)]
     for rng, a, b in zip(rngs, edges[:-1], edges[1:]):
         if b > a:
-            raw[a:b] = rng.integers(0, highs[a:b] + 1)
-
-    deck_start = np.cumsum(deck) - deck
-    cards = _ranks(deck)
-    # Floyd step s draws t <= j = pop - k + s and takes t, or j when an
-    # earlier step took t; the taken mask is indexed by (request, value) ids
-    request, step, bounds = _by_step(floyd)
-    if len(request):
-        t = raw[raw_start[request] + step]
-        j = pops[request] - counts[request] + step
-        key = (np.cumsum(pops) - pops)[request]
-        _, ids = np.unique(np.concatenate((key + t, key + j)), return_inverse=True)
-        t_id, j_id = ids[: len(t)], ids[len(t) :]
-        taken = np.zeros(len(ids), dtype=bool)
-        picks = np.empty(len(t), dtype=np.int64)
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            hit = taken[t_id[a:b]]
-            taken[np.where(hit, j_id[a:b], t_id[a:b])] = True
-            picks[a:b] = np.where(hit, j[a:b], t[a:b])
-        cards[deck_start[request] + step] = picks
-    # swap s exchanges the card at top - s with the one its draw names
-    request, step, bounds = _by_step(swaps)
-    if len(request):
-        top = deck_start[request] + deck[request] - 1 - step
-        drawn = deck_start[request] + raw[raw_start[request] + floyd[request] + step]
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            held = cards[drawn[a:b]]
-            cards[drawn[a:b]] = cards[top[a:b]]
-            cards[top[a:b]] = held
-    # each request keeps the last k cards of its deck
-    kept = np.repeat(deck_start + deck - counts, counts) + _ranks(counts)
-    return cards[kept].astype(np.intp)
+            pop, k = pops[a:b, None], counts[a:b, None]
+            keys = np.full((b - a, pop.max()), np.inf)
+            keys[np.arange(pop.max()) < pop] = rng.random(pop.sum())
+            order = np.argsort(keys, axis=1)[:, : k.max()]
+            out.append(order[np.arange(k.max()) < k])
+    return np.concatenate(out)
 
 
 def _mask_counts(ratio: float, sizes, pool_sizes) -> np.ndarray:
@@ -171,10 +105,10 @@ def draw_masks(lengths, atom_counts, pool_sizes, cfg: RunConfig, rngs, per_rng):
     lengths[r], then, in graph_mask mode, indices into its pool of
     pool_sizes[r] unprotected atoms (unprotected_atoms) for a substrate
     of atom_counts[r] atoms.  The first per_rng[0] records draw from
-    rngs[0], the next per_rng[1] from rngs[1], and so on, exactly as one
-    ``rng.choice`` per non-empty draw would.  Enumeration mode
-    masks no atom: its atom draws are empty and read nothing from the
-    generators, the stream of graph_mask at p_g = 0.
+    rngs[0], the next per_rng[1] from rngs[1], and so on, all in one
+    ``sample_many`` call.  Enumeration mode masks no atom: its atom
+    draws are empty and read nothing from the generators, the stream of
+    graph_mask at p_g = 0.
 
     Returns (sites, site_counts, picks, pick_counts): the residue
     positions and the pool indices, each end to end in record order,
@@ -183,7 +117,7 @@ def draw_masks(lengths, atom_counts, pool_sizes, cfg: RunConfig, rngs, per_rng):
     site_counts = _mask_counts(cfg.p_s, lengths, lengths)
     pick_counts = _mask_counts(p_g, atom_counts, pool_sizes)
     counts = np.stack([site_counts, pick_counts], axis=1).ravel()  # site, pick, site, ...
-    draws = choice_many(
+    draws = sample_many(
         rngs,
         np.stack([lengths, pool_sizes], axis=1).ravel(),
         counts,

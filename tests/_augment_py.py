@@ -1,8 +1,9 @@
-"""Per-record masking written on ``rng.choice``: the reference that the
+"""Per-record masking written on random keys: the reference that the
 batch draws of ``augment.draw_masks`` and ``augment.augment_dataset``
 are checked against.  Each call masks one record from the generator it
-is given, with one ``choice`` call per non-empty draw, so consecutive
-calls on one generator give the stream the library draws in one go."""
+is given; a non-empty draw of k from pop takes the k smallest of pop
+``rng.random`` keys, so consecutive calls on one generator give the
+stream the library draws in one go."""
 
 from math import floor
 
@@ -11,15 +12,15 @@ import numpy as np
 from enzood.augment import MASK_SYMBOL, unprotected_atoms
 
 
-def _choice(rng, pop, k):
-    return rng.choice(pop, size=k, replace=False) if k else np.empty(0, dtype=np.intp)
+def _sample(rng, pop, k):
+    return np.argsort(rng.random(pop))[:k] if k else np.empty(0, dtype=np.intp)
 
 
 def mask_sequence(seq: str, p_s: float, rng) -> str:
     """Replace floor(p_s * len) residues, chosen uniformly without
     replacement, with the MASK symbol."""
     out = list(seq)
-    for pos in _choice(rng, len(seq), floor(p_s * len(seq))):
+    for pos in _sample(rng, len(seq), floor(p_s * len(seq))):
         out[pos] = MASK_SYMBOL
     return "".join(out)
 
@@ -29,6 +30,6 @@ def mask_graph(g, p_g: float, rng) -> tuple[bool, ...]:
     the unprotected pool, clipped to the pool when it is smaller."""
     pool = unprotected_atoms(g)
     mask = [False] * len(g)
-    for i in _choice(rng, len(pool), min(floor(p_g * len(g)), len(pool))):
+    for i in _sample(rng, len(pool), min(floor(p_g * len(g)), len(pool))):
         mask[pool[i]] = True
     return tuple(mask)

@@ -1,4 +1,6 @@
-from math import floor
+import tracemalloc
+from collections import Counter
+from math import comb, floor
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from enzood.augment import (
     AMINO_ACIDS,
     MASK_SYMBOL,
     augment_dataset,
-    choice_many,
     draw_masks,
+    sample_many,
     unprotected_atoms,
     validate_sequence,
 )
@@ -159,13 +161,13 @@ def test_draw_masks_enumeration_draws_no_atom():
     assert draws["enumeration"] == draws["graph_mask"]
 
 
-def consecutive_choices(rngs, pops, counts, per_rng):
-    """The oracle: one rng.choice per non-empty request, in order."""
+def consecutive_samples(rngs, pops, counts, per_rng):
+    """The oracle: one random-key sample per non-empty request, in order."""
     out = []
     owners = np.repeat(np.arange(len(rngs)), per_rng)
     for owner, pop, k in zip(owners, pops, counts):
         if k:
-            out.append(rngs[owner].choice(pop, size=k, replace=False))
+            out.append(np.argsort(rngs[owner].random(pop))[:k])
     return np.concatenate(out) if out else np.empty(0, dtype=np.intp)
 
 
@@ -177,11 +179,10 @@ def assert_same_state(a, b):
     assert np.array_equal(a.choice(60, size=7, replace=False), b.choice(60, size=7, replace=False))
 
 
-def test_choice_many_matches_consecutive_choice_calls():
+def test_sample_many_matches_consecutive_samples():
     """Random request lists over 1 to 3 generators.  Most populations
     are sequence-sized; one list in ten holds populations past 10000
-    with counts around pop // 50, where numpy switches from Floyd's
-    algorithm to the tail shuffle."""
+    with counts around pop // 50."""
     meta = np.random.default_rng(12)
     for trial in range(250):
         n = int(meta.integers(1, 10))
@@ -201,9 +202,9 @@ def test_choice_many_matches_consecutive_choice_calls():
         seeds = [int(s) for s in meta.integers(1 << 31, size=g)]
         ours = [np.random.default_rng(s) for s in seeds]
         theirs = [np.random.default_rng(s) for s in seeds]
-        got = choice_many(ours, pops, counts, per_rng)
+        got = sample_many(ours, pops, counts, per_rng)
         assert got.dtype == np.intp
-        assert np.array_equal(got, consecutive_choices(theirs, pops, counts, per_rng))
+        assert np.array_equal(got, consecutive_samples(theirs, pops, counts, per_rng))
         for a, b in zip(ours, theirs):
             assert_same_state(a, b)
 
@@ -214,49 +215,77 @@ def test_choice_many_matches_consecutive_choice_calls():
         (1, 1),
         (1, 0),
         (7, 7),  # the whole population
-        (10_000, 200),  # Floyd at pop // 50, and past it: pop 10000 never takes the tail
-        (10_000, 201),
-        (10_001, 200),  # pop // 50: still Floyd
-        (10_001, 201),  # one more: the tail shuffle
+        (10_001, 201),
         (10_001, 10_001),
-        (10**12, 3),  # Floyd's memory does not grow with pop
     ],
 )
-def test_choice_many_edges(pop, k):
+def test_sample_many_edges(pop, k):
     for with_neighbours in (False, True):
         pops, counts = [pop], [k]
         if with_neighbours:  # zero requests around it draw nothing
             pops, counts = [5, pop, 30, 4], [0, k, 3, 0]
         a, b = np.random.default_rng(21), np.random.default_rng(21)
-        got = choice_many([a], pops, counts, [len(pops)])
-        assert np.array_equal(got, consecutive_choices([b], pops, counts, [len(pops)]))
+        got = sample_many([a], pops, counts, [len(pops)])
+        assert np.array_equal(got, consecutive_samples([b], pops, counts, [len(pops)]))
         assert_same_state(a, b)
 
 
-def test_choice_many_zero_counts_draw_nothing():
+def test_sample_many_zero_counts_draw_nothing():
     rng = np.random.default_rng(3)
     state = rng.bit_generator.state
-    assert choice_many([rng], [5, 1, 0], [0, 0, 0], [3]).shape == (0,)
-    assert choice_many([rng], [], [], [0]).shape == (0,)
-    assert choice_many([], [], [], []).shape == (0,)
+    assert sample_many([rng], [5, 1, 0], [0, 0, 0], [3]).shape == (0,)
+    assert sample_many([rng], [], [], [0]).shape == (0,)
+    assert sample_many([], [], [], []).shape == (0,)
     assert rng.bit_generator.state == state
 
 
-def test_choice_many_rejects_bad_counts():
+def test_sample_many_rejects_bad_counts():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        choice_many([rng], [3], [4], [1])
+        sample_many([rng], [3], [4], [1])
     with pytest.raises(ValueError):
-        choice_many([rng], [3], [-1], [1])
+        sample_many([rng], [3], [-1], [1])
     with pytest.raises(ValueError):
-        choice_many([rng], [3, 4], [1], [2])
+        sample_many([rng], [3, 4], [1], [2])
     with pytest.raises(ValueError):  # the shares must cover every request
-        choice_many([rng, rng], [3, 4], [1, 1], [1, 0])
+        sample_many([rng, rng], [3, 4], [1, 1], [1, 0])
+
+
+def test_sample_many_draws_uniform_subsets():
+    """20,000 draws of 3 from 7 over 8 generators: every one of the 35
+    subsets comes up within 5 sigma of its share, no draw repeats a
+    value, and a draw of the whole population is a permutation."""
+    n, pop, k = 20_000, 7, 3
+    rngs = [np.random.default_rng([31, g]) for g in range(8)]
+    draws = sample_many(rngs, [pop] * n, [k] * n, [n // 8] * 8).reshape(n, k)
+    assert all(len(set(d)) == k for d in draws.tolist())
+    seen = Counter(frozenset(d) for d in draws.tolist())
+    assert len(seen) == comb(pop, k)
+    share = 1 / comb(pop, k)
+    sigma = (n * share * (1 - share)) ** 0.5
+    assert all(abs(c - n * share) < 5 * sigma for c in seen.values())
+    whole = sample_many(rngs[:1], [pop] * 50, [pop] * 50, [50]).reshape(50, pop)
+    assert all(sorted(d) == list(range(pop)) for d in whole.tolist())
+
+
+def test_sample_many_memory_is_bounded_per_generator():
+    """One generator's long population does not widen another's key
+    table: padding 500 short requests to 20,000 would take about 80 MB."""
+    rngs = [np.random.default_rng(5), np.random.default_rng(6)]
+    pops, counts = [20_000] + [3] * 500, [2_000] + [1] * 500
+    tracemalloc.start()
+    try:
+        got = sample_many(rngs, pops, counts, [1, 500])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(got) == 2_500
+    assert peak < 4_000_000
 
 
 def test_draw_masks_many_records_many_generators():
     """Records draw residues, then atoms from their pool, from their
-    generator in record order; each draw is one rng.choice."""
+    generator in record order; each draw is one random-key sample."""
     meta = np.random.default_rng(13)
     n = 11
     lengths = meta.integers(1, 90, size=n)
@@ -274,14 +303,14 @@ def test_draw_masks_many_records_many_generators():
     want_sites, want_picks = [], []
     for owner, length, k, pool, m in zip(np.repeat(np.arange(4), per_rng), lengths, site_counts,
                                          pool_sizes, pick_counts):
-        want_sites.extend(consecutive_choices([rngs[owner]], [length], [k], [1]))
-        want_picks.extend(consecutive_choices([rngs[owner]], [pool], [m], [1]))
+        want_sites.extend(consecutive_samples([rngs[owner]], [length], [k], [1]))
+        want_picks.extend(consecutive_samples([rngs[owner]], [pool], [m], [1]))
     assert sites.tolist() == want_sites and picks.tolist() == want_picks
 
 
 def reference_twin(record, cfg, rng):
     """(sequence, smiles, substrate_mask) of a record's twin, one
-    rng.choice per non-empty draw: the enzyme mask first, then the
+    random-key sample per non-empty draw: the enzyme mask first, then the
     substrate draw of the mode."""
     sequence = mask_sequence(record.sequence, cfg.p_s, rng)
     if cfg.substrate_mode == "graph_mask":
@@ -327,7 +356,7 @@ def test_augment_dataset_pairing_and_determinism():
 @pytest.mark.parametrize("mode", ["graph_mask", "enumeration"])
 def test_augment_dataset_is_augment_record_per_record(mode):
     """One draw for the whole set gives each record what one
-    rng.choice per draw on its (seed, index) generator gives it,
+    random-key sample per draw on its (seed, index) generator gives it,
     renderings included."""
     rng = np.random.default_rng(14)
     smiles = ("CC(C)CC(=O)OCC", "CCCCCCCCCCO", "C", "c1ccccc1CCCN")
