@@ -20,11 +20,21 @@ import numpy as np
 
 from .errors import DuplicateIdError, InfeasibleSplitError
 
-# Most pairs aligned together; a batch is cut into chunks of near-equal size.
-ALIGN_CHUNK = 512
-# A chunk's kernel: see align_stats_many.
-_WAVEFRONT_MIN = 4096
-_WAVEFRONT_PAD = 3
+# The chunk planner's constants (see align_stats_many and _plan).  The
+# cost model, seconds per numpy step (a DP row, an anti-diagonal) and
+# per computed cell of each kernel, is the least-squares fit of
+# ``python3 scripts/bench_align.py --fit``, which times both kernels on
+# chunks of 1 to 512 pairs of 8 to 600 residues (2 cores, Python 3.11,
+# numpy 2.4).
+_ROW_STEP, _ROW_CELL = 8.0e-6, 4.4e-9
+_WAVE_STEP, _WAVE_CELL = 7.1e-6, 1.0e-9
+# Most padded residues, pairs x (longest a + longest b), in a chunk of
+# more than one pair
+_CHUNK_RESIDUES = 2**17
+# A sequence's length class is the number of these starts at or below
+# its length: four classes per doubling, up to 2**20 residues (a tuple:
+# an array built at import raised a training run's peak RSS)
+_CLASS_STARTS = tuple(math.ceil(2 ** (k / 4)) for k in range(81))
 # The longest sequence whose fields fit 64-bit keys in both kernels.
 _MAX_RESIDUES = 2**20 - 1
 
@@ -41,21 +51,25 @@ def align_stats_many(as_, bs) -> np.ndarray:
     pair ``(as_[k], bs[k])``, of the canonical global alignment.
 
     Tie-break during traceback: diagonal, then up (gap in ``b``), then
-    left (gap in ``a``).  The pairs are sorted by length and cut into
-    ``ceil(N / ALIGN_CHUNK)`` chunks of near-equal size, each aligned by
-    one of two kernels with the same results.  The wavefront,
-    ``_align_wavefront``, takes ``la + lb`` numpy steps where the row
-    kernel, ``_align_rows``, takes ``la``, but a cell costs it about a
-    third as much, and it pads every pair to the chunk's longest ``a`` by
-    longest ``b``.  So a chunk runs on the wavefront when its longest
-    ``a`` times its pair count is at least ``_WAVEFRONT_MIN`` and the
-    wavefront's cells are at most ``_WAVEFRONT_PAD`` times the row
-    kernel's, and on the row kernel otherwise.
+    left (gap in ``a``).  ``_plan`` cuts the pairs into chunks, each
+    aligned by one of two kernels with the same results, so the plan
+    changes times and never results.  The row kernel, ``_align_rows``,
+    takes one numpy step per row of the chunk's longest ``a`` and
+    computes each pair's rows across the chunk's longest ``b`` plus
+    column 0; the wavefront, ``_align_wavefront``, takes one step per
+    anti-diagonal, longest ``a`` + longest ``b`` - 1 of them, and pads
+    every pair to the chunk's longest ``a`` by longest ``b``, but a cell
+    costs it about a quarter as much.  The planner prices a chunk on
+    each kernel by that cost model: ``_ROW_STEP`` (8 us) per row plus
+    ``_ROW_CELL`` (4.4 ns) per computed cell, and ``_WAVE_STEP`` (7.1
+    us) per anti-diagonal plus ``_WAVE_CELL`` (1 ns) per padded cell.
+    A chunk of more than one pair holds at most ``_CHUNK_RESIDUES``
+    (2**17) padded residues, pairs x (longest a + longest b), which
+    bounds its codes and kernel arrays to a few MiB.
 
     Each call logs at INFO level its pair count, its DP cells (the sum
     of len a * len b), its time, the cells the kernels computed and the
-    chunks each kernel ran.  The row kernel computes, for each pair, its
-    own rows across the chunk's longest ``b`` plus column 0.
+    chunks each kernel ran.
     """
     start = time.perf_counter()
     as_, bs = list(as_), list(bs)
@@ -63,32 +77,23 @@ def align_stats_many(as_, bs) -> np.ndarray:
         raise ValueError(f"{len(as_)} first sequences but {len(bs)} second ones")
     if not all(as_) or not all(bs):
         raise ValueError("sequences must be non-empty")
-    # every distinct sequence is encoded once, into one buffer that ends
-    # in the zero byte the chunks pad with
+    # every distinct sequence is encoded once, into one buffer holding a
+    # zero byte before the first and after each one, which the chunks pad
+    # with
     index = {s: k for k, s in enumerate(dict.fromkeys(as_ + bs))}
     lengths = np.array([len(s) for s in index], dtype=np.int64)
     if lengths.max(initial=0) > _MAX_RESIDUES:
         raise ValueError(f"a {lengths.max()}-residue sequence does not fit 64-bit alignment keys")
-    starts = np.cumsum(lengths) - lengths
-    buf = np.frombuffer(("".join(index) + "\0").encode("ascii"), dtype=np.uint8)
+    starts = np.cumsum(lengths + 1) - lengths
+    buf = np.frombuffer(("\0" + "\0".join(index) + "\0").encode("ascii"), dtype=np.uint8)
     ia = np.array([index[s] for s in as_], dtype=np.intp)
     ib = np.array([index[s] for s in bs], dtype=np.intp)
     la, lb = lengths[ia], lengths[ib]
-    order = np.lexsort((lb, la))
     out = np.empty((len(as_), 3), dtype=np.int64)
     computed, chunks = 0, {_align_wavefront: 0, _align_rows: 0}
-    n_chunks = -(-len(order) // ALIGN_CHUNK)
-    for k in range(n_chunks):
-        chunk = order[k * len(order) // n_chunks : (k + 1) * len(order) // n_chunks]
+    for chunk, kernel, cells in _plan(la, lb):
         a = _codes(buf, starts[ia[chunk]], la[chunk])
         b = _codes(buf, starts[ib[chunk]], lb[chunk])
-        rows, cols = a.shape[1] - 1, b.shape[1] - 1
-        row_cells = int(la[chunk].sum()) * (cols + 1)
-        wave_cells = len(chunk) * rows * cols
-        if rows * len(chunk) >= _WAVEFRONT_MIN and wave_cells <= _WAVEFRONT_PAD * row_cells:
-            kernel, cells = _align_wavefront, wave_cells
-        else:
-            kernel, cells = _align_rows, row_cells
         out[chunk] = kernel(a, b, la[chunk], lb[chunk])
         computed += cells
         chunks[kernel] += 1
@@ -106,20 +111,86 @@ def align_stats_many(as_, bs) -> np.ndarray:
     return out
 
 
+def _plan(la, lb) -> list:
+    """The chunks of the pairs with lengths ``la`` and ``lb``: a list of
+    (pair indices, kernel, DP cells the kernel computes), the indices of
+    a row chunk in ascending ``la``.
+
+    The pairs are sorted by the length class of ``a``, then of ``b``
+    (``_CLASS_STARTS``, four classes per doubling of the length), then
+    by length, and cut into runs where a class changes; a run too large
+    for ``_CHUNK_RESIDUES`` is cut into near-equal pieces.  Going along
+    that order, each piece joins the chunk before it while the merged
+    chunk fits the budget and its estimated time is no more than the two
+    estimates apart.  A chunk runs on the kernel estimated faster.
+    """
+    if not len(la):
+        return []
+    # classes fit 7 bits and lengths 20, so one int64 key sorts
+    klass = np.searchsorted(_CLASS_STARTS, la, side="right") << 7
+    klass += np.searchsorted(_CLASS_STARTS, lb, side="right")
+    order = np.argsort((klass << 40) + (la << 20) + lb, kind="stable")
+    sa, sb, klass = la[order], lb[order], klass[order]
+    run_lo = [0, *(np.flatnonzero(klass[1:] != klass[:-1]) + 1).tolist()]
+    runs = zip(run_lo, [*run_lo[1:], len(order)], np.add.reduceat(sa, run_lo).tolist(),
+               np.maximum.reduceat(sb, run_lo).tolist())
+    # a piece or a chunk: (lo, hi, sum of la, longest a, longest b) of
+    # sa[lo:hi] and sb[lo:hi], then its lower estimate
+    plan = []
+    for lo, hi, total, cols in runs:
+        rows = int(sa[hi - 1])  # a run ascends in la
+        cut = -(-(hi - lo) // max(1, _CHUNK_RESIDUES // (rows + cols)))
+        pieces = [(lo, hi, total, rows, cols)]
+        if cut > 1:
+            starts = lo + np.arange(cut) * (hi - lo) // cut
+            ends = np.append(starts[1:], hi)
+            pieces = zip(starts.tolist(), ends.tolist(), np.add.reduceat(sa[:hi], starts).tolist(),
+                         sa[ends - 1].tolist(), np.maximum.reduceat(sb[:hi], starts).tolist())
+        for piece in pieces:
+            piece = (*piece, min(_estimates(*piece)))
+            if plan:
+                last = plan[-1]
+                merged = (last[0], piece[1], last[2] + piece[2], max(last[3], piece[3]),
+                          max(last[4], piece[4]))
+                if (merged[1] - merged[0]) * (merged[3] + merged[4]) <= _CHUNK_RESIDUES:
+                    estimate = min(_estimates(*merged))
+                    if estimate <= last[5] + piece[5]:
+                        plan[-1] = (*merged, estimate)
+                        continue
+            plan.append(piece)
+    chunks = []
+    for lo, hi, total, rows, cols, _ in plan:
+        row_s, wave_s = _estimates(lo, hi, total, rows, cols)
+        if wave_s <= row_s:
+            chunks.append((order[lo:hi], _align_wavefront, (hi - lo) * rows * cols))
+        else:
+            by_la = order[lo:hi][np.argsort(sa[lo:hi], kind="stable")]
+            chunks.append((by_la, _align_rows, total * (cols + 1)))
+    return chunks
+
+
+def _estimates(lo, hi, total, rows, cols):
+    """Estimated seconds of the chunk of pairs ``lo`` to ``hi`` whose
+    ``a``'s hold ``total`` residues, the longest ``rows``, and whose
+    longest ``b`` is ``cols``: on the row kernel, then on the wavefront."""
+    return (_ROW_STEP * rows + _ROW_CELL * total * (cols + 1),
+            _WAVE_STEP * (rows + cols - 1) + _WAVE_CELL * (hi - lo) * rows * cols)
+
+
 def _codes(buf, starts, lengths) -> np.ndarray:
     """Byte codes of the sequences at ``starts`` in ``buf``: column ``j``
     holds residue ``j`` (from 1), and column 0 and the tail hold the
-    final zero byte of ``buf``."""
-    cols = np.arange(lengths.max() + 1)
-    inside = (cols > 0) & (cols <= lengths[:, None])
-    return buf[np.where(inside, starts[:, None] + cols - 1, buf.size - 1)]
+    zero bytes around the sequence in ``buf``."""
+    dtype = np.int32 if buf.size < 2**31 else np.int64
+    index = starts.astype(dtype)[:, None] + np.arange(-1, lengths.max(), dtype=dtype)
+    np.minimum(index, (starts + lengths).astype(dtype)[:, None], out=index)
+    return np.take(buf, index)
 
 
 def _align_rows(a, b, la, lb) -> np.ndarray:
     """One DP row at a time over every pair of the chunk; ``a`` and ``b``
     are as made by ``_codes``, row ``i`` reads residue ``i`` of ``a``,
-    and ``la`` ascends (``align_stats_many`` lexsorts the pairs by
-    ``(la, lb)`` before it cuts them into chunks).
+    and ``la`` ascends (``_plan`` sorts each row chunk by ``la``).
 
     Each cell is one integer key.  From the top bit down it holds a
     score field, the column, a prefer-diagonal bit and the match count;

@@ -18,7 +18,7 @@ from enzood import cli, seqid
 from enzood.harness import LAMBDA_GRID, MASK_GRID, read_checkpoint
 from enzood.io import read_dataset, write_dataset
 from enzood.model import _blocks, predict
-from enzood.seqid import ALIGN_CHUNK, OodSplit, read_split_file, write_split_file
+from enzood.seqid import OodSplit, read_split_file, write_split_file
 
 SYNTH_CFG = "family_count=6\nmembers_per_family=10\nseed=3\n"
 RUN_CFG = "epochs=40\nseed=1\n"
@@ -674,19 +674,14 @@ def test_split_reports_alignment_work_on_stderr(tmp_path, capsys):
     seqs = list(dict.fromkeys(r.sequence for r in read_dataset(bench)))
     pairs = len(seqs) * (len(seqs) - 1) // 2
     cells = sum(len(a) * len(b) for k, a in enumerate(seqs) for b in seqs[k + 1 :])
-    # the kernels' balanced chunks of pairs sorted by length: the
-    # wavefront pads each pair to the chunk's longest a by longest b, the
-    # row kernel runs each pair's rows across the longest b plus column 0
-    sizes = sorted((len(a), len(b)) for k, a in enumerate(seqs) for b in seqs[k + 1 :])
-    n = -(-len(sizes) // ALIGN_CHUNK)
-    computed, kernels = 0, [0, 0]
-    for c in (sizes[k * len(sizes) // n : (k + 1) * len(sizes) // n] for k in range(n)):
-        rows, cols = max(la for la, _ in c), max(lb for _, lb in c)
-        row_cells = sum(la for la, _ in c) * (cols + 1)
-        wave_cells = len(c) * rows * cols
-        wave = rows * len(c) >= seqid._WAVEFRONT_MIN and wave_cells <= seqid._WAVEFRONT_PAD * row_cells
-        computed += wave_cells if wave else row_cells
-        kernels[not wave] += 1
+    # the planner's own chunks of these pairs: the cells each kernel
+    # computes and the chunks each kernel runs
+    la, lb = (np.array([len(s) for s in side], dtype=np.int64)
+              for side in zip(*((a, b) for k, a in enumerate(seqs) for b in seqs[k + 1 :])))
+    plan = seqid._plan(la, lb)
+    computed = sum(cells for _, _, cells in plan)
+    kernels = [sum(kernel is k for _, kernel, _ in plan)
+               for k in (seqid._align_wavefront, seqid._align_rows)]
     argv = ["split", "--in", bench, "--out-dir", tmp_path / "splits"]
     capsys.readouterr()
     assert run_cli(argv) == 0

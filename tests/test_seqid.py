@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 from collections import namedtuple
@@ -134,8 +135,8 @@ def assert_matches_reference(pairs):
 
 def test_align_stats_many_matches_reference():
     rng = np.random.default_rng(9)
-    # one batch of mixed lengths (1 to 40 residues), more than one chunk long
-    pairs = adversarial_pairs(rng, seqid.ALIGN_CHUNK + 300)
+    # one batch of mixed lengths (1 to 40 residues), over many length classes
+    pairs = adversarial_pairs(rng, 812)
     assert_matches_reference(pairs)
     # unrelated protein-like pairs, up to 120 against up to 15 residues
     assert_matches_reference(
@@ -145,14 +146,36 @@ def test_align_stats_many_matches_reference():
     assert_matches_reference([("ACDEFG", "ACDFG")])
 
 
+def kernel_chunk(pairs):
+    """The arguments ``align_stats_many`` gives a kernel for ``pairs`` as
+    one chunk: byte codes, then lengths, lexsorted by ``(la, lb)``."""
+    pairs = sorted(pairs, key=lambda p: (len(p[0]), len(p[1])))
+
+    def codes(seqs):
+        width = max(len(s) for s in seqs) + 1
+        return np.array([[0] + list(s.encode()) + [0] * (width - 1 - len(s)) for s in seqs],
+                        dtype=np.uint8)
+
+    a, b = codes([a for a, _ in pairs]), codes([b for _, b in pairs])
+    la = np.array([len(a) for a, _ in pairs], dtype=np.int64)
+    lb = np.array([len(b) for _, b in pairs], dtype=np.int64)
+    return pairs, (a, b, la, lb)
+
+
+def assert_kernel_matches_reference(kernel, pairs):
+    pairs, args = kernel_chunk(pairs)
+    for (a, b), row in zip(pairs, kernel(*args).tolist()):
+        assert tuple(row) == reference_stats(a.encode(), b.encode()), (a, b)
+
+
 def test_align_stats_many_wide_fields_in_mixed_chunk():
-    # one chunk, three DP rows: a b past 65,536 residues needs a 17-bit
-    # column field, and the short pairs beside it share those widths
+    # one row chunk, three DP rows: a b past 65,536 residues needs a
+    # 17-bit column field, and the short pairs beside it share those widths
     rng = np.random.default_rng(21)
     long_b = random_seq(rng, 1, AA) + "".join(AA[int(c)] for c in rng.integers(0, 20, 65_600))
     pairs = [("MKV", long_b), ("WWW", long_b[:65_537])]
     pairs += [(random_seq(rng, 3, AA), random_seq(rng, 40, AA)) for _ in range(20)]
-    assert len(pairs) < seqid.ALIGN_CHUNK
+    assert_kernel_matches_reference(seqid._align_rows, pairs)
     assert_matches_reference(pairs)
 
 
@@ -181,14 +204,15 @@ def test_align_stats_many_frozen_ties(a, b, expected):
 
 @pytest.mark.parametrize("longest", [511, 512])
 def test_align_stats_many_at_the_key_width_limit(longest):
-    # 511 residues is the longest chunk with int32 keys, 512 the shortest
-    # with int64 ones; the pairs push the score field to both extremes
+    # 511 residues is the longest row chunk with int32 keys, 512 the
+    # shortest with int64 ones; the pairs push the score field to both
+    # extremes
     rng = np.random.default_rng(longest)
     top = "".join(AA[int(c)] for c in rng.integers(0, 20, longest))
     mutant = "".join(AA[(AA.index(c) + 1) % 20] if rng.random() < 0.1 else c for c in top)
     pairs = [(top, top), ("A", "C" * longest), ("C" * longest, "A"), (top, mutant)]
     pairs += [(random_seq(rng, 60, AA), random_seq(rng, 60, AA)) for _ in range(20)]
-    assert len(pairs) < seqid.ALIGN_CHUNK
+    assert_kernel_matches_reference(seqid._align_rows, pairs)
     assert_matches_reference(pairs)
 
 
@@ -201,9 +225,9 @@ def nw_scores(a: str, b: str) -> list[list[int]]:
     return h
 
 
-def test_align_stats_many_pairs_finishing_at_different_rows(caplog):
-    # one chunk whose pairs finish at rows 1 to 300: each row runs only
-    # the pairs not yet finished
+def test_align_stats_many_pairs_finishing_at_different_rows():
+    # one row chunk whose pairs finish at rows 1 to 300: each row runs
+    # only the pairs not yet finished
     rng = np.random.default_rng(33)
 
     def exact(size):
@@ -218,28 +242,8 @@ def test_align_stats_many_pairs_finishing_at_different_rows(caplog):
     pairs += [(exact(size), random_seq(rng, 120, AA)) for size in (7, 23, 23, 64, 65, 120)]
     long_a = exact(298)
     pairs += [(long_a, long_a[5:] + "KLM"), (long_a + "GG", long_a), (long_a[:290], "W")]
-    assert len(pairs) < seqid.ALIGN_CHUNK
-    with caplog.at_level("INFO", logger="enzood.seqid"):
-        assert_matches_reference(pairs)
-    # the wavefront would compute 4.4 times these cells, so the rows run
-    computed = sum(len(a) for a, _ in pairs) * (max(len(b) for _, b in pairs) + 1)
-    assert caplog.messages[-1].endswith(f", {computed} cells computed, 0 wavefront and 1 row chunks")
-
-
-def kernel_chunk(pairs):
-    """The arguments ``align_stats_many`` gives a kernel for ``pairs`` as
-    one chunk: byte codes, then lengths, lexsorted by ``(la, lb)``."""
-    pairs = sorted(pairs, key=lambda p: (len(p[0]), len(p[1])))
-
-    def codes(seqs):
-        width = max(len(s) for s in seqs) + 1
-        return np.array([[0] + list(s.encode()) + [0] * (width - 1 - len(s)) for s in seqs],
-                        dtype=np.uint8)
-
-    a, b = codes([a for a, _ in pairs]), codes([b for _, b in pairs])
-    la = np.array([len(a) for a, _ in pairs], dtype=np.int64)
-    lb = np.array([len(b) for _, b in pairs], dtype=np.int64)
-    return pairs, (a, b, la, lb)
+    assert_kernel_matches_reference(seqid._align_rows, pairs)
+    assert_matches_reference(pairs)
 
 
 KERNELS = [seqid._align_rows, seqid._align_wavefront]
@@ -279,10 +283,7 @@ def kernel_cases():
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.__name__)
 @pytest.mark.parametrize("case", list(kernel_cases()))
 def test_kernels_match_reference(kernel, case):
-    pairs, args = kernel_chunk(kernel_cases()[case])
-    got = kernel(*args)
-    for (a, b), row in zip(pairs, got.tolist()):
-        assert tuple(row) == reference_stats(a.encode(), b.encode()), (a, b)
+    assert_kernel_matches_reference(kernel, kernel_cases()[case])
 
 
 def test_row_kernel_at_its_key_width_limit():
@@ -315,29 +316,117 @@ def chunk_kernels(caplog, pairs):
     """The chunks each kernel ran for ``pairs``, from the INFO line."""
     with caplog.at_level("INFO", logger="enzood.seqid"):
         assert_matches_reference(pairs)
-    waves, rows = re.search(r"(\d+) wavefront and (\d+) row chunks$", caplog.messages[-1]).groups()
-    return int(waves), int(rows)
+    return logged_chunks(caplog)
 
 
-@pytest.mark.parametrize("count, kernels", [(63, (0, 1)), (64, (1, 0))])
-def test_align_stats_many_picks_the_wavefront_from_4096_rows_by_pairs(caplog, count, kernels):
-    # 64-residue a's: 63 pairs give 4,032, 64 pairs 4,096
+def logged_chunks(caplog):
+    """(wavefront, row) chunks of the last INFO line."""
+    found = re.search(r"(\d+) wavefront and (\d+) row chunks$", caplog.messages[-1])
+    return tuple(map(int, found.groups()))
+
+
+@pytest.mark.parametrize("count, kernels", [(10, (0, 1)), (45, (1, 0))],
+                         ids=["10 pairs-rows", "45 pairs-wavefront"])
+def test_align_stats_many_picks_the_kernel_by_estimate(caplog, count, kernels):
+    # 80 x 80 pairs, 45 of them in perfbench train's probe: the wavefront
+    # takes 159 steps to the row kernel's 80, but its cells cost less, so
+    # it is estimated faster from some pairs on
     rng = np.random.default_rng(count)
-    pairs = [(protein(rng, 64), protein(rng, 64)) for _ in range(count)]
+    pairs = [(protein(rng, 80), protein(rng, 80)) for _ in range(count)]
     assert chunk_kernels(caplog, pairs) == kernels
 
 
-@pytest.mark.parametrize("eighteens, kernels", [(9, (1, 0)), (8, (0, 1))])
-def test_align_stats_many_bounds_the_wavefront_padding(caplog, eighteens, kernels):
-    # 72 pairs, one 64-residue a and b's of up to 5 residues: the
-    # wavefront computes 72 * 64 * 5 = 23,040 cells, the row kernel the
-    # sum of la times 6, which is 7,680 with nine 18-residue a's (exactly
-    # a third, so the wavefront runs) and 7,674 with eight
-    rng = np.random.default_rng(eighteens)
-    sizes = [64] + [18] * eighteens + [17] * (71 - eighteens)
-    pairs = [(protein(rng, size), random_seq(rng, 5, AA)) for size in sizes]
-    pairs[0] = (pairs[0][0], "WWWWW")
-    assert chunk_kernels(caplog, pairs) == kernels
+def plan_of(shapes):
+    """(kernel name, the (len a, len b) shapes in it, pair count) of each
+    chunk the planner makes for pairs of ``shapes``."""
+    la, lb = (np.array(side, dtype=np.int64) for side in zip(*shapes))
+    return [(kernel.__name__, {shapes[k] for k in chunk.tolist()}, len(chunk))
+            for chunk, kernel, _ in seqid._plan(la, lb)]
+
+
+def upper_triangle(sizes):
+    return [(x, y) for k, x in enumerate(sizes) for y in sizes[k + 1 :]]
+
+
+def test_plan_runs_the_split_matrix_as_one_wavefront_chunk():
+    # perfbench split's matrix: 12 sequences of 48 residues, then 12 of 64
+    shapes = upper_triangle([48] * 12 + [64] * 12)
+    assert plan_of(shapes) == [("_align_wavefront", {(48, 48), (48, 64), (64, 64)}, 276)]
+
+
+PLAN_SHAPES = {
+    # bench_align's mixed corpus: 31 sequences of 30 residues, then 12 of 600
+    "mixed": upper_triangle([30] * 31 + [600] * 12),
+    "1 against 300": [(1, 300)] * 40 + [(300, 300)] * 20 + [(300, 1)] * 40,
+    "varied": upper_triangle(np.random.default_rng(4).integers(100, 601, 30).tolist()),
+}
+
+
+@pytest.mark.parametrize("case", ["mixed", "1 against 300"])
+def test_plan_bounds_the_wavefront_padding(case):
+    # no chunk pads a short sequence's pairs to the long-by-long rectangle
+    shapes = PLAN_SHAPES[case]
+    long_by_long = max(shapes, key=lambda shape: shape[0] * shape[1])
+    plan = plan_of(shapes)
+    assert sum(count for _, _, count in plan) == len(shapes)
+    for _, chunk, _ in plan:
+        assert chunk == {long_by_long} or long_by_long not in chunk
+
+
+@pytest.mark.parametrize("budget", [None, 2**12], ids=["default budget", "small budget"])
+@pytest.mark.parametrize("case", list(PLAN_SHAPES))
+def test_plan_covers_every_pair_once_and_prices_each_chunk(monkeypatch, case, budget):
+    if budget is not None:
+        monkeypatch.setattr(seqid, "_CHUNK_RESIDUES", budget)
+    shapes = PLAN_SHAPES[case]
+    la, lb = (np.array(side, dtype=np.int64) for side in zip(*shapes))
+    plan = seqid._plan(la, lb)
+    assert sorted(k for chunk, _, _ in plan for k in chunk.tolist()) == list(range(len(shapes)))
+    for chunk, kernel, cells in plan:
+        rows, cols = la[chunk].max(), lb[chunk].max()
+        fits = len(chunk) * (rows + cols) <= seqid._CHUNK_RESIDUES
+        assert fits or len(chunk) == 1
+        row_s, wave_s = seqid._estimates(0, len(chunk), la[chunk].sum(), rows, cols)
+        assert (kernel is seqid._align_wavefront) == (wave_s <= row_s)
+        if kernel is seqid._align_rows:
+            assert np.all(np.diff(la[chunk]) >= 0)
+            assert cells == la[chunk].sum() * (cols + 1)
+        else:
+            assert cells == len(chunk) * rows * cols
+
+
+@functools.lru_cache(maxsize=None)
+def plan_cases():
+    """Adversarial mixed-length pairs and their reference stats."""
+    rng = np.random.default_rng(12)
+    pairs = adversarial_pairs(rng, 300)
+    pairs += [(AA[k], protein(rng, 300)) for k in range(12)]
+    pairs += [(b, a) for a, b in pairs[-6:]]
+    a450, a600 = protein(rng, 450), protein(rng, 600)
+    pairs += [(a450, a600), (a600, a450), (a600, a600[:300] + a450[:300]), (a450, a450[9:] + "W")]
+    expected = [reference_stats(a.encode(), b.encode()) for a, b in pairs]
+    return pairs, expected
+
+
+@pytest.mark.parametrize("plan", ["one pair per chunk", "default", "one row chunk",
+                                  "one wavefront chunk"])
+def test_align_stats_many_results_do_not_depend_on_the_plan(monkeypatch, caplog, plan):
+    pairs, expected = plan_cases()
+    if plan == "one pair per chunk":
+        monkeypatch.setattr(seqid, "_CHUNK_RESIDUES", 0)
+    elif plan != "default":
+        # every merge is estimated to save time, and the budget fits all
+        estimates = (1.0, 2.0) if plan == "one row chunk" else (2.0, 1.0)
+        monkeypatch.setattr(seqid, "_CHUNK_RESIDUES", 2**40)
+        monkeypatch.setattr(seqid, "_estimates", lambda *chunk: estimates)
+    with caplog.at_level("INFO", logger="enzood.seqid"):
+        got = align_stats_many([a for a, _ in pairs], [b for _, b in pairs])
+    assert [tuple(row) for row in got.tolist()] == expected
+    waves, rows = logged_chunks(caplog)
+    if plan == "one pair per chunk":
+        assert waves + rows == len(pairs)
+    elif plan != "default":
+        assert (waves, rows) == ((0, 1) if plan == "one row chunk" else (1, 0))
 
 
 def test_align_stats_many_cuts_balanced_chunks(monkeypatch):
@@ -351,10 +440,12 @@ def test_align_stats_many_cuts_balanced_chunks(monkeypatch):
 
     for name in ("_align_rows", "_align_wavefront"):
         monkeypatch.setattr(seqid, name, recording(getattr(seqid, name)))
+    # 101 pairs of 24 x 24 residues and room for 20 in a chunk
+    monkeypatch.setattr(seqid, "_CHUNK_RESIDUES", 20 * 48)
     rng = np.random.default_rng(8)
-    pairs = adversarial_pairs(rng, seqid.ALIGN_CHUNK + 1)
+    pairs = [(protein(rng, 24), protein(rng, 24)) for _ in range(101)]
     assert_matches_reference(pairs)
-    assert sorted(sizes) == [seqid.ALIGN_CHUNK // 2, seqid.ALIGN_CHUNK // 2 + 1]
+    assert sorted(sizes) == [16, 17, 17, 17, 17, 17]
 
 
 def test_align_stats_many_rejects_keys_wider_than_64_bits():
