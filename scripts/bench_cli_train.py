@@ -13,10 +13,12 @@ the command calls.  The train stages:
 
 - read: ``read_dataset`` (the train and validation files);
 - train: ``train``;
-- evaluate: ``evaluate_params``;
 - checkpoint: ``write_checkpoint``;
 - log: ``write_train_log``;
-- other: the rest of the command (config, hash, directories, printing).
+- other: the rest of the command (config, hash, directories, printing,
+  the validation scores read from the log; in an older tree whose
+  command still calls ``evaluate_params`` on the validation set, that
+  call too).
 
 The eval stages:
 
@@ -54,12 +56,11 @@ import tempfile
 import time
 from pathlib import Path
 
-STAGES = ("read", "train", "evaluate", "checkpoint", "log", "other")
+STAGES = ("read", "train", "checkpoint", "log", "other")
 # cli binding -> stage, in the train commands
 WRAPPED = {
     "read_dataset": "read",
     "train": "train",
-    "evaluate_params": "evaluate",
     "write_checkpoint": "checkpoint",
     "write_train_log": "log",
 }

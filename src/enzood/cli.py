@@ -31,12 +31,12 @@ from .augment import augment_dataset
 from .errors import ConfigError, DatasetError, EnzoodError, NonFiniteError
 from .harness import (
     best_lambda_index,
-    evaluate_params,
     good_evaluation,
     lambda_sweep,
     mask_sweep,
     nested_identity_split,
     read_checkpoint,
+    validation_scores,
     write_checkpoint,
     write_report,
     write_train_log,
@@ -254,11 +254,8 @@ def _cmd_train(args, clock: _StageClock) -> None:
     clock.lap("read")
     params, log = train(train_records, val_records, cfg)
     clock.lap("train")
-    # training logs an undefined validation R2 as NaN and finishes; the
-    # checkpoint keeps the run with an R2 of null
-    val_scores = evaluate_params(params, val_records, require_r2=False)
-    clock.lap("evaluate")
     checkpoint_path = _prepare(args.checkpoint_out)
+    val_scores = validation_scores(log, len(val_records))
     write_checkpoint(
         checkpoint_path,
         params,

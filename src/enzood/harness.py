@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DatasetError, DegenerateTargetsError
+from .errors import DatasetError
 from .io import RunConfig, config_hash, format_scalar, resolved_items
 from .metrics import METRIC_IDS, au_good, curve_from_risks, mae, r_squared
 from .model import (
@@ -79,34 +79,36 @@ def select_records(records, ids) -> list:
     return [by_id[i] for i in ids]
 
 
-def evaluate_params(params: ModelParams, records, *, require_r2: bool = True) -> dict:
+def evaluate_params(params: ModelParams, records) -> dict:
     """R2, MAE, and MSE of the checkpoint on the given records.  R2 is
     undefined on one record or constant targets: that raises
-    DegenerateTargetsError, or with require_r2 False gives an r2 of
-    None."""
+    DegenerateTargetsError.  A run's validation scores come from its
+    train log instead (validation_scores)."""
     records = list(records)
     preds = predict(params, records)
     targets = np.array([r.value for r in records], dtype=float)
-    try:
-        r2 = r_squared(preds, targets)
-    except DegenerateTargetsError:
-        if require_r2:
-            raise
-        r2 = None
     return {
         "n": len(records),
         "mse": loss_base(preds, targets),
-        "r2": r2,
+        "r2": r_squared(preds, targets),
         "mae": mae(preds, targets),
     }
 
 
+def validation_scores(log, n: int) -> dict:
+    """evaluate_params of train's params on its n validation records, read
+    from the best epoch's log entry; an undefined (NaN) R2 is None."""
+    best = log[log[-1]["best_epoch"]]
+    r2 = None if np.isnan(best["val_r2"]) else best["val_r2"]
+    return {"n": n, "mse": best["val_mse"], "r2": r2, "mae": best["val_mae"]}
+
+
 def run_set(records, split: NestedSplit, cfgs) -> list[tuple]:
     """(params, log, scores) per config of the list, in order; scores hold
-    val and test metrics.  Records are selected once, and configs that
-    train alike share one run: training reads p_g only in graph_mask mode,
-    and at lam = 0 it draws no mask, so reads neither p_s, p_g nor
-    substrate_mode."""
+    val (validation_scores) and test (evaluate_params) metrics.  Records
+    are selected once, and configs that train alike share one run:
+    training reads p_g only in graph_mask mode, and at lam = 0 it draws no
+    mask, so reads neither p_s, p_g nor substrate_mode."""
     if not cfgs:
         raise ValueError("run_set needs at least one config")
     train_recs = select_records(records, split.train_ids)
@@ -121,7 +123,7 @@ def run_set(records, split: NestedSplit, cfgs) -> list[tuple]:
         if key not in runs:
             params, log = train(train_recs, val_recs, cfg)
             scores = {
-                "val": evaluate_params(params, val_recs),
+                "val": validation_scores(log, len(val_recs)),
                 "test": evaluate_params(params, test_recs),
             }
             runs[key] = params, log, scores

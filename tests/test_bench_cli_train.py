@@ -1,6 +1,8 @@
 """Smoke test of scripts/bench_cli_train.py: it times the train and eval
 commands in-process through wrappers around the functions ``cli``
-calls, so renaming one of them fails here first."""
+calls, so renaming one of them fails here first.  The train command
+scores no set of its own, so its stages are read, train, checkpoint and
+log."""
 
 import importlib.util
 from pathlib import Path
@@ -19,6 +21,7 @@ def load_script():
 
 def test_time_commands_on_the_pipeline_inputs(tmp_path):
     bench = load_script()
+    assert bench.STAGES == ("read", "train", "checkpoint", "log", "other")
     bound = {**bench.WRAPPED, **bench.EVAL_WRAPPED}
     originals = {name: getattr(cli, name) for name in bound}
     bench.prepare(tmp_path)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from enzood import cli, seqid
-from enzood.harness import LAMBDA_GRID, MASK_GRID, read_checkpoint
+from enzood.harness import LAMBDA_GRID, MASK_GRID, evaluate_params, read_checkpoint
 from enzood.io import read_dataset, write_dataset
 from enzood.model import _blocks, predict
 from enzood.seqid import OodSplit, read_split_file, write_split_file
@@ -551,7 +551,7 @@ def test_train_reports_stage_times_on_stderr(tmp_path, capsys):
         lines = [line for line in captured.err.splitlines() if line.startswith("train-stages: ")]
         assert len(lines) == 1
         match = re.fullmatch(
-            r"train-stages: read [0-9.]+ s, train [0-9.]+ s, evaluate [0-9.]+ s, "
+            r"train-stages: read [0-9.]+ s, train [0-9.]+ s, "
             rf"checkpoint [0-9.]+ s \((\d+) bytes\), log {log_field}",
             lines[0],
         )
@@ -604,7 +604,7 @@ def test_augment_reports_stage_times_on_stderr(tmp_path, capsys):
 STAGES = {
     "synth": ["generate", "write"],
     "augment": ["read", "augment", "write"],
-    "train": ["read", "train", "evaluate", "checkpoint", "log"],
+    "train": ["read", "train", "checkpoint", "log"],
     "eval": ["checkpoint", "read", "evaluate", "report"],
     "ablate-mask": ["read", "split", "sweep", "report"],
     "ablate-lambda": ["read", "split", "sweep", "report"],
@@ -667,6 +667,22 @@ def test_train_keeps_a_run_whose_validation_r2_is_undefined(tmp_path, val_slice)
             if line[0].isdigit()]
     assert [row[5] for row in rows] == ["nan", "nan"]
     read_checkpoint(ckpt)
+
+
+def test_train_checkpoint_val_block_scores_its_params(tmp_path):
+    """The checkpoint's val block, read from the best epoch's log entry,
+    equals scoring the checkpoint's params on the --val file, bit for
+    bit."""
+    bench = make_bench(tmp_path)
+    assert run_cli(["split", "--in", bench, "--out-dir", tmp_path / "s"]) == 0
+    val = tmp_path / "s" / "test-060.tsv"
+    ckpt = tmp_path / "m.ckpt"
+    assert run_cli(["train", "--train", tmp_path / "s" / "train-060.tsv", "--val", val,
+                    "--config", write_cfg(tmp_path, "run.cfg", TINY_CFG),
+                    "--checkpoint-out", ckpt]) == 0
+    params, data = read_checkpoint(ckpt)
+    assert data["val"] == evaluate_params(params, read_dataset(val))
+    assert data["val"]["r2"] is not None
 
 
 def test_split_reports_alignment_work_on_stderr(tmp_path, capsys):

@@ -133,6 +133,32 @@ def test_train_on_split_parses_no_smiles(bench, split, monkeypatch, mode):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "lam, mode", [(0.0, "graph_mask"), (0.5, "graph_mask"), (0.5, "enumeration")]
+)
+def test_run_set_val_scores_equal_evaluate_params(bench, split, lam, mode):
+    """A run's validation scores come from its best epoch's log entry and
+    equal scoring the params it returned on the validation records, bit
+    for bit."""
+    cfg = dataclasses.replace(QUICK, lam=lam, substrate_mode=mode)
+    ((params, _, scores),) = run_set(bench, split, [cfg])
+    expected = evaluate_params(params, select_records(bench, split.val_ids))
+    assert list(scores["val"]) == list(expected) == ["n", "mse", "r2", "mae"]
+    assert scores["val"] == expected
+
+
+def test_run_set_reports_an_undefined_validation_r2_as_none(bench, split):
+    """Constant validation targets leave R2 undefined: the log holds NaN
+    and the run's validation scores None, while the test set is scored."""
+    val_ids = set(split.val_ids)
+    records = [dataclasses.replace(r, value=1.0) if r.id in val_ids else r for r in bench]
+    ((_, log, scores),) = run_set(records, split, [QUICK])
+    assert all(np.isnan(entry["val_r2"]) for entry in log)
+    assert scores["val"]["r2"] is None
+    assert scores["val"]["n"] == len(split.val_ids)
+    assert scores["test"]["r2"] is not None
+
+
 def test_evaluate_params_counts(bench, split):
     params, _, _ = train_on_split(bench, split, QUICK)
     scores = evaluate_params(params, select_records(bench, split.test_ids))
