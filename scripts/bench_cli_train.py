@@ -22,11 +22,14 @@ the command calls.  The train stages:
 
 The eval stages:
 
-- read_checkpoint: ``read_checkpoint``;
+- read_checkpoint: ``read_checkpoint``, which decodes the weights and
+  checks the config echo against its hash;
 - read: ``read_dataset`` and ``read_split_file``;
 - evaluate: ``good_evaluation``;
 - report: ``write_report``;
-- other: the rest (the config echo check, hash, directories, printing).
+- other: the rest (hash, directories, printing; in an older tree whose
+  command checks the config echo itself, after ``read_checkpoint``,
+  that check too).
 
 One round prepares the inputs (untimed), then runs the four commands
 ``--repeats`` times; the medians over repeats of each pair's time and of

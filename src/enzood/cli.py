@@ -44,7 +44,6 @@ from .harness import (
 from .io import (
     config_hash,
     load_config,
-    parse_config_text,
     parse_int,
     parse_real,
     read_dataset,
@@ -156,23 +155,6 @@ def _threshold_tag(threshold: float) -> str:
     return f"{int(round(threshold * 100)):03d}"
 
 
-def _config_from_checkpoint(meta: dict, origin) -> "object":
-    """Rebuild the run configuration echoed inside a checkpoint and check
-    it against the stored ``config_hash``.  A damaged echo or hash is a
-    data problem, not a configuration one."""
-    echo = meta.get("config")
-    if not isinstance(echo, dict):
-        raise DatasetError(f"checkpoint {origin} has no config echo")
-    text = "\n".join(f"{key}={value}" for key, value in echo.items())
-    try:
-        cfg = parse_config_text(text, origin=f"{origin}:config")
-    except ConfigError as exc:
-        raise DatasetError(f"checkpoint {origin} has a bad config echo: {exc}") from exc
-    if meta.get("config_hash") != config_hash(cfg):
-        raise DatasetError(f"checkpoint {origin}: config echo does not match its config_hash")
-    return cfg
-
-
 def _section(title: str, columns: tuple, rows) -> tuple:
     """A write_report section from rows given as tuples in column order;
     the harness's own row dicts go to write_report as they are."""
@@ -274,8 +256,7 @@ def _cmd_train(args, clock: _StageClock) -> None:
 
 
 def _cmd_eval(args, clock: _StageClock) -> None:
-    params, meta = read_checkpoint(args.checkpoint)
-    cfg = _config_from_checkpoint(meta, args.checkpoint)
+    params, cfg, _ = read_checkpoint(args.checkpoint)
     clock.lap("checkpoint", f" ({Path(args.checkpoint).stat().st_size} bytes)")
     _emit_hash(cfg)
     records = read_dataset(args.data)

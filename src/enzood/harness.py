@@ -3,30 +3,25 @@
 Builds nested identity splits (test and validation both held out by
 sequence identity), trains the two-branch model on record lists, scores
 splits, and writes the deterministic artifacts: checkpoints, training
-logs, and reports.  Nothing here touches wall-clock time or other
-run-varying state, so rerunning any driver with the same seed yields
-byte-identical files.
+logs, and reports.  It is the only module that knows the checkpoint
+file, and it reads and checks checkpoints too.  Nothing here touches
+wall-clock time or other run-varying state, so rerunning any driver
+with the same seed yields byte-identical files.
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DatasetError
-from .io import RunConfig, config_hash, format_scalar, resolved_items
+from .errors import ConfigError, DatasetError
+from .io import RunConfig, config_hash, format_scalar, parse_config_text, resolved_items
 from .metrics import METRIC_IDS, au_good, curve_from_risks, mae, r_squared
-from .model import (
-    ModelParams,
-    loss_base,
-    params_from_jsonable,
-    params_to_jsonable,
-    predict,
-    train,
-)
+from .model import ModelParams, _plan, loss_base, predict, train
 from .seqid import OodSplit, _ood_splits
 
 LAMBDA_GRID = (0.005, 0.05, 0.5, 5.0, 50.0)
@@ -270,16 +265,21 @@ def write_report(path, kind: str, cfg: RunConfig, sections) -> None:
 
 def write_checkpoint(path, params: ModelParams, cfg: RunConfig, extra: dict | None = None) -> None:
     """One line of sorted-key, compact JSON: the seed, the config echo
-    and its hash, the parameters in their base64 form
-    (params_to_jsonable), and the ``extra`` keys.  A NaN or infinity
-    anywhere raises ValueError, as JSON has no such numbers, before the
-    file is opened."""
+    and its hash, the parameters, and the ``extra`` keys.  The
+    parameters are the three layer sizes and ``theta`` as the base64
+    text of its little-endian float64 bytes, so every value, -0.0 and
+    subnormals included, comes back bit for bit.  A NaN or infinity in
+    the ``extra`` keys raises ValueError, as JSON has no such numbers,
+    before the file is opened."""
     data = {
         "kind": "checkpoint",
         "seed": cfg.seed,
         "config_hash": config_hash(cfg),
         "config": {k: v for k, v in resolved_items(cfg)},
-        "params": params_to_jsonable(params),
+        "params": {
+            "layers": [params.hidden_enzyme, params.hidden_substrate, params.embed_dim],
+            "theta": base64.b64encode(params.theta.astype("<f8").tobytes()).decode("ascii"),
+        },
     }
     if extra:
         data.update(extra)
@@ -288,7 +288,16 @@ def write_checkpoint(path, params: ModelParams, cfg: RunConfig, extra: dict | No
         fh.write(text + "\n")
 
 
-def read_checkpoint(path) -> tuple[ModelParams, dict]:
+def read_checkpoint(path) -> tuple[ModelParams, RunConfig, dict]:
+    """The parameters, the run configuration and the whole JSON object
+    of a write_checkpoint file.
+
+    ``layers`` must be three positive integers, and ``theta`` base64
+    text of exactly the float64 values those sizes lay out, all finite.
+    The config echo must rebuild a valid RunConfig whose hash is the
+    stored ``config_hash``.  Anything else raises DatasetError naming
+    ``path`` as given and the bad field: a damaged checkpoint is a data
+    problem, not a configuration one."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -298,11 +307,44 @@ def read_checkpoint(path) -> tuple[ModelParams, dict]:
         raise DatasetError(f"invalid checkpoint {path}: {exc}") from exc
     if not isinstance(data, dict) or "params" not in data:
         raise DatasetError(f"invalid checkpoint {path}: missing params")
+    block = data["params"]
+    bad = f"invalid checkpoint {path}: params"
+    if not isinstance(block, dict):
+        raise DatasetError(f"{bad} must map layers and theta, got {type(block).__name__}")
+    text = block.get("theta")
+    if not isinstance(text, str):
+        raise DatasetError(f"{bad} lack a theta string, the base64 text of the parameter vector")
+    layers = block.get("layers")
+    if not (
+        isinstance(layers, list)
+        and len(layers) == 3
+        and all(type(n) is int and n > 0 for n in layers)
+    ):
+        raise DatasetError(f"{bad} layers must be three positive integers")
     try:
-        params = params_from_jsonable(data["params"])
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or text that is not ASCII
+        raise DatasetError(f"{bad} theta is not base64: {exc}") from exc
+    size, _ = _plan(*layers)
+    if len(raw) != 8 * size:
+        raise DatasetError(f"{bad} theta holds {len(raw)} bytes, layers {layers} need {8 * size}")
+    try:
+        params = ModelParams(np.frombuffer(raw, dtype="<f8"), *layers)
     except ValueError as exc:
-        raise DatasetError(f"invalid checkpoint {path}: {exc}") from exc
-    return params, data
+        raise DatasetError(f"{bad} theta: {exc}") from exc
+
+    echo = data.get("config")
+    if not isinstance(echo, dict):
+        raise DatasetError(f"checkpoint {path} has no config echo")
+    try:
+        cfg = parse_config_text(
+            "\n".join(f"{key}={value}" for key, value in echo.items()), origin=f"{path}:config"
+        )
+    except ConfigError as exc:
+        raise DatasetError(f"checkpoint {path} has a bad config echo: {exc}") from exc
+    if data.get("config_hash") != config_hash(cfg):
+        raise DatasetError(f"checkpoint {path}: config echo does not match its config_hash")
+    return params, cfg, data
 
 
 LOG_COLUMNS = (

@@ -30,7 +30,6 @@ hand-derived and checked against finite differences in the test suite.
 
 from __future__ import annotations
 
-import base64
 import functools
 import logging
 import math
@@ -85,6 +84,8 @@ _BOND_SLOT = {
 }
 _RING_SLOT = _MASKED_BIN + 5
 _DEGREE_SLOT = _MASKED_BIN + 6
+_CHARGE_SLOT = SUBSTRATE_FEATURES - 2
+_ATOM_TOTAL_SLOT = SUBSTRATE_FEATURES - 1
 
 
 def _residue_codes(seq: str) -> np.ndarray:
@@ -185,8 +186,8 @@ def _encode(records):
     ))
     counts = np.bincount(keys, minlength=n * f).reshape(n, f)
     counts[:, _RING_SLOT] = [sum(g.ring_membership) for g in graphs]
-    counts[:, f - 2] = [sum(a.formal_charge for a in g.atoms) for g in graphs]
-    counts[:, f - 1] = atoms
+    counts[:, _CHARGE_SLOT] = [sum(a.formal_charge for a in g.atoms) for g in graphs]
+    counts[:, _ATOM_TOTAL_SLOT] = atoms
 
     hide = np.zeros(len(bins), dtype=bool)  # the atoms the records' own masks hide
     starts = np.cumsum(atoms) - atoms
@@ -299,7 +300,7 @@ def init_params(
 
 
 _SUBSTRATE_INPUT_SCALE = np.ones(SUBSTRATE_FEATURES)
-_SUBSTRATE_INPUT_SCALE[SUBSTRATE_FEATURES - 1] = ATOM_COUNT_SCALE
+_SUBSTRATE_INPUT_SCALE[_ATOM_TOTAL_SLOT] = ATOM_COUNT_SCALE
 
 
 def _scaled(x_enzyme: np.ndarray, x_substrate: np.ndarray, out=(None, None)):
@@ -673,48 +674,3 @@ def train(train_records, val_records, cfg: RunConfig):
         -(-cfg.epochs // per_block),
     )
     return best_params, log
-
-
-# ---------------------------------------------------------------------------
-# Checkpoints and logs
-
-
-def params_to_jsonable(params: ModelParams) -> dict:
-    """Checkpoint form: the three layer sizes, and ``theta`` as the
-    base64 text of its little-endian float64 bytes, so every value, -0.0
-    and subnormals included, comes back bit for bit."""
-    return {
-        "layers": [params.hidden_enzyme, params.hidden_substrate, params.embed_dim],
-        "theta": base64.b64encode(params.theta.astype("<f8").tobytes()).decode("ascii"),
-    }
-
-
-def params_from_jsonable(data) -> ModelParams:
-    """Inverse of params_to_jsonable.
-
-    ``layers`` must be three positive integers, and ``theta`` base64
-    text of exactly the float64 values those sizes lay out, all finite.
-    Raises ValueError naming the missing or bad field."""
-    if not isinstance(data, dict):
-        raise ValueError(f"params must map layers and theta, got {type(data).__name__}")
-    text = data.get("theta")
-    if not isinstance(text, str):
-        raise ValueError("params lack a theta string, the base64 text of the parameter vector")
-    layers = data.get("layers")
-    if not (
-        isinstance(layers, list)
-        and len(layers) == 3
-        and all(type(n) is int and n > 0 for n in layers)
-    ):
-        raise ValueError("params layers must be three positive integers")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError as exc:  # binascii.Error, or text that is not ASCII
-        raise ValueError(f"params theta is not base64: {exc}") from exc
-    size, _ = _plan(*layers)
-    if len(raw) != 8 * size:
-        raise ValueError(f"params theta holds {len(raw)} bytes, layers {layers} need {8 * size}")
-    try:
-        return ModelParams(np.frombuffer(raw, dtype="<f8"), *layers)
-    except ValueError as exc:
-        raise ValueError(f"params theta: {exc}") from exc

@@ -27,7 +27,14 @@ import numpy as np
 from .augment import ALPHABET, AMINO_ACIDS
 from .errors import ConfigError
 from .io import EsiRecord, check_integer, check_real, parse_config_text, write_dataset
-from .model import _featurize
+from .model import (
+    _ATOM_TOTAL_SLOT,
+    _BOND_SLOT,
+    _CHARGE_SLOT,
+    _DEGREE_SLOT,
+    _RING_SLOT,
+    _featurize,
+)
 from .molgraph import Atom, Bond, BOND_SINGLE, MolGraph, parse_smiles, write_smiles
 
 DEFAULT_SCAFFOLDS = (
@@ -46,13 +53,15 @@ _DECORATION_ELEMENTS = ("C", "C", "C", "Cl", "F")
 _MAX_DECORATIONS = 3
 
 
-# substrate descriptor entries read from intact topology (bond-order
-# fractions, ring fraction, degree histogram, atom count): masking hides
-# atom identity but leaves these unchanged, so they are genuinely
-# invariant features, unlike element fractions which bleed into the
-# masked bin.  The signal picks the most-varying of these over the
-# realized substrate population.
-_SUBSTRATE_SLOT_POOL = tuple(range(11, 21)) + (22,)
+# substrate descriptor entries read from intact topology (bond orders,
+# ring atoms, degree histogram, atom total; the model owns their slots):
+# masking hides atom identity but leaves these unchanged, so they are
+# genuinely invariant features, unlike element fractions which bleed
+# into the masked bin.  The signal picks the most-varying of these over
+# the realized substrate population.
+_SUBSTRATE_SLOT_POOL = (
+    *sorted(_BOND_SLOT.values()), _RING_SLOT, *range(_DEGREE_SLOT, _CHARGE_SLOT), _ATOM_TOTAL_SLOT
+)
 
 # family prototypes reorder contiguous blocks of a shared ancestor and
 # then diverge by point mutation: block reordering keeps alignment

@@ -1,9 +1,13 @@
 """Shared molecule corpus, benchmark fixtures and helpers for the test suite."""
 
+import base64
+import hashlib
+
 import numpy as np
 import pytest
 
 from enzood.harness import nested_identity_split
+from enzood.model import _blocks
 from enzood.synth import SynthConfig, generate
 
 # Dialect-clean molecules exercising chains, branches, rings, aromatics,
@@ -90,3 +94,45 @@ def ood_split(bench300):
     0.3 of the records go to the outer test set; 2/7 of the remaining
     pool goes to validation, leaving a 50/20/30 percent layout."""
     return nested_identity_split(bench300, 0.6, 0.3, 2.0 / 7.0, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Damaged checkpoints: edits of the JSON object write_checkpoint writes
+
+
+def recoded(params: dict, edit) -> dict:
+    """A checkpoint's params block with theta decoded, edited by ``edit``
+    and encoded again."""
+    theta = np.frombuffer(base64.b64decode(params["theta"]), dtype="<f8")
+    return {**params, "theta": base64.b64encode(edit(theta).astype("<f8").tobytes()).decode()}
+
+
+def nested_lists(params: dict) -> dict:
+    """A params block in the retired checkpoint form: one nested list per
+    block."""
+    theta = np.frombuffer(base64.b64decode(params["theta"]), dtype="<f8")
+    return {name: block.tolist() for name, block in _blocks(theta, *params["layers"]).items()}
+
+
+# RunConfig's fields while it still had normalize_cons, in declaration order
+OLD_CONFIG_KEYS = ("p_s", "p_g", "substrate_mode", "lam", "normalize_cons", "learning_rate",
+                   "epochs", "batch_size", "hidden_enzyme", "hidden_substrate", "embed_dim",
+                   "seed")
+
+
+def old_echo(data):
+    """The echo and hash a checkpoint of the same run had before
+    normalize_cons was removed."""
+    data["config"]["normalize_cons"] = "false"
+    text = "".join(f"{key}={data['config'][key]}\n" for key in OLD_CONFIG_KEYS)
+    data["config_hash"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# edits of a whole checkpoint object that leave its params intact but its
+# config echo unusable
+CONFIG_ECHO_DAMAGES = [
+    pytest.param(lambda data: data["config"].update(seed="-1"), id="negative-seed"),
+    pytest.param(lambda data: data["config"].update(lam="0.25"), id="edited-lam"),
+    pytest.param(lambda data: data.pop("config_hash"), id="no-hash"),
+    pytest.param(old_echo, id="old-echo"),
+]

@@ -3,10 +3,8 @@
 Commands run in-process through cli.main so coverage tools see them and
 the suite stays fast; artifacts land in tmp_path."""
 
-import base64
 import dataclasses
 import filecmp
-import hashlib
 import json
 import re
 from pathlib import Path
@@ -14,10 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import CONFIG_ECHO_DAMAGES, nested_lists, recoded
 from enzood import cli, seqid
 from enzood.harness import LAMBDA_GRID, MASK_GRID, evaluate_params, read_checkpoint
 from enzood.io import read_dataset, write_dataset
-from enzood.model import _blocks, predict
+from enzood.model import predict
 from enzood.seqid import OodSplit, read_split_file, write_split_file
 
 SYNTH_CFG = "family_count=6\nmembers_per_family=10\nseed=3\n"
@@ -222,7 +221,7 @@ def test_eval_perfect_memorization_scores_one(tmp_path):
         ]
     )
     assert code == 0
-    params, _ = read_checkpoint(tmp_path / "m.ckpt")
+    params, _, _ = read_checkpoint(tmp_path / "m.ckpt")
     records = read_dataset(bench)
     preds = predict(params, records)
     relabeled = [
@@ -394,18 +393,6 @@ def test_eval_rejects_a_split_file_repeating_a_test_id(tmp_path, capsys, one_epo
     assert not (tmp_path / "r.txt").exists()
 
 
-def recoded(params, edit):
-    """params with theta decoded, edited by ``edit`` and encoded again."""
-    theta = np.frombuffer(base64.b64decode(params["theta"]), dtype="<f8")
-    return {**params, "theta": base64.b64encode(edit(theta).astype("<f8").tobytes()).decode()}
-
-
-def nested_lists(params):
-    """params in the retired checkpoint form: one nested list per block."""
-    theta = np.frombuffer(base64.b64decode(params["theta"]), dtype="<f8")
-    return {name: block.tolist() for name, block in _blocks(theta, *params["layers"]).items()}
-
-
 @pytest.mark.parametrize(
     "damage, named",
     [
@@ -441,30 +428,7 @@ def test_exit_code_three_for_malformed_checkpoint(
     assert not (tmp_path / "r.txt").exists()
 
 
-# RunConfig's fields while it still had normalize_cons, in declaration order
-OLD_CONFIG_KEYS = ("p_s", "p_g", "substrate_mode", "lam", "normalize_cons", "learning_rate",
-                   "epochs", "batch_size", "hidden_enzyme", "hidden_substrate", "embed_dim",
-                   "seed")
-
-
-def old_echo(data):
-    """The echo and hash a checkpoint of the same run had before
-    normalize_cons was removed."""
-    data["config"]["normalize_cons"] = "false"
-    text = "".join(f"{key}={data['config'][key]}\n" for key in OLD_CONFIG_KEYS)
-    data["config_hash"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-@pytest.mark.parametrize(
-    "damage",
-    [
-        lambda data: data["config"].update(seed="-1"),
-        lambda data: data["config"].update(lam="0.25"),
-        lambda data: data.pop("config_hash"),
-        old_echo,
-    ],
-    ids=["negative-seed", "edited-lam", "no-hash", "old-echo"],
-)
+@pytest.mark.parametrize("damage", CONFIG_ECHO_DAMAGES)
 def test_exit_code_three_for_damaged_config_echo(tmp_path, capsys, damage):
     """The echo must rebuild a valid config whose hash is the stored
     one; anything else is a damaged checkpoint, a data problem."""
@@ -680,7 +644,7 @@ def test_train_checkpoint_val_block_scores_its_params(tmp_path):
     assert run_cli(["train", "--train", tmp_path / "s" / "train-060.tsv", "--val", val,
                     "--config", write_cfg(tmp_path, "run.cfg", TINY_CFG),
                     "--checkpoint-out", ckpt]) == 0
-    params, data = read_checkpoint(ckpt)
+    params, _, data = read_checkpoint(ckpt)
     assert data["val"] == evaluate_params(params, read_dataset(val))
     assert data["val"]["r2"] is not None
 

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import io
 import json
@@ -6,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import CONFIG_ECHO_DAMAGES
 from enzood import augment, harness, molgraph
 from enzood.errors import DatasetError
 from enzood.harness import (
@@ -30,7 +32,7 @@ from enzood.harness import (
 )
 from enzood.io import RunConfig, config_hash, resolved_items
 from enzood.metrics import METRIC_IDS
-from enzood.model import init_params, params_to_jsonable
+from enzood.model import init_params
 from enzood.seqid import build_ood_splits, max_identities
 from enzood.synth import SynthConfig, generate
 
@@ -328,8 +330,9 @@ def test_checkpoint_roundtrip(tmp_path, bench, split):
     params, _, _ = train_on_split(bench, split, QUICK)
     path = tmp_path / "model.ckpt"
     write_checkpoint(path, params, QUICK, extra={"note": "t"})
-    loaded, data = read_checkpoint(path)
+    loaded, cfg, data = read_checkpoint(path)
     assert np.array_equal(params.theta, loaded.theta)
+    assert cfg == QUICK
     assert data["config_hash"] == config_hash(QUICK)
     assert data["seed"] == QUICK.seed
     assert data["note"] == "t"
@@ -351,7 +354,10 @@ def json_dump_bytes(params, cfg, extra) -> bytes:
         "seed": cfg.seed,
         "config_hash": config_hash(cfg),
         "config": dict(resolved_items(cfg)),
-        "params": params_to_jsonable(params),
+        "params": {
+            "layers": [params.hidden_enzyme, params.hidden_substrate, params.embed_dim],
+            "theta": base64.b64encode(params.theta.astype("<f8").tobytes()).decode("ascii"),
+        },
         **extra,
     }
     out = io.StringIO()
@@ -367,7 +373,7 @@ def test_checkpoint_bytes_equal_json_dump(tmp_path, sizes, extra):
     path = tmp_path / "model.ckpt"
     write_checkpoint(path, params, QUICK, extra=extra)
     assert path.read_bytes() == json_dump_bytes(params, QUICK, extra or {})
-    loaded, data = read_checkpoint(path)
+    loaded, _, data = read_checkpoint(path)
     assert np.array_equal(loaded.theta, params.theta)
     if extra:
         assert {key: data[key] for key in extra} == extra
@@ -385,6 +391,21 @@ def test_checkpoint_read_errors(tmp_path):
     empty.write_text("{}")
     with pytest.raises(DatasetError):
         read_checkpoint(empty)
+
+
+@pytest.mark.parametrize("damage", CONFIG_ECHO_DAMAGES)
+def test_read_checkpoint_checks_the_config_echo(tmp_path, damage):
+    """The echo must rebuild a valid config whose hash is the stored one;
+    the undamaged file gives back the config it was written with."""
+    params = init_params(np.random.default_rng(42), 2, 2, 2)
+    path = tmp_path / "model.ckpt"
+    write_checkpoint(path, params, QUICK)
+    assert read_checkpoint(path)[1] == QUICK
+    data = json.loads(path.read_text(encoding="utf-8"))
+    damage(data)
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(DatasetError, match="config echo"):
+        read_checkpoint(path)
 
 
 def test_write_train_log(tmp_path, bench, split):

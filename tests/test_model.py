@@ -1,4 +1,3 @@
-import base64
 import dataclasses
 import json
 import logging
@@ -11,9 +10,11 @@ import pytest
 import _featurize_py as reference
 import _train_py
 from _augment_py import mask_graph, mask_sequence
+from conftest import nested_lists, recoded
 from enzood import model
 from enzood.augment import ALPHABET, AMINO_ACIDS
-from enzood.errors import NonFiniteError
+from enzood.errors import DatasetError, NonFiniteError
+from enzood.harness import read_checkpoint, write_checkpoint
 from enzood.io import EsiRecord, RunConfig
 from enzood.model import (
     ENZYME_FEATURES,
@@ -25,8 +26,6 @@ from enzood.model import (
     loss_base,
     loss_cons,
     loss_total,
-    params_from_jsonable,
-    params_to_jsonable,
     predict,
     train,
 )
@@ -391,24 +390,24 @@ def test_params_compare_and_hash_by_identity():
     assert len({a, b, a}) == 2
 
 
-def test_params_jsonable_round_trip():
-    """Bit for bit through JSON text, -0.0, the smallest subnormal, both
-    largest finite values and a 17-digit sum included."""
+# The weights' checkpoint form, written and read by harness.write_checkpoint
+# and read_checkpoint; the three tests keep their names so their ids stay
+# stable.
+
+
+def test_params_jsonable_round_trip(tmp_path):
+    """Bit for bit through a checkpoint file, -0.0, the smallest
+    subnormal, both largest finite values and a 17-digit sum included."""
     theta = init_params(np.random.default_rng(11), 5, 4, 6).theta.copy()
     special = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1 + 0.2]
     theta[: len(special)] = special
     params = ModelParams(theta, 5, 4, 6)
-    data = params_to_jsonable(params)
-    assert data["layers"] == [5, 4, 6] and isinstance(data["theta"], str)
-    again = params_from_jsonable(json.loads(json.dumps(data)))
+    path = tmp_path / "m.ckpt"
+    write_checkpoint(path, params, RunConfig())
+    again, _, data = read_checkpoint(path)
+    assert data["params"]["layers"] == [5, 4, 6] and isinstance(data["params"]["theta"], str)
     assert again.theta.tobytes() == params.theta.tobytes()
     assert (again.hidden_enzyme, again.hidden_substrate, again.embed_dim) == (5, 4, 6)
-
-
-def recoded(params: dict, edit) -> dict:
-    """params with theta decoded, edited by ``edit`` and encoded again."""
-    theta = np.frombuffer(base64.b64decode(params["theta"]), dtype="<f8")
-    return {**params, "theta": base64.b64encode(edit(theta).astype("<f8").tobytes()).decode()}
 
 
 def poked(value):
@@ -416,10 +415,14 @@ def poked(value):
     return lambda theta: np.concatenate([theta[:3], [value], theta[4:]])
 
 
-def nested_lists(params: dict) -> dict:
-    """params in the retired checkpoint form: one nested list per block."""
-    theta = np.frombuffer(base64.b64decode(params["theta"]), dtype="<f8")
-    return {name: block.tolist() for name, block in model._blocks(theta, *params["layers"]).items()}
+def damaged_checkpoint(path, params: ModelParams, damage):
+    """A checkpoint of ``params`` at ``path`` whose params block is
+    ``damage`` of the one write_checkpoint wrote."""
+    write_checkpoint(path, params, RunConfig())
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["params"] = damage(data["params"])
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
 
 
 @pytest.mark.parametrize(
@@ -446,16 +449,21 @@ def nested_lists(params: dict) -> dict:
         pytest.param("theta", nested_lists, id="nested-lists"),
     ],
 )
-def test_params_from_jsonable_names_the_bad_field(field, damage):
-    data = damage(params_to_jsonable(init_params(np.random.default_rng(14), 5, 4, 6)))
-    with pytest.raises(ValueError, match=field):
-        params_from_jsonable(data)
+def test_params_from_jsonable_names_the_bad_field(tmp_path, field, damage):
+    params = init_params(np.random.default_rng(14), 5, 4, 6)
+    path = damaged_checkpoint(tmp_path / "m.ckpt", params, damage)
+    with pytest.raises(DatasetError) as excinfo:
+        read_checkpoint(path)
+    message = str(excinfo.value)
+    assert message.startswith(f"invalid checkpoint {path}: params ")
+    assert field in message.removeprefix(f"invalid checkpoint {path}: "), message
 
 
-def test_params_from_jsonable_rejects_non_mapping():
-    data = params_to_jsonable(init_params(np.random.default_rng(15), 2, 2, 2))
-    with pytest.raises(ValueError):
-        params_from_jsonable(list(data.values()))
+def test_params_from_jsonable_rejects_non_mapping(tmp_path):
+    params = init_params(np.random.default_rng(15), 2, 2, 2)
+    path = damaged_checkpoint(tmp_path / "m.ckpt", params, lambda p: list(p.values()))
+    with pytest.raises(DatasetError, match="params must map layers and theta, got list"):
+        read_checkpoint(path)
 
 
 # ---------------------------------------------------------------------------

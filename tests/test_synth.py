@@ -347,6 +347,14 @@ def test_decorations_only_append_allowed_atoms():
         assert {el for el, v in extra.items() if v > 0} <= {"C", "Cl", "F"}
 
 
+def test_substrate_slot_pool_is_the_topology_slots():
+    """Bond orders 11-14, ring atoms 15, degrees 0..4+ 16-20 and the atom
+    total 22 of the model's 23-entry row; the element bins, the MASKED
+    bin and the charge sum stay out."""
+    assert synth._SUBSTRATE_SLOT_POOL == tuple(range(11, 21)) + (22,)
+    assert model.SUBSTRATE_FEATURES == 23
+
+
 def test_substrate_signal_sits_on_topology_slots():
     _, truth = generate(SynthConfig())
     idx = [i for i, _ in truth["substrate_features"]]
